@@ -15,13 +15,12 @@ the identity holds to machine precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContactRegimeError, DomainError, SnapInError
-from .potential import LennardJones, SurfacePotential
+from .potential import LennardJones, SurfacePotential, _bisect
 from .units import hbar
 
 # fundamental lateral mode frequency prefactor, (beta_1 L)^2 / sqrt(12)
@@ -29,6 +28,11 @@ MODE_FREQ_COEFF = 1.015
 
 # gap below 1.1 sigma counts as contact for the Lennard-Jones model
 CONTACT_GUARD = 1.1
+
+# per-element regime of the operating state
+FLAG_OK = 0
+FLAG_CONTACT = 1
+FLAG_SNAP_IN = 2
 
 
 @dataclass(frozen=True)
@@ -84,17 +88,45 @@ class BiasState:
     x_zpf: float
 
 
+def _modal_constants(length, width, thickness, material):
+    """I, k, omega_c and m_eff = k/omega_c^2; any argument may be an array."""
+    inertia = thickness * width**3 / 12.0
+    k = 3.0 * material.young_modulus * inertia / length**3
+    omega_c = MODE_FREQ_COEFF * np.sqrt(
+        material.young_modulus * width**2 / (material.density * length**4))
+    return inertia, k, omega_c, k / omega_c**2
+
+
+def _operating_state(k, m_eff, potential, gap):
+    """V''(x), k_eff, omega_eff, x_zpf and a flag per element of ``gap``.
+
+    Flagged elements carry NaN omega_eff and x_zpf. Contact is decided
+    first, so an all-contact input (x <= 0 is singular) evaluates no V''.
+    """
+    contact = np.zeros(np.shape(gap), dtype=bool)
+    if isinstance(potential, LennardJones):
+        contact = gap <= CONTACT_GUARD * potential.sigma
+    if contact.all():
+        nan = np.full(contact.shape, np.nan)
+        return nan, nan, nan, nan, np.full(contact.shape, FLAG_CONTACT)
+    v2 = potential.derivative(gap, 2)
+    k_eff = k + v2
+    snap = (k_eff <= 0) & ~contact
+    flag = np.where(contact, FLAG_CONTACT, np.where(snap, FLAG_SNAP_IN, FLAG_OK))
+    omega_eff = np.sqrt(np.where(flag == FLAG_OK, k_eff, np.nan) / m_eff)
+    x_zpf = np.sqrt(hbar / (2.0 * m_eff * omega_eff))
+    return v2, k_eff, omega_eff, x_zpf, flag
+
+
 def modal_params(geometry: CantileverGeometry,
                  material: MaterialParams) -> CantileverModal:
     """Modal spring constant, frequency, and effective mass of the lateral mode."""
-    I = geometry.thickness * geometry.width**3 / 12.0
-    k = 3.0 * material.young_modulus * I / geometry.length**3
-    omega_c = MODE_FREQ_COEFF * math.sqrt(
-        material.young_modulus * geometry.width**2
-        / (material.density * geometry.length**4))
-    m_eff = k / omega_c**2
-    return CantileverModal(spring_constant=k, effective_mass=m_eff,
-                           omega_c=omega_c, moment_of_inertia=I)
+    inertia, k, omega_c, m_eff = _modal_constants(
+        np.array([geometry.length], dtype=float), geometry.width,
+        geometry.thickness, material)
+    return CantileverModal(spring_constant=k.item(),
+                           effective_mass=m_eff.item(),
+                           omega_c=omega_c.item(), moment_of_inertia=inertia)
 
 
 def bias_state(modal: CantileverModal, potential: SurfacePotential,
@@ -109,21 +141,20 @@ def bias_state(modal: CantileverModal, potential: SurfacePotential,
         if the attractive force gradient exceeds the spring constant
         (k_eff <= 0), i.e. past the static pull-in instability.
     """
-    if isinstance(potential, LennardJones) and x <= CONTACT_GUARD * potential.sigma:
+    k = modal.spring_constant
+    v2, k_eff, omega_eff, x_zpf, flag = (
+        np.asarray(a).item() for a in _operating_state(
+            k, modal.effective_mass, potential, np.array([x], dtype=float)))
+    if flag == FLAG_CONTACT:
         raise ContactRegimeError(
             f"gap {x:.4e} m inside contact region (<= 1.1 sigma "
             f"= {CONTACT_GUARD * potential.sigma:.4e} m)")
-    k = modal.spring_constant
-    force = -potential.derivative(x, 1)          # surface force on the cantilever
-    x_c = -force / k                             # k x_c + F = 0
-    v2 = potential.derivative(x, 2)
-    k_eff = k + v2
-    if k_eff <= 0:
+    if flag == FLAG_SNAP_IN:
         raise SnapInError(
             f"k_eff = {k_eff:.4e} N/m <= 0 at gap {x:.4e} m (snap-in: "
             "attractive gradient exceeds spring constant)")
-    omega_eff = math.sqrt(k_eff / modal.effective_mass)
-    x_zpf = math.sqrt(hbar / (2.0 * modal.effective_mass * omega_eff))
+    force = -potential.derivative(x, 1)          # surface force on the cantilever
+    x_c = -force / k                             # k x_c + F = 0
     return BiasState(gap=x, equilibrium_offset=x_c, lj_stiffness=v2,
                      effective_stiffness=k_eff, omega_eff=omega_eff,
                      x_zpf=x_zpf)
@@ -144,15 +175,6 @@ def snap_in_threshold(modal: CantileverModal, potential: SurfacePotential,
     if sign_change.size == 0:
         return None
     i = sign_change[-1]                          # rightmost bracket
-    a, b = xs[i], xs[i + 1]
-    fa = modal.spring_constant + potential.derivative(a, 2)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = modal.spring_constant + potential.derivative(mid, 2)
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-        if b - a <= 1e-9 * abs(mid):
-            break
+    stiffness = lambda x: modal.spring_constant + potential.derivative(x, 2)
+    a, _, b, _ = _bisect(stiffness, xs[i], f[i], xs[i + 1], f[i + 1], 1e-9)
     return 0.5 * (a + b)

@@ -16,48 +16,27 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import warnings
 
 import numpy as np
 
 from . import __version__
-from .cantilever import bias_state, modal_params, snap_in_threshold
-from .config import RunConfig, load_config, parse_config_text
+from .cantilever import snap_in_threshold
+from .config import (PAPER_CONFIG, RunConfig, default_config,  # noqa: F401
+                     load_config)
 from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    dispersive_shift, frequency_response,
                    quality_factor_damping)
 from .errors import AfqError, ConfigError
-from .explorer import SWEEP_COLUMNS, SweepSpec, sweep
+from .explorer import SWEEP_COLUMNS, sweep
 from .oracle import (GridSpec, grid_eigensolve, jc_dispersive_oracle,
                      total_potential, two_qubit_bus_oracle)
-from .potential import taylor_coefficients
-from .spectrum import (perturbative_energies, relative_frequency_shift,
-                       thermal_occupancy)
+from .spectrum import relative_frequency_shift, thermal_occupancy
 from .units import ANGSTROM, MHZ, MK, NM, PM, cycles, hbar
-
-# bundled headline design (silicon, curvature-free bias, 8 mK)
-PAPER_CONFIG = """\
-# Headline silicon atomic-force qubit design
-potential.kind = lennard-jones
-potential.epsilon_mev = 17.4
-potential.sigma_angstrom = 3.826
-material.young_modulus_gpa = 160
-material.density_kg_m3 = 2329
-cantilever.length_nm = 495
-cantilever.width_nm = 10
-cantilever.thickness_nm = 12
-bias.auto = true
-spectrum.temperature_mk = 8
-"""
 
 # readout-mode frequency shift from the hybridization joint (design input)
 JOINT_SHIFT_MHZ = -2.7
-
-
-def default_config() -> RunConfig:
-    return parse_config_text(PAPER_CONFIG, source="<bundled paper design>")
 
 
 def _fmt(value):
@@ -93,7 +72,7 @@ def emit(report: dict, fmt: str, out_path, quiet: bool,
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -102,18 +81,8 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _design_chain(cfg: RunConfig):
-    pot = cfg.potential()
-    modal = modal_params(cfg.geometry(), cfg.material())
-    gap = cfg.bias_gap(pot)
-    state = bias_state(modal, pot, gap)
-    taylor = taylor_coefficients(pot, gap, max_order=6)
-    spec = perturbative_energies(state, taylor, n_max=cfg.si["spectrum.n_max"])
-    return pot, modal, gap, state, spec
-
-
 def cmd_bias(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
-    pot, modal, gap, state, _ = _design_chain(cfg)
+    pot, modal, gap, state, _ = cfg.design()
     snap = snap_in_threshold(modal, pot, (1.15 * pot.sigma, 2.0 * pot.sigma))
     outputs = {
         "auto_bias": cfg.display["bias.auto"],
@@ -131,7 +100,7 @@ def cmd_bias(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
-    pot, modal, gap, state, spec = _design_chain(cfg)
+    _, modal, gap, state, spec = cfg.design()
     temp = cfg.si["spectrum.temperature_mk"]
     outputs = {
         "gap_angstrom": gap / ANGSTROM,
@@ -159,25 +128,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> tuple[dict, tuple]:
-    threads = os.environ.get("AFQ_THREADS", "0")
-    try:
-        if int(threads) < 0:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"AFQ_THREADS must be a non-negative integer, "
-                          f"got {threads!r}")
     si = cfg.si
-    spec = SweepSpec(
-        lengths=tuple(np.linspace(si["sweep.length_min_nm"],
-                                  si["sweep.length_max_nm"],
-                                  si["sweep.length_points"])),
-        gaps_over_sigma=tuple(np.linspace(si["sweep.x_over_sigma_min"],
-                                          si["sweep.x_over_sigma_max"],
-                                          si["sweep.x_points"])),
-        width=si["cantilever.width_nm"], thickness=si["cantilever.thickness_nm"],
-        material=cfg.material(), potential=cfg.potential(),
-        temperature=si["sweep.temperature_mk"])
-    result = sweep(spec)
+    result = sweep(cfg.sweep_spec())
     rows = list(zip(*result.columns()))
     flagged = int(np.count_nonzero(result.flag))
     outputs = {"rows": len(result), "flagged_rows": flagged,
@@ -186,8 +138,7 @@ def cmd_sweep(cfg: RunConfig, args) -> tuple[dict, tuple]:
     return outputs, (list(SWEEP_COLUMNS), rows)
 
 
-def _cqad_config(cfg: RunConfig):
-    pot, modal, gap, state, spec = _design_chain(cfg)
+def _cqad_config(cfg: RunConfig, spec) -> CqadConfig:
     si = cfg.si
     omega_q = si["cqad.omega_q_mhz"]
     if omega_q is None:
@@ -203,7 +154,7 @@ def _cqad_config(cfg: RunConfig):
         mech_damping=quality_factor_damping(omega_m, si["cqad.mech_quality"]),
         kappa_i=si["cqad.kappa_i_mhz"], kappa_e=si["cqad.kappa_e_mhz"],
         n_d=si["cqad.drive_photons"], participation=si["cqad.participation"],
-        gap=si["cqad.gap_nm"], readout_x_zpf=si["cqad.readout_x_zpf_fm"]), spec
+        gap=si["cqad.gap_nm"], readout_x_zpf=si["cqad.readout_x_zpf_fm"])
 
 
 RESPONSE_COLUMNS = ("omega_over_2pi_hz", "re_reflection", "im_reflection",
@@ -211,7 +162,8 @@ RESPONSE_COLUMNS = ("omega_over_2pi_hz", "re_reflection", "im_reflection",
 
 
 def cmd_cqad(cfg: RunConfig, args) -> tuple[dict, tuple]:
-    chain, spec = _cqad_config(cfg)
+    *_, spec = cfg.design()
+    chain = _cqad_config(cfg, spec)
     eff = adiabatic_elimination(chain)
     # dispersive figures against the joint-shifted readout mode
     omega_m_disp = chain.omega_m + JOINT_SHIFT_MHZ * MHZ
@@ -243,7 +195,7 @@ def cmd_cqad(cfg: RunConfig, args) -> tuple[dict, tuple]:
 
 
 def cmd_oracle(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
-    pot, modal, gap, state, spec = _design_chain(cfg)
+    pot, modal, gap, state, spec = cfg.design()
     si = cfg.si
     grid = GridSpec(half_width=si["oracle.grid_half_width_zpf"],
                     right_clip=si["oracle.grid_right_clip"],
@@ -256,7 +208,7 @@ def cmd_oracle(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
     w10_grid = (ev[1] - ev[0]) / hbar
     eta_grid = (ev[2] - 2 * ev[1] + ev[0]) / hbar
     # dispersive cross-checks at the design's eta
-    chain, _ = _cqad_config(cfg)
+    chain = _cqad_config(cfg, spec)
     omega_m_disp = chain.omega_m + JOINT_SHIFT_MHZ * MHZ
     delta = abs(omega_m_disp - chain.omega_q)
     levels = (0.0, spec.energies[1] - spec.energies[0],

@@ -13,12 +13,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantilever import CantileverGeometry, MaterialParams
+import numpy as np
+
+from .cantilever import (CantileverGeometry, MaterialParams, bias_state,
+                         modal_params)
 from .errors import ConfigError
-from .potential import LennardJones, find_bias_point
+from .explorer import SweepSpec
+from .potential import LennardJones, find_bias_point, taylor_coefficients
+from .spectrum import perturbative_energies
 from .units import ANGSTROM, FM, GHZ, GPA, MEV, MHZ, MK, NM
 
 _REQUIRED = object()
+
+# bundled headline design (silicon, curvature-free bias, 8 mK)
+PAPER_CONFIG = """\
+# Headline silicon atomic-force qubit design
+potential.kind = lennard-jones
+potential.epsilon_mev = 17.4
+potential.sigma_angstrom = 3.826
+material.young_modulus_gpa = 160
+material.density_kg_m3 = 2329
+cantilever.length_nm = 495
+cantilever.width_nm = 10
+cantilever.thickness_nm = 12
+bias.auto = true
+spectrum.temperature_mk = 8
+"""
 
 
 @dataclass(frozen=True)
@@ -106,6 +126,33 @@ class RunConfig:
             return ratio * pot.sigma
         return find_bias_point(pot, (1.05 * pot.sigma, 2.0 * pot.sigma))
 
+    def design(self, geometry: CantileverGeometry | None = None):
+        """(potential, modal, gap, bias state, spectrum) of the configured
+        design; ``geometry`` replaces the configured beam."""
+        pot = self.potential()
+        modal = modal_params(geometry or self.geometry(), self.material())
+        gap = self.bias_gap(pot)
+        state = bias_state(modal, pot, gap)
+        taylor = taylor_coefficients(pot, gap, max_order=6)
+        spectrum = perturbative_energies(state, taylor,
+                                         n_max=self.si["spectrum.n_max"])
+        return pot, modal, gap, state, spectrum
+
+    def sweep_spec(self) -> SweepSpec:
+        """The ``sweep.*`` (length, gap) grid at the configured width and thickness."""
+        si = self.si
+        return SweepSpec(
+            lengths=tuple(np.linspace(si["sweep.length_min_nm"],
+                                      si["sweep.length_max_nm"],
+                                      si["sweep.length_points"])),
+            gaps_over_sigma=tuple(np.linspace(si["sweep.x_over_sigma_min"],
+                                              si["sweep.x_over_sigma_max"],
+                                              si["sweep.x_points"])),
+            width=si["cantilever.width_nm"],
+            thickness=si["cantilever.thickness_nm"],
+            material=self.material(), potential=self.potential(),
+            temperature=si["sweep.temperature_mk"])
+
 
 def _parse_value(key: str, field: _Field, text: str, line_no: int):
     if field.kind == "bool":
@@ -183,6 +230,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         else:
             si[key] = value
     return RunConfig(display=display, si=si)
+
+
+def default_config() -> RunConfig:
+    """The bundled headline design."""
+    return parse_config_text(PAPER_CONFIG, source="<bundled paper design>")
 
 
 def load_config(path) -> RunConfig:

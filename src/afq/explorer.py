@@ -12,15 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantilever import CONTACT_GUARD, MODE_FREQ_COEFF, MaterialParams
+from .cantilever import (CONTACT_GUARD, FLAG_CONTACT, FLAG_OK,  # noqa: F401
+                         FLAG_SNAP_IN, MaterialParams, _modal_constants,
+                         _operating_state)
 from .errors import DomainError
-from .potential import LennardJones
-from .spectrum import thermal_occupancy
-from .units import hbar
-
-FLAG_OK = 0
-FLAG_CONTACT = 1
-FLAG_SNAP_IN = 2
+from .potential import LennardJones, _taylor_term
+from .spectrum import _first_order_ladder, thermal_occupancy
 
 SWEEP_COLUMNS = ("length_m", "gap_m", "gap_over_sigma", "omega_c_rad_s",
                  "omega_10_rad_s", "eta_r", "eta_rad_s", "delta_omega",
@@ -106,30 +103,17 @@ class DesignConstraints:
 
 
 def _figures(length, gap, width, thickness, material, potential, temperature):
-    """Vectorized figure-of-merit chain; NaN rows where physics fails."""
-    lj = potential
-    inertia = thickness * width**3 / 12.0
-    k = 3.0 * material.young_modulus * inertia / length**3
-    omega_c = MODE_FREQ_COEFF * np.sqrt(
-        material.young_modulus * width**2 / (material.density * length**4))
-    m_eff = k / omega_c**2
+    """Vectorized figure-of-merit chain; NaN rows where physics fails.
 
-    v2 = lj.derivative(gap, 2)
-    k_eff = k + v2
-    contact = gap <= CONTACT_GUARD * lj.sigma
-    snap = (k_eff <= 0) & ~contact
-    flag = np.where(contact, FLAG_CONTACT, np.where(snap, FLAG_SNAP_IN, FLAG_OK))
+    Returns the columns after (L, x, x/sigma), in SWEEP_COLUMNS order.
+    """
+    _, k, omega_c, m_eff = _modal_constants(length, width, thickness, material)
+    _, k_eff, omega_eff, x_zpf, flag = _operating_state(k, m_eff, potential,
+                                                        gap)
+    _, _, omega_10, eta = _first_order_ladder(
+        omega_eff, x_zpf, _taylor_term(potential, gap, 4),
+        _taylor_term(potential, gap, 6))
     valid = flag == FLAG_OK
-
-    safe_keff = np.where(valid, k_eff, np.nan)
-    omega_eff = np.sqrt(safe_keff / m_eff)
-    x_zpf = np.sqrt(hbar / (2.0 * m_eff * omega_eff))
-    lam4 = lj.derivative(gap, 4) / 24.0
-    lam6 = lj.derivative(gap, 6) / 720.0
-    q4 = lam4 * x_zpf**4
-    q6 = lam6 * x_zpf**6
-    omega_10 = omega_eff + (12.0 * q4 + 90.0 * q6) / hbar
-    eta = (12.0 * q4 + 180.0 * q6) / hbar
     eta_r = eta / omega_10
     delta_omega = np.abs(1.0 - omega_10 / omega_c)
     n_th = thermal_occupancy(np.where(valid, omega_10, 1.0),
@@ -145,13 +129,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
     gs = np.asarray(spec.gaps_over_sigma, dtype=float) * spec.potential.sigma
     length, gap = np.meshgrid(ls, gs, indexing="ij")
     length, gap = length.ravel(), gap.ravel()
-    (omega_c, omega_10, eta_r, eta, delta_omega, n_th, x_zpf, k_eff,
-     flag) = _figures(length, gap, spec.width, spec.thickness, spec.material,
-                      spec.potential, spec.temperature)
-    return SweepResult(spec=spec, length=length, gap=gap, omega_c=omega_c,
-                       omega_10=omega_10, eta_r=eta_r, eta=eta,
-                       delta_omega=delta_omega, n_thermal=n_th, x_zpf=x_zpf,
-                       k_eff=k_eff, flag=flag)
+    return SweepResult(spec, length, gap, *_figures(
+        length, gap, spec.width, spec.thickness, spec.material,
+        spec.potential, spec.temperature))
 
 
 def feasible_designs(result: SweepResult,
@@ -181,18 +161,15 @@ def design_point(length, width, thickness, material, potential,
     """
     if gap is None:
         gap = potential.inflection
-    arrs = _figures(np.array([float(length)]), np.array([float(gap)]),
-                    width, thickness, material, potential, temperature)
-    omega_c, omega_10, eta_r, eta, delta_omega, n_th, x_zpf, k_eff, flag = arrs
+    *figures, flag = _figures(np.array([float(length)]),
+                              np.array([float(gap)]), width, thickness,
+                              material, potential, temperature)
     if flag[0] != FLAG_OK:
         raise DomainError(f"design point not in the valid regime (flag {flag[0]})")
-    return {"length_m": float(length), "gap_m": float(gap),
-            "gap_over_sigma": float(gap) / potential.sigma,
-            "omega_c_rad_s": float(omega_c[0]),
-            "omega_10_rad_s": float(omega_10[0]), "eta_r": float(eta_r[0]),
-            "eta_rad_s": float(eta[0]), "delta_omega": float(delta_omega[0]),
-            "n_thermal": float(n_th[0]), "x_zpf_m": float(x_zpf[0]),
-            "k_eff_n_m": float(k_eff[0])}
+    row = {"length_m": float(length), "gap_m": float(gap),
+           "gap_over_sigma": float(gap) / potential.sigma}
+    row.update((name, a.item()) for name, a in zip(SWEEP_COLUMNS[3:], figures))
+    return row
 
 
 def optimize_length(width, thickness, material, potential, temperature,

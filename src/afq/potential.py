@@ -58,18 +58,22 @@ class LennardJones:
 
     def value(self, x):
         """Potential energy at tip-surface distance ``x`` (scalar or array)."""
-        self._check(x)
-        s6 = (self.sigma / x) ** 6
-        return 4.0 * self.epsilon * (s6 * s6 - s6)
+        return self.derivative(x, 0)
 
     def derivative(self, x, n: int):
-        """n-th derivative of the potential at ``x``; ``derivative(x, 0) == value(x)``."""
+        """n-th derivative of the potential at ``x``; ``derivative(x, 0) == value(x)``.
+
+        A scalar ``x`` is evaluated as a size-1 array, so it gets the same
+        bits as the array element (numpy's vectorized power can differ).
+        """
         if n < 0:
             raise DomainError(f"derivative order must be >= 0, got {n}")
-        if n == 0:
-            return self.value(x)
+        if np.ndim(x) == 0:
+            return self.derivative(np.array([x], dtype=float), n).item()
         self._check(x)
         s6 = (self.sigma / x) ** 6
+        if n == 0:
+            return 4.0 * self.epsilon * (s6 * s6 - s6)
         c12 = _falling_power_coeff(12, n)
         c6 = _falling_power_coeff(6, n)
         return 4.0 * self.epsilon * (-1.0) ** n * (c12 * s6 * s6 - c6 * s6) / x**n
@@ -100,6 +104,11 @@ class TaylorCoefficients:
         return self.coefficients[n]
 
 
+def _taylor_term(potential: SurfacePotential, x, n: int):
+    """lambda_n = V^(n)(x) / n! at a scalar or array ``x``."""
+    return potential.derivative(x, n) / math.factorial(n)
+
+
 def taylor_coefficients(potential: SurfacePotential, x: float,
                         max_order: int = 6) -> TaylorCoefficients:
     """Taylor-expand a potential about ``x`` up to ``max_order``.
@@ -110,9 +119,28 @@ def taylor_coefficients(potential: SurfacePotential, x: float,
     """
     if max_order < 2:
         raise DomainError(f"max_order must be >= 2, got {max_order}")
-    coeffs = tuple(potential.derivative(x, n) / math.factorial(n)
+    coeffs = tuple(_taylor_term(potential, x, n)
                    for n in range(max_order + 1))
     return TaylorCoefficients(expansion_point=x, coefficients=coeffs)
+
+
+def _bisect(f, lo, flo, hi, fhi, rtol):
+    """Bisect the sign-change bracket [lo, hi] of ``f`` to hi - lo <= rtol |mid|.
+
+    Returns (lo, flo, hi, fhi); an exact zero collapses the bracket onto it.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid, fm, mid, fm
+        if np.sign(fm) == np.sign(flo):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+        if hi - lo <= rtol * abs(mid):
+            break
+    return lo, flo, hi, fhi
 
 
 def find_bias_point(potential: SurfacePotential, bracket) -> float:
@@ -136,17 +164,7 @@ def find_bias_point(potential: SurfacePotential, bracket) -> float:
         raise BracketError(
             f"second derivative does not change sign over [{lo}, {hi}]")
     # bisection until the interval is small enough for a safe secant
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if hi - lo < 1e-6 * abs(mid):
-            break
+    lo, flo, hi, fhi = _bisect(f, lo, flo, hi, fhi, 1e-6)
     # secant refinement
     a, b, fa, fb = lo, hi, flo, fhi
     for _ in range(60):

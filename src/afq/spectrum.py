@@ -47,6 +47,21 @@ class QubitSpectrum:
     delta_omega: float | None = None
 
 
+def _first_order_ladder(omega_eff, x_zpf, lam4, lam6):
+    """q4 = lam4 xz^4, q6 = lam6 xz^6, omega_10 and eta (rad/s); arrays in.
+
+    The splittings come from the alpha coefficients, not from differencing
+    absolute energies, which carry the deep potential offset and would
+    lose digits against them.
+    """
+    q4 = lam4 * x_zpf**4
+    q6 = lam6 * x_zpf**6
+    quartic = 12.0 * q4                 # first-order quartic part of both
+    omega_10 = omega_eff + (quartic + 90.0 * q6) / hbar
+    eta = (quartic + 180.0 * q6) / hbar
+    return q4, q6, omega_10, eta
+
+
 def perturbative_energies(bias: BiasState, taylor: TaylorCoefficients,
                           n_max: int = 5, order: int = 6) -> QubitSpectrum:
     """Anharmonic energy ladder at the bias point.
@@ -68,36 +83,29 @@ def perturbative_energies(bias: BiasState, taylor: TaylorCoefficients,
         raise OrderMismatchError(
             f"need Taylor coefficients to order {order}, have {taylor.max_order}")
 
-    xz = bias.x_zpf
+    q4, q6, omega_10, eta = (a.item() for a in _first_order_ladder(
+        *np.atleast_1d(bias.omega_eff, bias.x_zpf, taylor.lam(4),
+                       taylor.lam(6))))
     hw = hbar * bias.omega_eff
-    q4 = taylor.lam(4) * xz**4
-    q6 = taylor.lam(6) * xz**6
     a0 = 15.0 * q6 + 3.0 * q4 + 0.5 * hw + taylor.lam(0)
     a1 = 40.0 * q6 + 6.0 * q4 + hw
     a2 = 30.0 * q6 + 6.0 * q4
     a3 = 20.0 * q6
     ns = np.arange(n_max + 1)
     energies = a0 + a1 * ns + a2 * ns**2 + a3 * ns**3
-    # transitions from the polynomial coefficients, not by differencing
-    # the absolute energies (those carry the deep potential offset and
-    # would lose digits against these small splittings)
-    e10 = a1 + a2 + a3
-    e21 = a1 + 3.0 * a2 + 7.0 * a3
 
     if order > 6:
         from .oracle import fock_matrix_element
         for two_k in range(8, order + 1, 2):
-            qk = taylor.lam(two_k) * xz**two_k
+            qk = taylor.lam(two_k) * bias.x_zpf**two_k
             elems = np.array(
                 [fock_matrix_element(int(n), two_k, int(n) + two_k + 5)
                  for n in ns])
             energies = energies + qk * elems
-            e10 += qk * (elems[1] - elems[0])
-            e21 += qk * (elems[2] - elems[1])
+            omega_10 += qk * (elems[1] - elems[0]) / hbar
+            eta += qk * (elems[2] - 2.0 * elems[1] + elems[0]) / hbar
 
-    omega_10 = e10 / hbar
-    omega_21 = e21 / hbar
-    eta = (e21 - e10) / hbar
+    omega_21 = omega_10 + eta
     return QubitSpectrum(energies=tuple(energies), omega_10=omega_10,
                          omega_21=omega_21, eta=eta, eta_r=eta / omega_10,
                          alpha_coeffs=(a0, a1, a2, a3))
@@ -137,18 +145,15 @@ def relative_frequency_shift(spectrum: QubitSpectrum,
 def thermal_occupancy(omega, temperature):
     """Bose-Einstein mean occupancy of a mode at ``omega`` and ``temperature``.
 
-    T = 0 returns exactly 0.
+    T = 0 returns exactly 0; scalar inputs give a Python float.
     """
-    if np.any(np.asarray(omega) <= 0):
-        raise DomainError("omega must be > 0")
-    if np.any(np.asarray(temperature) < 0):
-        raise DomainError("temperature must be >= 0")
-    if np.isscalar(omega) and np.isscalar(temperature):
-        if temperature == 0:
-            return 0.0
-        return 1.0 / math.expm1(hbar * omega / (k_B * temperature))
     omega = np.asarray(omega, dtype=float)
     temperature = np.asarray(temperature, dtype=float)
+    if np.any(omega <= 0):
+        raise DomainError("omega must be > 0")
+    if np.any(temperature < 0):
+        raise DomainError("temperature must be >= 0")
     with np.errstate(divide="ignore", over="ignore"):
         out = 1.0 / np.expm1(hbar * omega / (k_B * temperature))
-    return np.where(temperature == 0, 0.0, out)
+    out = np.where(temperature == 0, 0.0, out)
+    return out.item() if out.ndim == 0 else out

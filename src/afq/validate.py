@@ -12,7 +12,7 @@ honest rather than loosened:
   at the curvature-free bias point (the cubic Taylor term moves the
   escape barrier inside the zero-point spread), so brute-force
   diagonalization cannot reproduce the odd-order-free perturbative
-  ladder there. See notes/decisions in the repository root.
+  ladder there. README "Known physics findings" has the numbers.
 * ``sweep_argmax_at_bias_point``: for short, stiff cantilevers the
   signed-stiffness model keeps designs past the bias point stable, where
   the anharmonicity formula keeps growing; the per-length ridge then
@@ -27,16 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantilever import bias_state, modal_params, snap_in_threshold
-from .cli import JOINT_SHIFT_MHZ, default_config, emit_csv
+from .cantilever import CantileverGeometry, snap_in_threshold
+from .cli import emit_csv
+from .config import default_config
 from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    dispersive_shift, frequency_response, response_linewidth)
-from .explorer import SWEEP_COLUMNS, FLAG_OK, SweepSpec, sweep
+from .explorer import SWEEP_COLUMNS, FLAG_OK, sweep
 from .oracle import (GridSpec, fock_matrix_element, grid_eigensolve,
                      jc_dispersive_oracle, total_potential,
                      two_qubit_bus_oracle)
-from .potential import find_bias_point, taylor_coefficients
-from .spectrum import perturbative_energies, thermal_occupancy
+from .potential import find_bias_point
+from .spectrum import thermal_occupancy
 from .units import MHZ, PM, cycles, hbar
 
 # occupancy comparisons carry the suite-wide +/- 0.05 band (the bound
@@ -51,17 +52,8 @@ class Check:
     detail: str
 
 
-def _paper_parts():
-    cfg = default_config()
-    pot = cfg.potential()
-    material = cfg.material()
-    geometry = cfg.geometry()
-    modal = modal_params(geometry, material)
-    return cfg, pot, material, geometry, modal
-
-
 def check_bias_point() -> Check:
-    _, pot, *_ = _paper_parts()
+    pot = default_config().potential()
     found = find_bias_point(pot, (1.05 * pot.sigma, 2.0 * pot.sigma))
     closed = pot.inflection
     rel = abs(found / closed - 1.0)
@@ -71,7 +63,7 @@ def check_bias_point() -> Check:
 
 
 def check_potential_derivatives() -> Check:
-    _, pot, *_ = _paper_parts()
+    pot = default_config().potential()
     xs = np.linspace(1.05 * pot.sigma, 3.0 * pot.sigma, 61)
     worst = 0.0
     h = 1e-3 * pot.sigma
@@ -89,7 +81,7 @@ def check_potential_derivatives() -> Check:
 
 
 def check_modal_identity() -> Check:
-    *_, modal = _paper_parts()
+    _, modal, *_ = default_config().design()
     rel = abs(modal.effective_mass * modal.omega_c**2
               / modal.spring_constant - 1.0)
     return Check("modal_mass_identity", rel <= 1e-14,
@@ -98,10 +90,7 @@ def check_modal_identity() -> Check:
 
 def check_headline_design() -> Check:
     start = time.perf_counter()
-    _, pot, _, _, modal = _paper_parts()
-    gap = pot.inflection
-    state = bias_state(modal, pot, gap)
-    spec = perturbative_energies(state, taylor_coefficients(pot, gap), n_max=5)
+    _, modal, _, state, spec = default_config().design()
     fc = cycles(modal.omega_c) / 1e6
     f10 = cycles(spec.omega_10) / 1e6
     feta = cycles(spec.eta) / 1e6
@@ -126,21 +115,12 @@ def check_thermal_occupancy() -> Check:
                  f"n(115 MHz, 8 mK) = {n115:.4f} (1.01±0.05)")
 
 
-def _design_figures(length, width, thickness):
-    cfg, pot, material, _, _ = _paper_parts()
-    from .cantilever import CantileverGeometry
-    modal = modal_params(CantileverGeometry(length, width, thickness),
-                         material)
-    gap = pot.inflection
-    state = bias_state(modal, pot, gap)
-    spec = perturbative_energies(state, taylor_coefficients(pot, gap), n_max=5)
-    nth = thermal_occupancy(spec.omega_10, 8e-3)
-    return spec, nth
-
-
 def check_alternative_designs() -> Check:
-    spec_a, nth_a = _design_figures(345e-9, 10e-9, 12e-9)
-    spec_b, nth_b = _design_figures(457e-9, 18e-9, 24e-9)
+    cfg = default_config()
+    *_, spec_a = cfg.design(CantileverGeometry(345e-9, 10e-9, 12e-9))
+    *_, spec_b = cfg.design(CantileverGeometry(457e-9, 18e-9, 24e-9))
+    nth_a = thermal_occupancy(spec_a.omega_10, 8e-3)
+    nth_b = thermal_occupancy(spec_b.omega_10, 8e-3)
     f10_a = cycles(spec_a.omega_10) / 1e6
     ok_a = (f10_a >= 115.0 and nth_a <= 1.0 + OCCUPANCY_TOL
             and abs(spec_a.eta_r - 0.023) <= 0.005)
@@ -155,10 +135,7 @@ def check_alternative_designs() -> Check:
 
 def check_grid_oracle_agreement() -> Check:
     start = time.perf_counter()
-    _, pot, _, _, modal = _paper_parts()
-    gap = pot.inflection
-    state = bias_state(modal, pot, gap)
-    spec = perturbative_energies(state, taylor_coefficients(pot, gap), n_max=5)
+    pot, modal, gap, state, spec = default_config().design()
     v_q = total_potential(modal, pot, gap)
     result = grid_eigensolve(v_q, modal.effective_mass, GridSpec(), 3,
                              x_zpf=state.x_zpf, gap=gap,
@@ -261,18 +238,10 @@ def check_dispersive_physics() -> Check:
                  f"anharmonicity); |chi| = {chi_paper:.1f} kHz (110..170)")
 
 
-def _paper_sweep_result():
-    cfg, pot, material, _, _ = _paper_parts()
-    spec = SweepSpec(lengths=tuple(np.linspace(200e-9, 800e-9, 100)),
-                     gaps_over_sigma=tuple(np.linspace(1.15, 2.0, 100)),
-                     width=10e-9, thickness=12e-9, material=material,
-                     potential=pot, temperature=8e-3)
-    return spec, sweep(spec)
-
-
 def check_design_sweep() -> Check:
     start = time.perf_counter()
-    spec, result = _paper_sweep_result()
+    spec = default_config().sweep_spec()
+    result = sweep(spec)
     elapsed = time.perf_counter() - start
     pot = spec.potential
     x0 = pot.inflection
@@ -306,7 +275,7 @@ def check_design_sweep() -> Check:
 
 
 def check_snap_in_diagnostic() -> Check:
-    _, pot, _, _, modal = _paper_parts()
+    pot, modal, *_ = default_config().design()
     x_snap = snap_in_threshold(modal, pot, (1.15 * pot.sigma, 2.0 * pot.sigma))
     margin_pm = (x_snap - pot.inflection) / 1e-12
     ok = x_snap is not None and 0.0 < margin_pm < 1.0

@@ -14,8 +14,8 @@ implementation, and are asserted as stated rather than loosened:
   the signed-stiffness anharmonicity keeps growing, so for L below
   ~280 nm the ridge sits beyond it.
 
-The numbers behind both are in the failure details and the repository
-notes.
+The numbers behind both are in the failure details and in README
+"Known physics findings".
 """
 
 import time

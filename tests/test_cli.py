@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +12,9 @@ from afq.cli import PAPER_CONFIG, main
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(args, **kwargs):
+def run_cli(args):
     return subprocess.run([sys.executable, "-m", "afq.cli", *args],
-                          capture_output=True, text=True, **kwargs)
+                          capture_output=True, text=True)
 
 
 def test_no_arguments_usage_error():
@@ -126,10 +125,13 @@ def test_physics_error_exit_code(tmp_path):
     assert "contact" in proc.stderr.lower()
 
 
-def test_bad_afq_threads_rejected(tmp_path):
-    env = dict(os.environ, AFQ_THREADS="many")
-    proc = run_cli(["sweep", "--out", str(tmp_path / "s.csv")], env=env)
-    assert proc.returncode == 2
+def test_validate_report_json(tmp_path):
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--out", str(out), "--quiet"]) == 1
+    report = json.loads(out.read_text())
+    assert len(report["checks"]) == 12
+    assert all(type(c["passed"]) is bool for c in report["checks"])
+    assert report["failed"] == 2
 
 
 def test_report_json_round_trip(tmp_path):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from afq import (DesignConstraints, LennardJones, MaterialParams,
-                 SweepSpec, design_point, feasible_designs, optimize_length,
-                 sweep)
-from afq.errors import DomainError
-from afq.explorer import FLAG_OK, FLAG_SNAP_IN
+from afq import (CantileverGeometry, DesignConstraints, LennardJones,
+                 MaterialParams, SweepSpec, bias_state, design_point,
+                 feasible_designs, modal_params, optimize_length,
+                 perturbative_energies, sweep, taylor_coefficients)
+from afq.errors import ContactRegimeError, DomainError, SnapInError
+from afq.explorer import FLAG_CONTACT, FLAG_OK, FLAG_SNAP_IN, _figures
 from afq.units import MEV, ANGSTROM, MHZ, cycles
 
 SILICON = MaterialParams(young_modulus=160e9, density=2329.0)
@@ -54,6 +55,30 @@ def test_sweep_matches_design_point():
     assert result.length[i] == L and result.gap[i] == x
     assert row["eta_r"] == pytest.approx(result.eta_r[i], rel=1e-14)
     assert row["n_thermal"] == pytest.approx(result.n_thermal[i], rel=1e-14)
+
+    # the sweep kernel and the scalar chain share their arithmetic: every
+    # stable row agrees to the bit, every flagged row raises its error
+    lengths, gaps = (a.ravel() for a in np.meshgrid(
+        np.linspace(200e-9, 800e-9, 7),
+        np.linspace(1.05, 2.0, 20) * LJ.sigma, indexing="ij"))
+    _, omega_10, _, eta, _, _, x_zpf, k_eff, flag = _figures(
+        lengths, gaps, 10e-9, 12e-9, SILICON, LJ, 8e-3)
+    assert set(flag) == {FLAG_OK, FLAG_CONTACT, FLAG_SNAP_IN}
+    errors = {FLAG_CONTACT: ContactRegimeError, FLAG_SNAP_IN: SnapInError}
+    scalar = []
+    for L, x, f in zip(lengths, gaps, flag):
+        modal = modal_params(CantileverGeometry(L, 10e-9, 12e-9), SILICON)
+        if f != FLAG_OK:
+            with pytest.raises(errors[f]):
+                bias_state(modal, LJ, x)
+            continue
+        state = bias_state(modal, LJ, x)
+        ladder = perturbative_energies(state, taylor_coefficients(LJ, x))
+        scalar.append((ladder.omega_10, ladder.eta, state.x_zpf,
+                       state.effective_stiffness))
+    ok = flag == FLAG_OK
+    np.testing.assert_array_equal(
+        np.array(scalar).T, [omega_10[ok], eta[ok], x_zpf[ok], k_eff[ok]])
 
 
 def test_headline_row():
