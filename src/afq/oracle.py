@@ -10,6 +10,9 @@ closed-form results they check:
   diagonalizer for polynomial potentials;
 * small dense diagonalizations of the Jaynes-Cummings and two-qubit-bus
   Hamiltonians for the dispersive shift and the bus-mediated coupling.
+
+The grid solver uses scipy's tridiagonal LAPACK driver, imported on the
+first grid solve, so importing afq needs only numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .cantilever import CantileverModal, bias_state
 from .errors import (ConvergenceError, DomainError, LabelingError,
@@ -84,13 +86,14 @@ def total_potential(modal: CantileverModal, potential: SurfacePotential,
 
 
 def _stencil_eigenvalues(v_q, m_eff, lo, hi, points, n_levels):
+    from scipy.linalg import eigh_tridiagonal
     grid = np.linspace(lo, hi, points)
     h = grid[1] - grid[0]
     t = hbar**2 / (2.0 * m_eff * h**2)
     diag = np.asarray(v_q(grid[1:-1]), dtype=float) + 2.0 * t
     off = np.full(points - 3, -t)
-    return eigh_tridiagonal(diag, off, select="i",
-                            select_range=(0, n_levels - 1))[0]
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(0, n_levels - 1))
 
 
 def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,

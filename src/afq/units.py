@@ -3,12 +3,18 @@
 Internal computations are strict SI (J, m, kg, rad/s). Display units
 (meV, angstrom, nm, MHz, mK, GPa) are converted only at the I/O
 boundary; the multipliers below define those conversions in one place.
+
+The constants are the exact SI-2019 defining values: the elementary
+charge e, the Boltzmann constant k_B and the Planck constant h, with
+hbar = h / 2 pi. They equal ``scipy.constants.e``, ``k`` and ``hbar``
+bit for bit, without importing scipy.
 """
 
-from scipy.constants import e as _e_charge
-from scipy.constants import hbar, k as k_B  # noqa: F401  (re-exported)
-
 TWO_PI = 6.283185307179586
+
+_e_charge = 1.602176634e-19     # C, exact
+k_B = 1.380649e-23              # J/K, exact
+hbar = 6.62607015e-34 / TWO_PI  # J s, h exact
 
 # multipliers: value_in_display_unit * UNIT == value in SI
 MEV = 1e-3 * _e_charge      # meV -> J
