@@ -9,13 +9,11 @@ fabrication-friendly (18, 24) nm cross-section at 457 nm.
 Run:  python demos/design_space_sweep.py
 """
 
-import io
-
 import numpy as np
 
 from afq import (DesignConstraints, LennardJones, MaterialParams, SweepSpec,
                  design_point, feasible_designs, optimize_length, sweep)
-from afq.cli import emit_csv
+from afq.cli import CsvTable, emit_csv
 from afq.explorer import SWEEP_COLUMNS, FLAG_OK
 from afq.units import MEV, ANGSTROM, NM, cycles
 
@@ -32,7 +30,7 @@ print(f"swept {len(result)} design points; {flagged} flagged "
       "(snap-in past the stability edge)")
 
 with open("sweep_map.csv", "w", newline="") as fh:
-    emit_csv(list(SWEEP_COLUMNS), list(zip(*result.columns())), fh)
+    emit_csv(list(SWEEP_COLUMNS), CsvTable(result.columns()), fh)
 print("wrote sweep_map.csv")
 
 try:

@@ -2,18 +2,22 @@
 
 Subcommands: ``bias``, ``spectrum``, ``sweep``, ``cqad``, ``oracle``,
 ``validate``. All take ``--config PATH`` (omitted: the bundled headline
-design), ``--out PATH``, ``--format csv|json`` and ``--quiet``. Exit
-codes: 0 success, 1 physics/validation failure, 2 usage or config error.
+design), ``--out PATH``, ``--format csv|json`` and ``--quiet``;
+``validate`` ignores ``--config`` and ``--format``, checks the bundled
+design and writes JSON to ``--out``. Exit codes: 0 success, 1
+physics/validation failure, 2 usage or config error.
 
 Outputs are deterministic: identical (config, command) pairs produce
-byte-identical files. CSV cells carry 13 significant digits (the
-12th-power terms make lower precision lossy on round-trip).
+byte-identical files. A float CSV cell is exactly ``f"{x:.12e}"``: 13
+significant digits (the 12th-power terms make lower precision lossy on
+round-trip), ``nan``, ``inf`` or ``-inf``. Integer and flag cells and
+the ``True``/``None`` cells of single-row reports are ``str()``. The
+writer formats whole columns with numpy (:func:`emit_csv`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -39,26 +43,137 @@ from .units import ANGSTROM, MHZ, MK, NM, PM, cycles, hbar
 JOINT_SHIFT_MHZ = -2.7
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.12e}"
-    return str(value)
+class CsvTable:
+    """A CSV body held column by column; ``len()`` counts its data rows.
+
+    Each column goes through ``np.asarray``, so one column holds one type:
+    float64 columns print as ``f"{x:.12e}"``, any other with ``str()``.
+    """
+
+    def __init__(self, columns):
+        self.columns = [np.asarray(c) for c in columns]
+
+    def __len__(self):
+        return len(self.columns[0])
 
 
-def emit_csv(header, rows, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+def _decimal_parts(x: np.ndarray):
+    """13-digit mantissa, exponent and fallback mask of ``f"{v:.12e}"``.
+
+    A finite normal ``v`` with ``10**e <= |v| < 10**(e+1)`` prints the
+    mantissa ``round(m)``, ``m = |v| * 10**(12-e)``. With ``10**(12-e)``
+    correctly rounded, the computed ``m`` is within ~2 ulp of the exact
+    product: 2.2e-16 relative, at most 2.2e-3 absolute below 1e13. So
+    ``rint(m)`` is the correctly rounded mantissa wherever ``m`` is more
+    than a 1e-2 margin away from a half-integer, and the same bound covers
+    ``e`` being one off at a decade edge. The mask marks what is left to
+    Python's own formatter: those near-ties, 3-digit exponents and
+    subnormals. Zeros, NaN and infinities get mantissa 0, exponent 0.
+    """
+    a = np.abs(x)
+    normal = (a >= np.finfo(np.float64).tiny) & (a < np.inf)
+    a = np.where(normal, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -100, 100).astype(np.int64)
+    pow10 = np.array([float(f"1e{k}") for k in range(-89, 114)])
+    m = a * pow10[101 - e]                     # pow10[101 - e] == 10**(12-e)
+    for step in (-1, 1):           # log10 can miss by one next to 10**e
+        wrong = m < 1e12 if step < 0 else m >= 1e13
+        e[wrong] += step
+        m[wrong] = a[wrong] * pow10[101 - e[wrong]]
+    digits = np.rint(m)
+    near_tie = np.abs(m - digits) > 0.5 - 1e-2
+    carry = digits == 1e13                     # 9.99...97 rounds up a decade
+    e[carry] += 1
+    digits[carry] = 1e12
+    fallback = (near_tie | (np.abs(e) > 99)) & normal
+    fallback |= ~normal & (x != 0) & np.isfinite(x)          # subnormals
+    keep = normal & ~fallback
+    return (np.where(keep, digits, 0.0).astype(np.int64),
+            np.where(keep, e, 0), fallback)
+
+
+def _sci_cells(x: np.ndarray) -> np.ndarray:
+    """``f"{v:.12e}"`` of each float64 in 1-D ``x``: (n, 20) uint8, NUL-padded.
+
+    NaN and the infinities are spelled as Python spells them (``-nan``
+    prints ``nan``); the cells :func:`_decimal_parts` cannot prove are
+    formatted by Python.
+    """
+    mantissa, e, fallback = _decimal_parts(x)
+    # layout: sign, d, '.', 12 digits, 'e', sign, 2 digits, NUL
+    out = np.zeros((x.size, 20), np.uint8)
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    for pos in (14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 1):
+        quotient = mantissa // 10
+        out[:, pos] = mantissa - 10 * quotient + ord("0")
+        mantissa = quotient
+    out[:, 2] = ord(".")
+    out[:, 15] = ord("e")
+    out[:, 16] = np.where(e < 0, ord("-"), ord("+"))
+    out[:, 17] = np.abs(e) // 10 + ord("0")
+    out[:, 18] = np.abs(e) % 10 + ord("0")
+
+    cells = out.view("S20").reshape(-1)
+    cells[np.isnan(x)] = b"nan"
+    cells[x == np.inf] = b"inf"
+    cells[x == -np.inf] = b"-inf"
+    cells[fallback] = [f"{v:.12e}".encode() for v in x[fallback].tolist()]
+    return out
+
+
+def _csv_rows(columns) -> str:
+    """CSV lines of equal-length columns.
+
+    Every cell gets a NUL-padded slot in one (rows, columns, width + 1)
+    byte grid, its last byte the separator; dropping the NULs leaves the
+    lines. All float64 columns go through :func:`_sci_cells` at once; any
+    other column is ``str()`` of each cell (``astype("S")``).
+    """
+    rows = len(columns[0])
+    floats = [j for j, col in enumerate(columns) if col.dtype == np.float64]
+    texts = {j: col.astype("S") for j, col in enumerate(columns)
+             if j not in floats}
+    width = max([20] + [cells.itemsize for cells in texts.values()])
+    grid = np.zeros((rows, len(columns), width + 1), np.uint8)
+    if floats:
+        x = np.stack([columns[j] for j in floats], axis=1).reshape(-1)
+        grid[:, floats, :20] = _sci_cells(x).reshape(rows, len(floats), 20)
+    for j, cells in texts.items():
+        grid[:, j, :cells.itemsize] = cells.view(np.uint8).reshape(
+            rows, cells.itemsize)
+    grid[:, :, width] = ord(",")
+    grid[:, -1, width] = ord("\n")
+    body = grid.reshape(-1)
+    return body[body != 0].tobytes().decode()
+
+
+# Cells per block of rows: each numpy temporary stays near 128 KiB, which
+# the allocator reuses. Whole-table temporaries (~1 MB at 10^4 x 12) go
+# back to the OS and are page-faulted in again by every array operation.
+_BLOCK_CELLS = 1 << 14
+
+
+def emit_csv(header, table: CsvTable, stream) -> None:
+    """Write ``header`` and the columns of ``table`` to ``stream`` as CSV.
+
+    Rows are formatted column-wise in blocks of about ``_BLOCK_CELLS``
+    cells. Nothing is quoted: header names and text cells hold no comma,
+    quote or newline.
+    """
+    step = max(1, _BLOCK_CELLS // len(table.columns))
+    stream.write(",".join(header) + "\n")
+    for start in range(0, len(table), step):
+        stream.write(_csv_rows([col[start:start + step]
+                                for col in table.columns]))
 
 
 def emit(report: dict, fmt: str, out_path, quiet: bool,
          csv_payload=None) -> None:
     """Write the run report (and CSV payload when the format asks for it)."""
     if fmt == "csv" and csv_payload is not None:
-        header, rows = csv_payload
+        header, table = csv_payload
         buf = io.StringIO()
-        emit_csv(header, rows, buf)
+        emit_csv(header, table, buf)
         text = buf.getvalue()
     else:
         text = json.dumps(report, indent=2, default=_json_default) + "\n"
@@ -96,7 +211,7 @@ def cmd_bias(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
         "snap_in_gap_angstrom": None if snap is None else snap / ANGSTROM,
     }
     header = list(outputs)
-    return outputs, (header, [[outputs[k] for k in header]])
+    return outputs, (header, CsvTable([outputs[k]] for k in header))
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
@@ -123,19 +238,17 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
         "alpha_coeffs_j": list(spec.alpha_coeffs),
     }
     header = [k for k in outputs if not isinstance(outputs[k], list)]
-    row = [outputs[k] for k in header]
-    return outputs, (header, [row])
+    return outputs, (header, CsvTable([outputs[k]] for k in header))
 
 
 def cmd_sweep(cfg: RunConfig, args) -> tuple[dict, tuple]:
     si = cfg.si
     result = sweep(cfg.sweep_spec())
-    rows = list(zip(*result.columns()))
     flagged = int(np.count_nonzero(result.flag))
     outputs = {"rows": len(result), "flagged_rows": flagged,
                "length_points": si["sweep.length_points"],
                "x_points": si["sweep.x_points"]}
-    return outputs, (list(SWEEP_COLUMNS), rows)
+    return outputs, (list(SWEEP_COLUMNS), CsvTable(result.columns()))
 
 
 def _cqad_config(cfg: RunConfig, spec) -> CqadConfig:
@@ -187,11 +300,11 @@ def cmd_cqad(cfg: RunConfig, args) -> tuple[dict, tuple]:
         "probe_points": int(grid.size),
         "max_abs_reflection": float(np.abs(resp.reflection).max()),
     }
-    rows = list(zip(cycles(resp.frequencies),
-                    resp.reflection.real, resp.reflection.imag,
-                    np.abs(resp.reflection), resp.qubit_susceptibility,
-                    resp.mech_susceptibility, resp.mw_susceptibility))
-    return outputs, (list(RESPONSE_COLUMNS), rows)
+    table = CsvTable((cycles(resp.frequencies),
+                      resp.reflection.real, resp.reflection.imag,
+                      np.abs(resp.reflection), resp.qubit_susceptibility,
+                      resp.mech_susceptibility, resp.mw_susceptibility))
+    return outputs, (list(RESPONSE_COLUMNS), table)
 
 
 def cmd_oracle(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
@@ -232,7 +345,7 @@ def cmd_oracle(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
         "j_formula_khz": cycles(j_formula) / 1e3,
     }
     header = [k for k in outputs if not isinstance(outputs[k], list)]
-    return outputs, (header, [[outputs[k] for k in header]])
+    return outputs, (header, CsvTable([outputs[k]] for k in header))
 
 
 COMMANDS = {"bias": cmd_bias, "spectrum": cmd_spectrum, "sweep": cmd_sweep,
@@ -253,8 +366,10 @@ def parse_cli(argv):
                       ("cqad", "effective readout parameters and response "
                                "spectrum"),
                       ("oracle", "brute-force diagonalization cross-checks"),
-                      ("validate", "run the full self-validation suite")]:
-        p = sub.add_parser(name, help=doc)
+                      ("validate", "run the full self-validation suite on "
+                                   "the bundled design (ignores --config "
+                                   "and --format; --out writes JSON)")]:
+        p = sub.add_parser(name, help=doc, description=doc)
         p.add_argument("--config", default=None, metavar="PATH")
         p.add_argument("--out", default=None, metavar="PATH")
         p.add_argument("--format", choices=("csv", "json"), default=None)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantilever import CantileverGeometry, snap_in_threshold
-from .cli import emit_csv
+from .cli import CsvTable, emit_csv
 from .config import default_config
 from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    dispersive_shift, frequency_response, response_linewidth)
@@ -254,11 +254,11 @@ def check_design_sweep() -> Check:
     bad = np.nonzero(argmax != nearest)[0]
     col = eta_r[:, nearest]
     monotone = bool(np.all(np.diff(col) > 0))
-    rows = list(zip(*result.columns()))
+    table = CsvTable(result.columns())
     bufs = []
     for _ in range(2):
         buf = io.StringIO()
-        emit_csv(list(SWEEP_COLUMNS), rows, buf)
+        emit_csv(list(SWEEP_COLUMNS), table, buf)
         bufs.append(buf.getvalue())
     identical = bufs[0] == bufs[1]
     ok = (elapsed < 30.0 and bad.size == 0 and monotone and identical
