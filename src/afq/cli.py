@@ -18,7 +18,6 @@ writer formats whole columns with numpy (:func:`emit_csv`).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import warnings
@@ -169,21 +168,21 @@ def emit_csv(header, table: CsvTable, stream) -> None:
 
 def emit(report: dict, fmt: str, out_path, quiet: bool,
          csv_payload=None) -> None:
-    """Write the run report (and CSV payload when the format asks for it)."""
+    """Write the run report, or the CSV payload when the format asks for it,
+    straight to ``out_path`` or stdout."""
     if fmt == "csv" and csv_payload is not None:
         header, table = csv_payload
-        buf = io.StringIO()
-        emit_csv(header, table, buf)
-        text = buf.getvalue()
+        write = lambda stream: emit_csv(header, table, stream)
     else:
         text = json.dumps(report, indent=2, default=_json_default) + "\n"
+        write = lambda stream: stream.write(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
         if not quiet:
             print(out_path)
     elif not quiet:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _json_default(obj):
@@ -210,8 +209,7 @@ def cmd_bias(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
         "x_zpf_pm": state.x_zpf / PM,
         "snap_in_gap_angstrom": None if snap is None else snap / ANGSTROM,
     }
-    header = list(outputs)
-    return outputs, (header, CsvTable([outputs[k]] for k in header))
+    return outputs, None
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
@@ -237,8 +235,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
         "energies_j": list(spec.energies),
         "alpha_coeffs_j": list(spec.alpha_coeffs),
     }
-    header = [k for k in outputs if not isinstance(outputs[k], list)]
-    return outputs, (header, CsvTable([outputs[k]] for k in header))
+    return outputs, None
 
 
 def cmd_sweep(cfg: RunConfig, args) -> tuple[dict, tuple]:
@@ -270,6 +267,12 @@ def _cqad_config(cfg: RunConfig, spec) -> CqadConfig:
         gap=si["cqad.gap_nm"], readout_x_zpf=si["cqad.readout_x_zpf_fm"])
 
 
+def _dispersive_detuning(chain: CqadConfig) -> float:
+    """Readout-mode minus qubit frequency (rad/s), the readout mode shifted
+    by the hybridization joint (``JOINT_SHIFT_MHZ``)."""
+    return chain.omega_m + JOINT_SHIFT_MHZ * MHZ - chain.omega_q
+
+
 RESPONSE_COLUMNS = ("omega_over_2pi_hz", "re_reflection", "im_reflection",
                     "abs_reflection", "qubit_susc", "mech_susc", "mw_susc")
 
@@ -278,9 +281,7 @@ def cmd_cqad(cfg: RunConfig, args) -> tuple[dict, tuple]:
     *_, spec = cfg.design()
     chain = _cqad_config(cfg, spec)
     eff = adiabatic_elimination(chain)
-    # dispersive figures against the joint-shifted readout mode
-    omega_m_disp = chain.omega_m + JOINT_SHIFT_MHZ * MHZ
-    delta = omega_m_disp - chain.omega_q
+    delta = _dispersive_detuning(chain)
     chi = dispersive_shift(chain.g, spec.eta, delta)
     j_degenerate = bus_coupling(chain.g, chain.g, delta, delta)
     grid = np.linspace(cfg.si["cqad.probe_min_mhz"],
@@ -322,8 +323,7 @@ def cmd_oracle(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
     eta_grid = (ev[2] - 2 * ev[1] + ev[0]) / hbar
     # dispersive cross-checks at the design's eta
     chain = _cqad_config(cfg, spec)
-    omega_m_disp = chain.omega_m + JOINT_SHIFT_MHZ * MHZ
-    delta = abs(omega_m_disp - chain.omega_q)
+    delta = abs(_dispersive_detuning(chain))
     levels = (0.0, spec.energies[1] - spec.energies[0],
               spec.energies[2] - spec.energies[0])
     chi_oracle = jc_dispersive_oracle(levels, spec.omega_10 - delta, chain.g)
@@ -344,10 +344,10 @@ def cmd_oracle(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
         "j_oracle_khz": cycles(j_oracle) / 1e3,
         "j_formula_khz": cycles(j_formula) / 1e3,
     }
-    header = [k for k in outputs if not isinstance(outputs[k], list)]
-    return outputs, (header, CsvTable([outputs[k]] for k in header))
+    return outputs, None
 
 
+# each returns (outputs, (CSV header, CsvTable) or None for one CSV row)
 COMMANDS = {"bias": cmd_bias, "spectrum": cmd_spectrum, "sweep": cmd_sweep,
             "cqad": cmd_cqad, "oracle": cmd_oracle}
 
@@ -404,6 +404,9 @@ def main(argv=None) -> int:
     except AfqError as exc:
         print(f"afq: {exc}", file=sys.stderr)
         return 1
+    if csv_payload is None:     # the CSV is one row of the non-list outputs
+        header = [k for k, v in outputs.items() if not isinstance(v, list)]
+        csv_payload = header, CsvTable([outputs[k]] for k in header)
     report = {"command": args.command, "version": __version__,
               "config": cfg.display, "outputs": outputs,
               "warnings": sorted(str(w.message) for w in caught),

@@ -12,6 +12,7 @@ effective configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib.resources import files
 
 import numpy as np
 
@@ -25,20 +26,9 @@ from .units import ANGSTROM, FM, GHZ, GPA, MEV, MHZ, MK, NM
 
 _REQUIRED = object()
 
-# bundled headline design (silicon, curvature-free bias, 8 mK)
-PAPER_CONFIG = """\
-# Headline silicon atomic-force qubit design
-potential.kind = lennard-jones
-potential.epsilon_mev = 17.4
-potential.sigma_angstrom = 3.826
-material.young_modulus_gpa = 160
-material.density_kg_m3 = 2329
-cantilever.length_nm = 495
-cantilever.width_nm = 10
-cantilever.thickness_nm = 12
-bias.auto = true
-spectrum.temperature_mk = 8
-"""
+# bundled headline design (silicon, curvature-free bias, 8 mK); the
+# repository's top-level paper.cfg is a link to this package file
+PAPER_CONFIG = files(__package__).joinpath("paper.cfg").read_text("utf-8")
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,21 @@ from .errors import DomainError
 from .potential import LennardJones, _taylor_term
 from .spectrum import _first_order_ladder, thermal_occupancy
 
-SWEEP_COLUMNS = ("length_m", "gap_m", "gap_over_sigma", "omega_c_rad_s",
-                 "omega_10_rad_s", "eta_r", "eta_rad_s", "delta_omega",
-                 "n_thermal", "x_zpf_m", "k_eff_n_m", "flag")
+# (CSV header, SweepResult column) in CSV order; a new column is one entry
+# plus its line in _figures. gap_over_sigma (None) is derived, not stored.
+_SWEEP_TABLE = (
+    ("length_m", "length"), ("gap_m", "gap"), ("gap_over_sigma", None),
+    ("omega_c_rad_s", "omega_c"), ("omega_10_rad_s", "omega_10"),
+    ("eta_r", "eta_r"), ("eta_rad_s", "eta"), ("delta_omega", "delta_omega"),
+    ("n_thermal", "n_thermal"), ("x_zpf_m", "x_zpf"), ("k_eff_n_m", "k_eff"),
+    ("flag", "flag"))
+SWEEP_COLUMNS = tuple(header for header, _ in _SWEEP_TABLE)
+
+
+def _named_columns(arrays, sigma):
+    """(CSV header, array) pairs in _SWEEP_TABLE order."""
+    return [(header, arrays["gap"] / sigma if name is None else arrays[name])
+            for header, name in _SWEEP_TABLE]
 
 
 @dataclass(frozen=True)
@@ -52,39 +64,32 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Column arrays, one entry per grid point, lexicographic in (L, x)."""
+    """Column arrays, one entry per grid point, lexicographic in (L, x).
+
+    ``arrays`` maps each stored column name of ``_SWEEP_TABLE`` to its
+    array; a column also reads as an attribute (``result.eta_r``).
+    """
 
     spec: SweepSpec
-    length: np.ndarray
-    gap: np.ndarray
-    omega_c: np.ndarray
-    omega_10: np.ndarray
-    eta_r: np.ndarray
-    eta: np.ndarray
-    delta_omega: np.ndarray
-    n_thermal: np.ndarray
-    x_zpf: np.ndarray
-    k_eff: np.ndarray
-    flag: np.ndarray
+    arrays: dict
+
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["arrays"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def __len__(self):
         return self.length.size
 
     def columns(self):
         """Column arrays in SWEEP_COLUMNS order."""
-        sigma = self.spec.potential.sigma
-        return (self.length, self.gap, self.gap / sigma, self.omega_c,
-                self.omega_10, self.eta_r, self.eta, self.delta_omega,
-                self.n_thermal, self.x_zpf, self.k_eff, self.flag)
+        return tuple(a for _, a in _named_columns(self.arrays,
+                                                  self.spec.potential.sigma))
 
     def take(self, indices) -> "SweepResult":
-        pick = lambda a: a[indices]
-        return SweepResult(self.spec, pick(self.length), pick(self.gap),
-                           pick(self.omega_c), pick(self.omega_10),
-                           pick(self.eta_r), pick(self.eta),
-                           pick(self.delta_omega), pick(self.n_thermal),
-                           pick(self.x_zpf), pick(self.k_eff),
-                           pick(self.flag))
+        return SweepResult(self.spec, {name: a[indices]
+                                       for name, a in self.arrays.items()})
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ class DesignConstraints:
 def _figures(length, gap, width, thickness, material, potential, temperature):
     """Vectorized figure-of-merit chain; NaN rows where physics fails.
 
-    Returns the columns after (L, x, x/sigma), in SWEEP_COLUMNS order.
+    Returns every stored SweepResult column, by name.
     """
     _, k, omega_c, m_eff = _modal_constants(length, width, thickness, material)
     _, k_eff, omega_eff, x_zpf, flag = _operating_state(k, m_eff, potential,
@@ -119,8 +124,10 @@ def _figures(length, gap, width, thickness, material, potential, temperature):
     n_th = thermal_occupancy(np.where(valid, omega_10, 1.0),
                              np.full_like(omega_10, temperature))
     n_th = np.where(valid, n_th, np.nan)
-    return (omega_c, omega_10, eta_r, eta, delta_omega, n_th, x_zpf,
-            k_eff, flag)
+    return {"length": length, "gap": gap, "omega_c": omega_c,
+            "omega_10": omega_10, "eta_r": eta_r, "eta": eta,
+            "delta_omega": delta_omega, "n_thermal": n_th, "x_zpf": x_zpf,
+            "k_eff": k_eff, "flag": flag}
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -129,9 +136,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
     gs = np.asarray(spec.gaps_over_sigma, dtype=float) * spec.potential.sigma
     length, gap = np.meshgrid(ls, gs, indexing="ij")
     length, gap = length.ravel(), gap.ravel()
-    return SweepResult(spec, length, gap, *_figures(
-        length, gap, spec.width, spec.thickness, spec.material,
-        spec.potential, spec.temperature))
+    return SweepResult(spec, _figures(length, gap, spec.width, spec.thickness,
+                                      spec.material, spec.potential,
+                                      spec.temperature))
 
 
 def feasible_designs(result: SweepResult,
@@ -157,19 +164,19 @@ def design_point(length, width, thickness, material, potential,
                  temperature, gap=None):
     """Figures of merit for a single design; ``gap`` defaults to the bias point.
 
-    Returns a dict keyed like SWEEP_COLUMNS (minus the flag).
+    Returns a dict of Python floats keyed by the SWEEP_COLUMNS headers,
+    in that order, without the flag.
     """
     if gap is None:
         gap = potential.inflection
-    *figures, flag = _figures(np.array([float(length)]),
-                              np.array([float(gap)]), width, thickness,
-                              material, potential, temperature)
-    if flag[0] != FLAG_OK:
-        raise DomainError(f"design point not in the valid regime (flag {flag[0]})")
-    row = {"length_m": float(length), "gap_m": float(gap),
-           "gap_over_sigma": float(gap) / potential.sigma}
-    row.update((name, a.item()) for name, a in zip(SWEEP_COLUMNS[3:], figures))
-    return row
+    arrays = _figures(np.array([float(length)]), np.array([float(gap)]),
+                      width, thickness, material, potential, temperature)
+    flag = arrays["flag"][0]
+    if flag != FLAG_OK:
+        raise DomainError(f"design point not in the valid regime (flag {flag})")
+    return {header: a.item()
+            for header, a in _named_columns(arrays, potential.sigma)
+            if header != "flag"}
 
 
 def optimize_length(width, thickness, material, potential, temperature,

@@ -44,7 +44,6 @@ class QubitSpectrum:
     eta: float                 # rad/s
     eta_r: float
     alpha_coeffs: tuple        # (alpha_0 .. alpha_3), J
-    delta_omega: float | None = None
 
 
 def _first_order_ladder(omega_eff, x_zpf, lam4, lam6):

@@ -32,11 +32,6 @@ MHZ = TWO_PI * 1e6
 GHZ = TWO_PI * 1e9
 
 
-def angular(frequency_hz):
-    """Ordinary frequency in Hz to angular frequency in rad/s."""
-    return TWO_PI * frequency_hz
-
-
 def cycles(omega):
     """Angular frequency in rad/s to ordinary frequency in Hz."""
     return omega / TWO_PI

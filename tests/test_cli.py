@@ -27,10 +27,6 @@ def test_unknown_subcommand_usage_error():
     assert run_cli(["frobnicate"]).returncode == 2
 
 
-def test_bundled_config_matches_repo_file():
-    assert (REPO_ROOT / "paper.cfg").read_text() == PAPER_CONFIG
-
-
 def test_bias_reports_bias_point(tmp_path):
     out = tmp_path / "bias.json"
     assert main(["bias", "--config", str(REPO_ROOT / "paper.cfg"),

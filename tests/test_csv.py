@@ -2,6 +2,7 @@
 CSV against the row-by-row ``csv.writer`` writer it replaced."""
 
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -120,6 +121,9 @@ def test_default_sweep_csv_matches_reference():
     text = emitted(list(SWEEP_COLUMNS), columns)
     assert text == reference_csv(SWEEP_COLUMNS, zip(*columns))
     assert len(text.encode()) == 1_379_112
+    # pins the column order and every cell, which the reference shares
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "546b6239fb4910cabdc1de5c7ada38ae9fa36db4a2f7c804ac23c349b8294b94")
 
 
 def test_contact_snap_in_and_ok_rows_match_reference():
@@ -127,8 +131,11 @@ def test_contact_snap_in_and_ok_rows_match_reference():
         np.linspace(200e-9, 800e-9, 7),
         np.linspace(1.05, 2.0, 20) * LJ.sigma, indexing="ij"))
     figures = _figures(lengths, gaps, 10e-9, 12e-9, SILICON, LJ, 8e-3)
-    assert set(figures[-1]) == {0, 1, 2}         # OK, contact, snap-in
-    columns = (lengths, gaps, gaps / LJ.sigma, *figures)
+    assert set(figures["flag"]) == {0, 1, 2}     # OK, contact, snap-in
+    columns = (lengths, gaps, gaps / LJ.sigma, figures["omega_c"],
+               figures["omega_10"], figures["eta_r"], figures["eta"],
+               figures["delta_omega"], figures["n_thermal"],
+               figures["x_zpf"], figures["k_eff"], figures["flag"])
     assert emitted(list(SWEEP_COLUMNS), columns) == reference_csv(
         SWEEP_COLUMNS, zip(*columns))
 
@@ -145,33 +152,40 @@ def test_empty_table():
 
 
 def _run_csv(tmp_path, command, config_text=PAPER_CONFIG):
+    """The ``--format csv`` file of ``command`` and what the command returns."""
     path = tmp_path / "design.cfg"
     path.write_text(config_text)
     out = tmp_path / f"{command}.csv"
     assert cli.main([command, "--config", str(path), "--format", "csv",
                      "--out", str(out), "--quiet"]) == 0
-    outputs, (header, table) = cli.COMMANDS[command](
-        parse_config_text(config_text), None)
-    return out.read_bytes().decode(), outputs, header, table
+    outputs, payload = cli.COMMANDS[command](parse_config_text(config_text),
+                                             None)
+    return out.read_bytes().decode(), outputs, payload
+
+
+def single_row(outputs):
+    """Header and row of a single-row report: its non-list outputs."""
+    header = [k for k, v in outputs.items() if not isinstance(v, list)]
+    return header, [[outputs[k] for k in header]]
 
 
 @pytest.mark.parametrize("command", ["bias", "spectrum", "oracle"])
 def test_single_row_csv_matches_reference(tmp_path, command):
-    text, outputs, header, _ = _run_csv(tmp_path, command)
-    assert text == reference_csv(header, [[outputs[k] for k in header]])
+    text, outputs, _ = _run_csv(tmp_path, command)
+    assert text == reference_csv(*single_row(outputs))
 
 
 def test_bias_csv_without_snap_in_matches_reference(tmp_path):
     stiff = PAPER_CONFIG.replace("length_nm = 495", "length_nm = 100")
-    text, outputs, header, _ = _run_csv(tmp_path, "bias", stiff)
+    text, outputs, _ = _run_csv(tmp_path, "bias", stiff)
     assert outputs["auto_bias"] is True
     assert outputs["snap_in_gap_angstrom"] is None
-    assert text == reference_csv(header, [[outputs[k] for k in header]])
+    assert text == reference_csv(*single_row(outputs))
     assert text.splitlines()[1].startswith("True,")
     assert text.splitlines()[1].endswith(",None")
 
 
 def test_cqad_csv_matches_reference(tmp_path):
-    text, _, header, table = _run_csv(tmp_path, "cqad")
+    text, _, (header, table) = _run_csv(tmp_path, "cqad")
     assert len(table) == 2001
     assert text == reference_csv(header, zip(*table.columns))

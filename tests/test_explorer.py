@@ -8,7 +8,8 @@ from afq import (CantileverGeometry, DesignConstraints, LennardJones,
                  feasible_designs, modal_params, optimize_length,
                  perturbative_energies, sweep, taylor_coefficients)
 from afq.errors import ContactRegimeError, DomainError, SnapInError
-from afq.explorer import FLAG_CONTACT, FLAG_OK, FLAG_SNAP_IN, _figures
+from afq.explorer import (FLAG_CONTACT, FLAG_OK, FLAG_SNAP_IN, SWEEP_COLUMNS,
+                          _figures)
 from afq.units import MEV, ANGSTROM, MHZ, cycles
 
 SILICON = MaterialParams(young_modulus=160e9, density=2329.0)
@@ -61,8 +62,9 @@ def test_sweep_matches_design_point():
     lengths, gaps = (a.ravel() for a in np.meshgrid(
         np.linspace(200e-9, 800e-9, 7),
         np.linspace(1.05, 2.0, 20) * LJ.sigma, indexing="ij"))
-    _, omega_10, _, eta, _, _, x_zpf, k_eff, flag = _figures(
-        lengths, gaps, 10e-9, 12e-9, SILICON, LJ, 8e-3)
+    figures = _figures(lengths, gaps, 10e-9, 12e-9, SILICON, LJ, 8e-3)
+    omega_10, eta, flag = figures["omega_10"], figures["eta"], figures["flag"]
+    x_zpf, k_eff = figures["x_zpf"], figures["k_eff"]
     assert set(flag) == {FLAG_OK, FLAG_CONTACT, FLAG_SNAP_IN}
     errors = {FLAG_CONTACT: ContactRegimeError, FLAG_SNAP_IN: SnapInError}
     scalar = []
@@ -119,6 +121,21 @@ def test_feasible_designs_sorted_and_commutes():
     assert len(feas) == int(mask.sum())
     assert set(zip(feas.length, feas.gap)) == set(
         zip(result.length[mask], result.gap[mask]))
+
+
+def test_feasible_designs_carries_every_column():
+    result = sweep(make_spec(20, 20))
+    feas = feasible_designs(result, DesignConstraints(max_occupancy=1.5))
+    assert len(feas) > 0
+    # feasible rows are OK rows and (L, x) is unique: map each one back
+    rows = {(L, x): i for i, (L, x) in enumerate(zip(result.length,
+                                                    result.gap))}
+    picked = [rows[L, x] for L, x in zip(feas.length, feas.gap)]
+    assert len(feas.columns()) == len(result.columns()) == len(SWEEP_COLUMNS)
+    for name, col, full in zip(SWEEP_COLUMNS, feas.columns(),
+                               result.columns()):
+        assert col.dtype == full.dtype, name
+        np.testing.assert_array_equal(col, full[picked], err_msg=name)
 
 
 def test_feasible_designs_empty_on_impossible_bound():
