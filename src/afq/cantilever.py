@@ -33,6 +33,7 @@ CONTACT_GUARD = 1.1
 FLAG_OK = 0
 FLAG_CONTACT = 1
 FLAG_SNAP_IN = 2
+FLAG_BREAKDOWN = 3     # stable, but the first-order ladder gives omega_10 <= 0
 
 
 @dataclass(frozen=True)

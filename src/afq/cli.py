@@ -379,19 +379,19 @@ def parse_cli(argv):
 
 def main(argv=None) -> int:
     args = parse_cli(argv)
-    try:
-        cfg = load_config(args.config) if args.config else default_config()
-    except ConfigError as exc:
-        print(f"afq: config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
+    if args.command == "validate":     # checks the bundled design only
         from .validate import run_validation_suite
         report = run_validation_suite(quiet=args.quiet)
         report["command"] = "validate"
         if args.out:
             emit(report, "json", args.out, quiet=True)
         return 0 if report["failed"] == 0 else 1
+
+    try:
+        cfg = load_config(args.config) if args.config else default_config()
+    except ConfigError as exc:
+        print(f"afq: config error: {exc}", file=sys.stderr)
+        return 2
 
     fmt = args.format or ("csv" if args.command in ("sweep", "cqad") else "json")
     try:

@@ -158,11 +158,12 @@ def _parse_value(key: str, field: _Field, text: str, line_no: int):
                               f"{field.choices}, got {text!r}")
         return text
     try:
-        if field.kind == "int":
-            return int(text)
-        return float(text)
+        value = int(text) if field.kind == "int" else float(text)
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: {key}: not a number: {text!r}") from exc
+    if field.kind == "int" and value < 0:   # every int key is a count
+        raise ConfigError(f"line {line_no}: {key}: count must be >= 0: {text}")
+    return value
 
 
 def _unknown_key_message(key: str) -> str:

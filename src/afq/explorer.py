@@ -2,8 +2,8 @@
 
 A sweep evaluates the full modal -> bias -> anharmonicity -> occupancy
 chain on a (length, gap) grid in one vectorized pass. Grid points that
-violate physics (contact region, snap-in) are flagged and kept: the
-feasibility boundary is itself a result.
+violate physics (contact region, snap-in, first-order breakdown) are
+flagged and kept: the feasibility boundary is itself a result.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantilever import (CONTACT_GUARD, FLAG_CONTACT, FLAG_OK,  # noqa: F401
-                         FLAG_SNAP_IN, MaterialParams, _modal_constants,
-                         _operating_state)
+from .cantilever import (CONTACT_GUARD, FLAG_BREAKDOWN,  # noqa: F401
+                         FLAG_CONTACT, FLAG_OK, FLAG_SNAP_IN, MaterialParams,
+                         _modal_constants, _operating_state)
 from .errors import DomainError
 from .potential import LennardJones, _taylor_term
 from .spectrum import _first_order_ladder, thermal_occupancy
@@ -34,6 +34,12 @@ def _named_columns(arrays, sigma):
     """(CSV header, array) pairs in _SWEEP_TABLE order."""
     return [(header, arrays["gap"] / sigma if name is None else arrays[name])
             for header, name in _SWEEP_TABLE]
+
+
+def _row(arrays, i, sigma):
+    """Row ``i`` as Python floats by SWEEP_COLUMNS header, without the flag."""
+    return {header: a[i].item() for header, a in _named_columns(arrays, sigma)
+            if header != "flag"}
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,8 @@ class DesignConstraints:
 def _figures(length, gap, width, thickness, material, potential, temperature):
     """Vectorized figure-of-merit chain; NaN rows where physics fails.
 
-    Returns every stored SweepResult column, by name.
+    Returns every stored SweepResult column, by name. A stable row with a
+    first-order omega_10 <= 0 is FLAG_BREAKDOWN, with NaN ladder figures.
     """
     _, k, omega_c, m_eff = _modal_constants(length, width, thickness, material)
     _, k_eff, omega_eff, x_zpf, flag = _operating_state(k, m_eff, potential,
@@ -118,7 +125,9 @@ def _figures(length, gap, width, thickness, material, potential, temperature):
     _, _, omega_10, eta = _first_order_ladder(
         omega_eff, x_zpf, _taylor_term(potential, gap, 4),
         _taylor_term(potential, gap, 6))
+    flag = np.where((flag == FLAG_OK) & (omega_10 <= 0), FLAG_BREAKDOWN, flag)
     valid = flag == FLAG_OK
+    omega_10, eta = np.where(valid, [omega_10, eta], np.nan)
     eta_r = eta / omega_10
     delta_omega = np.abs(1.0 - omega_10 / omega_c)
     n_th = thermal_occupancy(np.where(valid, omega_10, 1.0),
@@ -141,19 +150,27 @@ def sweep(spec: SweepSpec) -> SweepResult:
                                       spec.temperature))
 
 
+def _fits(arrays, constraints: DesignConstraints):
+    """Rows that are FLAG_OK and meet the occupancy and omega_10 bounds."""
+    ok = arrays["flag"] == FLAG_OK
+    with np.errstate(invalid="ignore"):
+        ok &= arrays["n_thermal"] <= constraints.max_occupancy
+        if constraints.min_omega_10 is not None:
+            ok &= arrays["omega_10"] >= constraints.min_omega_10
+    return ok
+
+
 def feasible_designs(result: SweepResult,
                      constraints: DesignConstraints) -> SweepResult:
     """Rows satisfying all constraints, sorted by descending eta_r.
 
-    Ties break lexicographically by (L, x). Flagged rows never qualify.
-    An empty selection is a valid outcome.
+    A row qualifies when it fits as in :func:`optimize_length` and reaches
+    the eta_r floor; flagged rows never do. Ties break lexicographically
+    by (L, x). An empty selection is a valid outcome.
     """
-    ok = result.flag == FLAG_OK
+    ok = _fits(result.arrays, constraints)
     with np.errstate(invalid="ignore"):
-        ok &= result.n_thermal <= constraints.max_occupancy
         ok &= result.eta_r >= constraints.min_relative_anharmonicity
-        if constraints.min_omega_10 is not None:
-            ok &= result.omega_10 >= constraints.min_omega_10
     idx = np.nonzero(ok)[0]
     order = np.lexsort((result.gap[idx], result.length[idx],
                         -result.eta_r[idx]))
@@ -174,22 +191,20 @@ def design_point(length, width, thickness, material, potential,
     flag = arrays["flag"][0]
     if flag != FLAG_OK:
         raise DomainError(f"design point not in the valid regime (flag {flag})")
-    return {header: a.item()
-            for header, a in _named_columns(arrays, potential.sigma)
-            if header != "flag"}
+    return _row(arrays, 0, potential.sigma)
 
 
 def optimize_length(width, thickness, material, potential, temperature,
                     constraints: DesignConstraints,
                     length_bounds=(200e-9, 800e-9), gap=None,
                     granularity=1e-9):
-    """Largest cantilever length satisfying the occupancy bound at the bias gap.
+    """Largest cantilever length satisfying the constraints at the bias gap.
 
-    Binary search on whole multiples of ``granularity``; relies on the
-    verified monotonicity of both occupancy and anharmonicity in L. Also
-    enforces ``min_omega_10`` (another upper bound on L) and
-    ``min_relative_anharmonicity`` (a lower bound); raises DomainError
-    when the constraint set is unsatisfiable.
+    One vectorized evaluation per whole multiple of ``granularity`` in
+    ``length_bounds``; returns the longest whose row fits (flag OK,
+    ``max_occupancy``, ``min_omega_10``) and that row, keyed like
+    :func:`design_point`. Raises DomainError on an empty range, when the
+    shortest length does not fit, or when that row misses the eta_r floor.
     """
     if gap is None:
         gap = potential.inflection
@@ -197,35 +212,17 @@ def optimize_length(width, thickness, material, potential, temperature,
     hi_n = int(np.floor(length_bounds[1] / granularity))
     if lo_n > hi_n:
         raise DomainError("empty length range")
-
-    def row(n):
-        return design_point(n * granularity, width, thickness, material,
-                            potential, temperature, gap)
-
-    def satisfies_upper(r):
-        if r["n_thermal"] > constraints.max_occupancy:
-            return False
-        if (constraints.min_omega_10 is not None
-                and r["omega_10_rad_s"] < constraints.min_omega_10):
-            return False
-        return True
-
-    if not satisfies_upper(row(lo_n)):
+    lengths = np.arange(lo_n, hi_n + 1) * granularity
+    arrays = _figures(lengths, np.full(lengths.shape, float(gap)), width,
+                      thickness, material, potential, temperature)
+    fits = _fits(arrays, constraints)
+    if not fits[0]:
         raise DomainError(
             "occupancy/frequency constraints unsatisfiable at the smallest "
             "allowed length")
-    lo, hi = lo_n, hi_n
-    if satisfies_upper(row(hi_n)):
-        lo = hi_n
-    else:
-        while hi - lo > 1:  # invariant: row(lo) satisfies, row(hi) does not
-            mid = (lo + hi) // 2
-            if satisfies_upper(row(mid)):
-                lo = mid
-            else:
-                hi = mid
-    best = row(lo)
+    i = int(np.nonzero(fits)[0][-1])
+    best = _row(arrays, i, potential.sigma)
     if best["eta_r"] < constraints.min_relative_anharmonicity:
         raise DomainError(
             "anharmonicity floor unreachable under the occupancy bound")
-    return lo * granularity, best
+    return (lo_n + i) * granularity, best

@@ -112,6 +112,18 @@ def test_config_error_exit_code(tmp_path):
     assert "cantilever.length_nm" in proc.stderr
 
 
+def test_negative_count_exit_code(tmp_path, capsys):
+    bad = tmp_path / "negative.cfg"
+    bad.write_text(PAPER_CONFIG + "sweep.x_points = -1\n")
+    assert main(["sweep", "--config", str(bad), "--quiet"]) == 2
+    assert "sweep.x_points" in capsys.readouterr().err
+
+
+def test_validate_ignores_config(tmp_path):
+    missing = tmp_path / "missing.cfg"
+    assert main(["validate", "--config", str(missing), "--quiet"]) == 1
+
+
 def test_physics_error_exit_code(tmp_path):
     cfg = tmp_path / "contact.cfg"
     cfg.write_text(PAPER_CONFIG.replace("bias.auto = true",

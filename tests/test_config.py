@@ -89,6 +89,13 @@ def test_parse_errors_carry_line_numbers():
                                           "bias.auto = maybe"))
 
 
+@pytest.mark.parametrize("key", [k for k, f in SCHEMA.items()
+                                 if f.kind == "int"])
+def test_negative_count_rejected(key):
+    with pytest.raises(ConfigError, match=f"line 10: {key}: count must be >= 0"):
+        parse_config_text(MINIMAL + f"{key} = -1\n")
+
+
 def test_comments_and_blank_lines():
     text = "# header\n\n" + MINIMAL.replace(
         "potential.epsilon_mev = 17.4",

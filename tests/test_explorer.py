@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from afq import (CantileverGeometry, DesignConstraints, LennardJones,
                  MaterialParams, SweepSpec, bias_state, design_point,
                  feasible_designs, modal_params, optimize_length,
                  perturbative_energies, sweep, taylor_coefficients)
 from afq.errors import ContactRegimeError, DomainError, SnapInError
-from afq.explorer import (FLAG_CONTACT, FLAG_OK, FLAG_SNAP_IN, SWEEP_COLUMNS,
-                          _figures)
+from afq.explorer import (CONTACT_GUARD, FLAG_BREAKDOWN, FLAG_CONTACT, FLAG_OK,
+                          FLAG_SNAP_IN, SWEEP_COLUMNS, _figures)
 from afq.units import MEV, ANGSTROM, MHZ, cycles
 
 SILICON = MaterialParams(young_modulus=160e9, density=2329.0)
@@ -43,6 +45,41 @@ def test_flagged_rows_kept_not_dropped():
     ok = result.flag == FLAG_OK
     assert np.all(np.isfinite(result.eta_r[ok]))
     assert np.all(result.k_eff[ok] > 0)
+
+
+def test_breakdown_rows_flagged_not_raised():
+    # default ranges at 200 x 200: four stable rows next to snap-in have a
+    # first-order omega_10 <= 0
+    result = sweep(make_spec(200, 200))
+    broken = result.flag == FLAG_BREAKDOWN
+    assert np.count_nonzero(broken) == 4
+    for name in ("omega_10", "eta", "eta_r", "delta_omega", "n_thermal"):
+        assert np.all(np.isnan(getattr(result, name)[broken])), name
+    assert np.all(np.isfinite(result.x_zpf[broken]))
+    assert np.all(result.k_eff[broken] > 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(l_min=st.floats(50.0, 1000.0), l_span=st.floats(1.0, 1000.0),
+       n_l=st.integers(1, 200),
+       x_min=st.floats(CONTACT_GUARD, 2.5, exclude_min=True),
+       x_span=st.floats(1e-3, 1.5), n_x=st.integers(1, 200))
+@example(l_min=200.0, l_span=600.0, n_l=200, x_min=1.15, x_span=0.85,
+         n_x=200)
+def test_sweep_never_raises_and_ok_rows_are_finite(l_min, l_span, n_l, x_min,
+                                                   x_span, n_x):
+    spec = SweepSpec(
+        lengths=tuple(np.linspace(l_min, l_min + l_span, n_l) * 1e-9),
+        gaps_over_sigma=tuple(np.linspace(x_min, x_min + x_span, n_x)),
+        width=10e-9, thickness=12e-9, material=SILICON, potential=LJ,
+        temperature=8e-3)
+    result = sweep(spec)
+    assert len(result) == n_l * n_x
+    ok = result.flag == FLAG_OK
+    assert set(np.unique(result.flag)) <= {
+        FLAG_OK, FLAG_CONTACT, FLAG_SNAP_IN, FLAG_BREAKDOWN}
+    assert np.all(np.isfinite(result.omega_10[ok]) & (result.omega_10[ok] > 0))
+    assert np.all(np.isfinite(result.n_thermal[ok]))
 
 
 def test_sweep_matches_design_point():
@@ -167,6 +204,24 @@ def test_optimize_length_headline_occupancy():
     L, row = optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3,
                              DesignConstraints(max_occupancy=2.3))
     assert abs(L - 495e-9) <= 2e-9
+
+
+def test_optimize_length_stops_below_snap_in():
+    # past the inflection long beams snap in: at 1.26 sigma every L from
+    # 237 nm up is flagged, and the longest fitting length is 236 nm
+    gap = 1.26 * LJ.sigma
+    bound = DesignConstraints(max_occupancy=2.0)
+    L, row = optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3, bound, gap=gap)
+    assert L == pytest.approx(236e-9, abs=1e-15)
+    assert row == design_point(L, 10e-9, 12e-9, SILICON, LJ, 8e-3, gap=gap)
+    assert row["n_thermal"] <= 2.0
+    with pytest.raises(DomainError, match="flag 2"):
+        design_point(L + 1e-9, 10e-9, 12e-9, SILICON, LJ, 8e-3, gap=gap)
+    # at 1.8 sigma (flagged from 265 nm up) the anharmonicity is negative,
+    # so the default eta_r floor of 0 is what rejects the fitting lengths
+    with pytest.raises(DomainError, match="anharmonicity floor"):
+        optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3, bound,
+                        gap=1.8 * LJ.sigma)
 
 
 def test_optimize_length_unsatisfiable():
