@@ -1,36 +1,32 @@
 """Map the (gap, length) design space and pick operating points.
 
 Scans relative anharmonicity, qubit frequency and thermal occupancy on
-a 100 x 100 grid, saves the table and a heat map, then applies the
-occupancy constraints that define the three design families: the
-headline 495 nm beam, the sub-unity-occupancy 345 nm beam, and the
-fabrication-friendly (18, 24) nm cross-section at 457 nm.
+the bundled design's 100 x 100 ``sweep.*`` grid, saves the table (through
+``afq sweep``) and a heat map, then applies the occupancy constraints
+that define the three design families: the headline 495 nm beam, the
+sub-unity-occupancy 345 nm beam, and the fabrication-friendly (18, 24) nm
+cross-section at 457 nm.
 
 Run:  python demos/design_space_sweep.py
 """
 
 import numpy as np
 
-from afq import (DesignConstraints, LennardJones, MaterialParams, SweepSpec,
-                 design_point, feasible_designs, optimize_length, sweep)
-from afq.cli import CsvTable, emit_csv
-from afq.explorer import SWEEP_COLUMNS, FLAG_OK
-from afq.units import MEV, ANGSTROM, NM, cycles
+from afq import (DesignConstraints, design_point, feasible_designs,
+                 optimize_length, sweep)
+from afq import cli
+from afq.config import default_config
+from afq.units import NM, cycles
 
-silicon = MaterialParams(young_modulus=160e9, density=2329.0)
-lj = LennardJones(epsilon=17.4 * MEV, sigma=3.826 * ANGSTROM)
-
-spec = SweepSpec(lengths=tuple(np.linspace(200, 800, 100) * NM),
-                 gaps_over_sigma=tuple(np.linspace(1.15, 2.0, 100)),
-                 width=10 * NM, thickness=12 * NM, material=silicon,
-                 potential=lj, temperature=8e-3)
+# the bundled design's material, potential, temperature and sweep grid
+spec = default_config().sweep_spec()
+silicon, lj, temp = spec.material, spec.potential, spec.temperature
 result = sweep(spec)
 flagged = int(np.count_nonzero(result.flag))
 print(f"swept {len(result)} design points; {flagged} flagged "
       "(snap-in past the stability edge)")
 
-with open("sweep_map.csv", "w", newline="") as fh:
-    emit_csv(list(SWEEP_COLUMNS), CsvTable(result.columns()), fh)
+cli.main(["sweep", "--out", "sweep_map.csv", "--quiet"])
 print("wrote sweep_map.csv")
 
 try:
@@ -38,7 +34,7 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    eta_map = result.eta_r.reshape(100, 100)
+    eta_map = result.eta_r.reshape(len(spec.lengths), -1)
     fig, ax = plt.subplots(figsize=(6, 4.2))
     gaps = np.asarray(spec.gaps_over_sigma)
     lengths = np.asarray(spec.lengths) / NM
@@ -60,7 +56,7 @@ for label, (w, t, n_max) in {
         "headline (n_th <= 2.3)": (10 * NM, 12 * NM, 2.3),
         "sub-unity occupancy    ": (10 * NM, 12 * NM, 1.0),
         "fabrication friendly   ": (18 * NM, 24 * NM, 1.0)}.items():
-    length, row = optimize_length(w, t, silicon, lj, 8e-3,
+    length, row = optimize_length(w, t, silicon, lj, temp,
                                   DesignConstraints(max_occupancy=n_max))
     print(f"{label}: L* = {length / NM:.0f} nm, "
           f"f_10 = {cycles(row['omega_10_rad_s']) / 1e6:6.1f} MHz, "
@@ -79,6 +75,6 @@ print(" beyond the perturbative model's validity; screen with delta_omega)")
 # the trade-off the length choice pins down
 print("\n== anharmonicity vs occupancy along L at x = x0 ==")
 for length in (300, 400, 495, 600, 700):
-    row = design_point(length * NM, 10 * NM, 12 * NM, silicon, lj, 8e-3)
+    row = design_point(length * NM, 10 * NM, 12 * NM, silicon, lj, temp)
     print(f"L = {length} nm: eta_r = {row['eta_r'] * 100:5.2f} %, "
           f"n_th = {row['n_thermal']:.2f}")

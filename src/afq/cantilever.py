@@ -162,15 +162,15 @@ def bias_state(modal: CantileverModal, potential: SurfacePotential,
 
 
 def snap_in_threshold(modal: CantileverModal, potential: SurfacePotential,
-                      search, samples: int = 4096):
+                      search):
     """Largest gap in ``search`` where k + V''(x) crosses zero.
 
-    Returns None when the combined stiffness never changes sign over the
-    interval (no instability in range). The root is bisected to a
-    relative tolerance of 1e-9.
+    Returns None when the combined stiffness never changes sign on 4096
+    evenly spaced gaps over the interval (no instability in range). The
+    root is bisected to a relative tolerance of 1e-9.
     """
     lo, hi = float(search[0]), float(search[1])
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, 4096)
     f = modal.spring_constant + np.asarray(potential.derivative(xs, 2))
     sign_change = np.nonzero(np.diff(np.signbit(f)))[0]
     if sign_change.size == 0:

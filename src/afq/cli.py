@@ -188,15 +188,11 @@ def emit(report: dict, fmt: str, out_path, quiet: bool,
 def _json_default(obj):
     if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def cmd_bias(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
-    pot, modal, gap, state, _ = cfg.design()
+def cmd_bias(cfg: RunConfig) -> tuple[dict, tuple | None]:
+    pot, modal, gap, state = cfg.operating_point()
     snap = snap_in_threshold(modal, pot, (1.15 * pot.sigma, 2.0 * pot.sigma))
     outputs = {
         "auto_bias": cfg.display["bias.auto"],
@@ -212,7 +208,7 @@ def cmd_bias(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
     return outputs, None
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
+def cmd_spectrum(cfg: RunConfig) -> tuple[dict, tuple | None]:
     _, modal, gap, state, spec = cfg.design()
     temp = cfg.si["spectrum.temperature_mk"]
     outputs = {
@@ -238,7 +234,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
     return outputs, None
 
 
-def cmd_sweep(cfg: RunConfig, args) -> tuple[dict, tuple]:
+def cmd_sweep(cfg: RunConfig) -> tuple[dict, tuple]:
     si = cfg.si
     result = sweep(cfg.sweep_spec())
     flagged = int(np.count_nonzero(result.flag))
@@ -277,7 +273,7 @@ RESPONSE_COLUMNS = ("omega_over_2pi_hz", "re_reflection", "im_reflection",
                     "abs_reflection", "qubit_susc", "mech_susc", "mw_susc")
 
 
-def cmd_cqad(cfg: RunConfig, args) -> tuple[dict, tuple]:
+def cmd_cqad(cfg: RunConfig) -> tuple[dict, tuple]:
     *_, spec = cfg.design()
     chain = _cqad_config(cfg, spec)
     eff = adiabatic_elimination(chain)
@@ -308,7 +304,7 @@ def cmd_cqad(cfg: RunConfig, args) -> tuple[dict, tuple]:
     return outputs, (list(RESPONSE_COLUMNS), table)
 
 
-def cmd_oracle(cfg: RunConfig, args) -> tuple[dict, tuple | None]:
+def cmd_oracle(cfg: RunConfig) -> tuple[dict, tuple | None]:
     pot, modal, gap, state, spec = cfg.design()
     si = cfg.si
     grid = GridSpec(half_width=si["oracle.grid_half_width_zpf"],
@@ -387,17 +383,12 @@ def main(argv=None) -> int:
             emit(report, "json", args.out, quiet=True)
         return 0 if report["failed"] == 0 else 1
 
-    try:
-        cfg = load_config(args.config) if args.config else default_config()
-    except ConfigError as exc:
-        print(f"afq: config error: {exc}", file=sys.stderr)
-        return 2
-
     fmt = args.format or ("csv" if args.command in ("sweep", "cqad") else "json")
     try:
+        cfg = load_config(args.config) if args.config else default_config()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outputs, csv_payload = COMMANDS[args.command](cfg, args)
+            outputs, csv_payload = COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"afq: config error: {exc}", file=sys.stderr)
         return 2

@@ -108,21 +108,25 @@ class RunConfig:
                                   width=self.si["cantilever.width_nm"],
                                   thickness=self.si["cantilever.thickness_nm"])
 
-    def bias_gap(self, potential: LennardJones | None = None) -> float:
+    def bias_gap(self, potential: LennardJones) -> float:
         """Configured gap; ``bias.auto`` resolves the curvature-free point."""
-        pot = potential if potential is not None else self.potential()
         ratio = self.si["bias.x_over_sigma"]
         if ratio is not None:
-            return ratio * pot.sigma
-        return find_bias_point(pot, (1.05 * pot.sigma, 2.0 * pot.sigma))
+            return ratio * potential.sigma
+        return find_bias_point(potential,
+                               (1.05 * potential.sigma, 2.0 * potential.sigma))
 
-    def design(self, geometry: CantileverGeometry | None = None):
-        """(potential, modal, gap, bias state, spectrum) of the configured
-        design; ``geometry`` replaces the configured beam."""
+    def operating_point(self, geometry: CantileverGeometry | None = None):
+        """(potential, modal, gap, bias state) of the configured design;
+        ``geometry`` replaces the configured beam."""
         pot = self.potential()
         modal = modal_params(geometry or self.geometry(), self.material())
         gap = self.bias_gap(pot)
-        state = bias_state(modal, pot, gap)
+        return pot, modal, gap, bias_state(modal, pot, gap)
+
+    def design(self, geometry: CantileverGeometry | None = None):
+        """:meth:`operating_point` plus the first-order spectrum at the gap."""
+        pot, modal, gap, state = self.operating_point(geometry)
         taylor = taylor_coefficients(pot, gap, max_order=6)
         spectrum = perturbative_energies(state, taylor,
                                          n_max=self.si["spectrum.n_max"])

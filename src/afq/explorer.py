@@ -29,6 +29,9 @@ _SWEEP_TABLE = (
     ("flag", "flag"))
 SWEEP_COLUMNS = tuple(header for header, _ in _SWEEP_TABLE)
 
+_REGIMES = {FLAG_CONTACT: "contact", FLAG_SNAP_IN: "snap-in",
+            FLAG_BREAKDOWN: "first-order breakdown"}
+
 
 def _named_columns(arrays, sigma):
     """(CSV header, array) pairs in _SWEEP_TABLE order."""
@@ -130,9 +133,7 @@ def _figures(length, gap, width, thickness, material, potential, temperature):
     omega_10, eta = np.where(valid, [omega_10, eta], np.nan)
     eta_r = eta / omega_10
     delta_omega = np.abs(1.0 - omega_10 / omega_c)
-    n_th = thermal_occupancy(np.where(valid, omega_10, 1.0),
-                             np.full_like(omega_10, temperature))
-    n_th = np.where(valid, n_th, np.nan)
+    n_th = np.where(valid, thermal_occupancy(omega_10, temperature), np.nan)
     return {"length": length, "gap": gap, "omega_c": omega_c,
             "omega_10": omega_10, "eta_r": eta_r, "eta": eta,
             "delta_omega": delta_omega, "n_thermal": n_th, "x_zpf": x_zpf,
@@ -190,7 +191,8 @@ def design_point(length, width, thickness, material, potential,
                       width, thickness, material, potential, temperature)
     flag = arrays["flag"][0]
     if flag != FLAG_OK:
-        raise DomainError(f"design point not in the valid regime (flag {flag})")
+        raise DomainError(f"design point (L, x) = ({length:.4e}, {gap:.4e}) m"
+                          f" is in the {_REGIMES[flag]} regime (flag {flag})")
     return _row(arrays, 0, potential.sigma)
 
 

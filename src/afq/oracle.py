@@ -64,7 +64,6 @@ class OracleResult:
 
     eigenvalues: tuple
     convergence_estimate: float
-    grid: GridSpec
 
 
 def total_potential(modal: CantileverModal, potential: SurfacePotential,
@@ -122,7 +121,7 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
             "(> 1e-4); refine GridSpec.points")
     refined = (4.0 * fine - coarse) / 3.0
     return OracleResult(eigenvalues=tuple(refined[:n_levels]),
-                        convergence_estimate=estimate, grid=grid)
+                        convergence_estimate=estimate)
 
 
 def ladder_sum_matrix(dim: int) -> np.ndarray:
@@ -231,15 +230,14 @@ def jc_dispersive_oracle(qubit_levels, omega_cavity: float, g: float,
 
 
 def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
-                         g1: float, g2: float,
-                         sweep_points: int = 4001) -> float:
+                         g1: float, g2: float) -> float:
     """Bus-mediated coupling from the avoided crossing of two qubits.
 
     Diagonalizes the one-excitation sector of two qubits exchange-coupled
-    to a single bus mode while sweeping qubit 1 through qubit 2; returns
-    half the minimum splitting of the two qubit-like branches (the pair
-    of eigenvalues nearest omega_q2), refined by parabolic interpolation
-    around the discrete minimum.
+    to a single bus mode while sweeping qubit 1 through qubit 2 in 4001
+    evenly spaced steps; returns half the minimum splitting of the two
+    qubit-like branches (the pair of eigenvalues nearest omega_q2), refined
+    by parabolic interpolation around the discrete minimum.
     """
     deltas = [abs(omega_bus - omega_q1), abs(omega_bus - omega_q2)]
     gmax = max(abs(g1), abs(g2))
@@ -247,8 +245,8 @@ def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
         warnings.warn("g/|Delta| above the dispersive regime", stacklevel=2)
     span = max(8.0 * (abs(g1) + abs(g2)), 2.0 * abs(omega_q1 - omega_q2),
                1e-6 * abs(omega_q2))
-    w1 = np.linspace(omega_q2 - span, omega_q2 + span, sweep_points)
-    h = np.zeros((sweep_points, 3, 3))
+    w1 = np.linspace(omega_q2 - span, omega_q2 + span, 4001)
+    h = np.zeros((w1.size, 3, 3))
     h[:, 0, 0] = w1
     h[:, 1, 1] = omega_q2
     h[:, 2, 2] = omega_bus
@@ -260,7 +258,7 @@ def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
     pair = np.take_along_axis(evals, order[:, :2], axis=1)
     gaps = np.abs(pair[:, 1] - pair[:, 0])
     i = int(np.argmin(gaps))
-    if i in (0, sweep_points - 1):
+    if i in (0, w1.size - 1):
         raise DomainError("no avoided crossing inside the sweep range")
     # parabolic refinement of the minimum
     y0, y1, y2 = gaps[i - 1], gaps[i], gaps[i + 1]

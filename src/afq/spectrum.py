@@ -68,7 +68,8 @@ def perturbative_energies(bias: BiasState, taylor: TaylorCoefficients,
     ``order`` selects the highest even Taylor order included; 6 is the
     closed cubic-in-n form above, larger (even) values add
     x_zpf^(2k) lam_2k <n|(a+a^dag)^(2k)|n> terms evaluated with exact
-    ladder-operator matrix elements.
+    ladder-operator matrix elements. A first-order omega_10 <= 0 (the
+    sweep's FLAG_BREAKDOWN) raises DomainError.
     """
     if not math.isclose(taylor.expansion_point, bias.gap, rel_tol=1e-12):
         raise OrderMismatchError(
@@ -85,6 +86,9 @@ def perturbative_energies(bias: BiasState, taylor: TaylorCoefficients,
     q4, q6, omega_10, eta = (a.item() for a in _first_order_ladder(
         *np.atleast_1d(bias.omega_eff, bias.x_zpf, taylor.lam(4),
                        taylor.lam(6))))
+    if omega_10 <= 0:
+        raise DomainError(f"first-order breakdown at gap {bias.gap:.4e} m: "
+                          f"omega_10 = {omega_10:.4e} rad/s <= 0")
     hw = hbar * bias.omega_eff
     a0 = 15.0 * q6 + 3.0 * q4 + 0.5 * hw + taylor.lam(0)
     a1 = 40.0 * q6 + 6.0 * q4 + hw

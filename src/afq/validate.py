@@ -79,7 +79,7 @@ def check_potential_derivatives() -> Check:
 
 
 def check_modal_identity() -> Check:
-    _, modal, *_ = default_config().design()
+    _, modal, *_ = default_config().operating_point()
     rel = abs(modal.effective_mass * modal.omega_c**2
               / modal.spring_constant - 1.0)
     return Check("modal_mass_identity", rel <= 1e-14,
@@ -273,7 +273,7 @@ def check_design_sweep() -> Check:
 
 
 def check_snap_in_diagnostic() -> Check:
-    pot, modal, *_ = default_config().design()
+    pot, modal, *_ = default_config().operating_point()
     x_snap = snap_in_threshold(modal, pot, (1.15 * pot.sigma, 2.0 * pot.sigma))
     margin_pm = (x_snap - pot.inflection) / 1e-12
     ok = x_snap is not None and 0.0 < margin_pm < 1.0

@@ -133,6 +133,34 @@ def test_physics_error_exit_code(tmp_path):
     assert "contact" in proc.stderr.lower()
 
 
+# stable but next to snap-in: the first-order omega_10 is <= 0
+BREAKDOWN_CONFIG = (PAPER_CONFIG
+                    .replace("cantilever.length_nm = 495",
+                             "cantilever.length_nm = 221.1055276382")
+                    .replace("bias.auto = true",
+                             "bias.x_over_sigma = 1.666834170854"))
+
+
+def test_breakdown_design_bias_still_reports(tmp_path):
+    cfg = tmp_path / "breakdown.cfg"
+    cfg.write_text(BREAKDOWN_CONFIG)
+    out = tmp_path / "bias.json"
+    assert main(["bias", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    assert json.loads(out.read_text())["outputs"]["k_eff_n_m"] > 0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "cqad", "oracle"])
+def test_breakdown_design_refused(tmp_path, capsys, command):
+    cfg = tmp_path / "breakdown.cfg"
+    cfg.write_text(BREAKDOWN_CONFIG)
+    assert main([command, "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("afq: first-order breakdown at gap 6.3773e-10 m")
+    assert "omega must be > 0" not in err
+    assert "damping rates" not in err
+
+
 def test_validate_report_json(tmp_path):
     out = tmp_path / "validate.json"
     assert main(["validate", "--out", str(out), "--quiet"]) == 1

@@ -158,8 +158,7 @@ def _run_csv(tmp_path, command, config_text=PAPER_CONFIG):
     out = tmp_path / f"{command}.csv"
     assert cli.main([command, "--config", str(path), "--format", "csv",
                      "--out", str(out), "--quiet"]) == 0
-    outputs, payload = cli.COMMANDS[command](parse_config_text(config_text),
-                                             None)
+    outputs, payload = cli.COMMANDS[command](parse_config_text(config_text))
     return out.read_bytes().decode(), outputs, payload
 
 

@@ -215,13 +215,35 @@ def test_optimize_length_stops_below_snap_in():
     assert L == pytest.approx(236e-9, abs=1e-15)
     assert row == design_point(L, 10e-9, 12e-9, SILICON, LJ, 8e-3, gap=gap)
     assert row["n_thermal"] <= 2.0
-    with pytest.raises(DomainError, match="flag 2"):
+    with pytest.raises(DomainError, match="snap-in regime \\(flag 2\\)"):
         design_point(L + 1e-9, 10e-9, 12e-9, SILICON, LJ, 8e-3, gap=gap)
     # at 1.8 sigma (flagged from 265 nm up) the anharmonicity is negative,
     # so the default eta_r floor of 0 is what rejects the fitting lengths
     with pytest.raises(DomainError, match="anharmonicity floor"):
         optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3, bound,
                         gap=1.8 * LJ.sigma)
+
+
+def test_min_omega_10_bound():
+    # with the occupancy bound loose, the frequency floor picks the paper's
+    # sub-unity family: 345 nm at 115.09 MHz
+    bound = DesignConstraints(max_occupancy=10.0, min_omega_10=115.0 * MHZ)
+    L, row = optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3, bound)
+    assert L == pytest.approx(345e-9, abs=1e-15)
+    assert cycles(row["omega_10_rad_s"]) / 1e6 == pytest.approx(115.09,
+                                                                abs=0.01)
+    result = sweep(make_spec(100, 100))
+    loose = feasible_designs(result, DesignConstraints(max_occupancy=10.0))
+    feas = feasible_designs(result, bound)
+    assert (len(loose), len(feas)) == (1221, 1128)
+    assert np.all(feas.omega_10 >= 115.0 * MHZ)
+
+
+def test_design_point_names_breakdown():
+    with pytest.raises(DomainError,
+                       match="first-order breakdown regime \\(flag 3\\)"):
+        design_point(221.1055276382e-9, 10e-9, 12e-9, SILICON, LJ, 8e-3,
+                     gap=1.666834170854 * LJ.sigma)
 
 
 def test_optimize_length_unsatisfiable():

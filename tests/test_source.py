@@ -1,0 +1,47 @@
+"""Source hygiene: every parameter of every afq function is read in its body."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent
+                  / "src" / "afq").glob("*.py"))
+
+
+def _is_stub(fn):
+    """A body of constants only, a docstring and ``...`` (a Protocol method)."""
+    return all(isinstance(stmt, ast.Expr)
+               and isinstance(stmt.value, ast.Constant) for stmt in fn.body)
+
+
+def unread_parameters(tree):
+    """(line, function, parameter) of each parameter its body never loads."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        if not isinstance(fn, ast.Lambda) and _is_stub(fn):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+        loaded = {node.id for node in ast.walk(fn)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        found += [(fn.lineno, name, p) for p in params
+                  if p not in ("self", "cls") and p not in loaded]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_unread_parameter_is_found():
+    tree = ast.parse("def f(a, b):\n    return a\n"
+                     "class P:\n    def g(self, x):\n        ...\n")
+    assert unread_parameters(tree) == [(1, "f", "b")]

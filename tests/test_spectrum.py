@@ -127,6 +127,19 @@ def test_taylor_order_and_gap_mismatch_errors():
         perturbative_energies(state, taylor, order=7)
 
 
+def test_first_order_breakdown_raises():
+    # stable (k_eff > 0) but next to snap-in: the first-order omega_10 is
+    # negative, the state a sweep flags FLAG_BREAKDOWN
+    modal = modal_params(CantileverGeometry(221.1055276382e-9, 10e-9, 12e-9),
+                         SILICON)
+    gap = 1.666834170854 * LJ.sigma
+    state = bias_state(modal, LJ, gap)
+    assert state.effective_stiffness > 0
+    with pytest.raises(DomainError, match="first-order breakdown at gap "
+                                          "6.3773e-10 m"):
+        perturbative_energies(state, taylor_coefficients(LJ, gap, 6))
+
+
 def test_higher_order_terms_are_small():
     _, state, _ = paper_chain()
     t8 = taylor_coefficients(LJ, state.gap, max_order=8)
