@@ -20,14 +20,15 @@ Run:  python demos/exact_vs_perturbative.py
 
 import numpy as np
 
-from afq import (CantileverGeometry, GridSpec, LennardJones, MaterialParams,
-                 bias_state, fock_eigensolve, grid_eigensolve, modal_params,
-                 perturbative_energies, taylor_coefficients, total_potential)
-from afq.units import MEV, ANGSTROM, NM, PM, cycles, hbar
+from afq import (GridSpec, bias_state, fock_eigensolve, grid_eigensolve,
+                 modal_params, perturbative_energies, taylor_coefficients,
+                 total_potential)
+from afq.config import default_config
+from afq.units import PM, cycles, hbar
 
-silicon = MaterialParams(young_modulus=160e9, density=2329.0)
-lj = LennardJones(epsilon=17.4 * MEV, sigma=3.826 * ANGSTROM)
-modal = modal_params(CantileverGeometry(495 * NM, 10 * NM, 12 * NM), silicon)
+design = default_config()          # the bundled paper.cfg
+lj = design.potential()
+modal = modal_params(design.geometry(), design.material())
 x0 = lj.inflection
 state = bias_state(modal, lj, x0)
 taylor = taylor_coefficients(lj, x0, max_order=6)

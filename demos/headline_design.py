@@ -10,17 +10,17 @@ Run:  python demos/headline_design.py
 
 import numpy as np
 
-from afq import (CantileverGeometry, LennardJones, MaterialParams,
-                 bias_state, find_bias_point, modal_params,
+from afq import (bias_state, find_bias_point, modal_params,
                  perturbative_energies, relative_anharmonicity,
                  relative_frequency_shift, snap_in_threshold,
                  taylor_coefficients, thermal_occupancy)
-from afq.units import MEV, ANGSTROM, NM, PM, cycles
+from afq.config import default_config
+from afq.units import MEV, ANGSTROM, NM, PM, cycles, hbar
 
-silicon = MaterialParams(young_modulus=160e9, density=2329.0)
-lj = LennardJones(epsilon=17.4 * MEV, sigma=3.826 * ANGSTROM)
-geometry = CantileverGeometry(length=495 * NM, width=10 * NM,
-                              thickness=12 * NM)
+design = default_config()          # the bundled paper.cfg
+silicon = design.material()
+lj = design.potential()
+geometry = design.geometry()
 
 print("== Surface potential ==")
 print(f"well depth        : {lj.epsilon / MEV:.1f} meV")
@@ -57,7 +57,6 @@ print(f"frequency pull    : {relative_frequency_shift(spectrum, modal):.4f}")
 eta_r, eta, r0, r1 = relative_anharmonicity(state, lj)
 print(f"closed form       : eta_r = (1 + 2 r1)/(1 + r1 + r0) = {eta_r:.4f} "
       f"with r0 = {r0:.2f}, r1 = {r1:.2e}")
-from afq.units import hbar  # noqa: E402
 
 levels = np.array(spectrum.energies)
 spacings = np.diff(levels) / hbar

@@ -31,7 +31,7 @@ from .config import (PAPER_CONFIG, RunConfig, default_config,  # noqa: F401
 from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    dispersive_shift, frequency_response,
                    quality_factor_damping)
-from .errors import AfqError, ConfigError
+from .errors import AfqError, ConfigError, DomainError
 from .explorer import SWEEP_COLUMNS, sweep
 from .oracle import (GridSpec, grid_eigensolve, jc_dispersive_oracle,
                      total_potential, two_qubit_bus_oracle)
@@ -305,8 +305,11 @@ def cmd_cqad(cfg: RunConfig) -> tuple[dict, tuple]:
 
 
 def cmd_oracle(cfg: RunConfig) -> tuple[dict, tuple | None]:
-    pot, modal, gap, state, spec = cfg.design()
     si = cfg.si
+    if si["oracle.n_levels"] < 3:
+        raise DomainError(f"oracle.n_levels = {si['oracle.n_levels']}: "
+                          "omega_10 and eta need 3 levels")
+    pot, modal, gap, state, spec = cfg.design()
     grid = GridSpec(half_width=si["oracle.grid_half_width_zpf"],
                     right_clip=si["oracle.grid_right_clip"],
                     points=si["oracle.grid_points"])
@@ -379,9 +382,8 @@ def main(argv=None) -> int:
         from .validate import run_validation_suite
         report = run_validation_suite(quiet=args.quiet)
         report["command"] = "validate"
-        if args.out:
-            emit(report, "json", args.out, quiet=True)
-        return 0 if report["failed"] == 0 else 1
+        return _write(report, "json", args.out, True, None,
+                      0 if report["failed"] == 0 else 1)
 
     fmt = args.format or ("csv" if args.command in ("sweep", "cqad") else "json")
     try:
@@ -402,8 +404,19 @@ def main(argv=None) -> int:
               "config": cfg.display, "outputs": outputs,
               "warnings": sorted(str(w.message) for w in caught),
               "status": "ok"}
-    emit(report, fmt, args.out, args.quiet, csv_payload=csv_payload)
-    return 0
+    return _write(report, fmt, args.out, args.quiet, csv_payload, 0)
+
+
+def _write(report, fmt, out_path, quiet, csv_payload, code) -> int:
+    """:func:`emit`, then ``code``; 2 (usage error) when the output cannot
+    be written."""
+    try:
+        emit(report, fmt, out_path, quiet, csv_payload=csv_payload)
+    except OSError as exc:
+        print(f"afq: cannot write {out_path or '<stdout>'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

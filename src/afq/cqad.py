@@ -66,10 +66,6 @@ class CqadConfig:
     def delta_r(self) -> float:
         return self.omega_r - self.omega_d
 
-    @property
-    def resolved_sideband(self) -> bool:
-        return self.kappa < 0.1 * self.omega_m
-
 
 @dataclass(frozen=True)
 class EffectiveReadout:
@@ -215,8 +211,6 @@ def cooling_estimate(n_th: float, mech_damping: float,
         raise DomainError("rates must be >= 0")
     if purcell_rate == 0.0:
         return n_th
-    if not np.isfinite(purcell_rate):
-        return 0.0
     return n_th * mech_damping / (mech_damping + purcell_rate)
 
 

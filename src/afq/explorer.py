@@ -64,6 +64,8 @@ class SweepSpec:
             raise DomainError("sweep grids must be non-empty")
         if np.any(np.diff(ls) <= 0) or np.any(np.diff(gs) <= 0):
             raise DomainError("sweep grids must be strictly increasing")
+        if ls[0] <= 0 or self.width <= 0 or self.thickness <= 0:
+            raise DomainError("geometry dimensions must be > 0")
         if gs[0] <= CONTACT_GUARD:
             raise DomainError(
                 f"gap grid must stay above the contact guard ({CONTACT_GUARD} sigma)")
@@ -197,24 +199,18 @@ def design_point(length, width, thickness, material, potential,
 
 
 def optimize_length(width, thickness, material, potential, temperature,
-                    constraints: DesignConstraints,
-                    length_bounds=(200e-9, 800e-9), gap=None,
-                    granularity=1e-9):
+                    constraints: DesignConstraints, gap=None):
     """Largest cantilever length satisfying the constraints at the bias gap.
 
-    One vectorized evaluation per whole multiple of ``granularity`` in
-    ``length_bounds``; returns the longest whose row fits (flag OK,
-    ``max_occupancy``, ``min_omega_10``) and that row, keyed like
-    :func:`design_point`. Raises DomainError on an empty range, when the
-    shortest length does not fit, or when that row misses the eta_r floor.
+    One vectorized evaluation over the lattice 200-800 nm in 1 nm steps;
+    returns the longest length whose row fits (flag OK, ``max_occupancy``,
+    ``min_omega_10``) and that row, keyed like :func:`design_point`.
+    Raises DomainError when 200 nm does not fit, or when the returned row
+    misses the eta_r floor.
     """
     if gap is None:
         gap = potential.inflection
-    lo_n = int(np.ceil(length_bounds[0] / granularity))
-    hi_n = int(np.floor(length_bounds[1] / granularity))
-    if lo_n > hi_n:
-        raise DomainError("empty length range")
-    lengths = np.arange(lo_n, hi_n + 1) * granularity
+    lengths = np.arange(200, 801) / 1e9   # == n e-9; n * 1e-9 can be 1 ulp off
     arrays = _figures(lengths, np.full(lengths.shape, float(gap)), width,
                       thickness, material, potential, temperature)
     fits = _fits(arrays, constraints)
@@ -227,4 +223,4 @@ def optimize_length(width, thickness, material, potential, temperature,
     if best["eta_r"] < constraints.min_relative_anharmonicity:
         raise DomainError(
             "anharmonicity floor unreachable under the occupancy bound")
-    return (lo_n + i) * granularity, best
+    return lengths[i].item(), best

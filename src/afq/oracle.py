@@ -124,13 +124,17 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
                         convergence_estimate=estimate)
 
 
+def _annihilation(dim: int) -> np.ndarray:
+    """The annihilation operator a in a Fock basis truncated at ``dim`` levels."""
+    a = np.zeros((dim, dim))
+    a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
+    return a
+
+
 def ladder_sum_matrix(dim: int) -> np.ndarray:
     """(a + a^dag) in a Fock basis truncated at ``dim`` levels."""
-    m = np.zeros((dim, dim))
-    root = np.sqrt(np.arange(1, dim))
-    m[np.arange(dim - 1), np.arange(1, dim)] = root
-    m[np.arange(1, dim), np.arange(dim - 1)] = root
-    return m
+    a = _annihilation(dim)
+    return a + a.T
 
 
 def fock_matrix_element(n: int, power: int, truncation: int) -> float:
@@ -153,11 +157,9 @@ def fock_eigensolve(m_eff: float, omega_basis: float, poly: dict,
     """
     xz = np.sqrt(hbar / (2.0 * m_eff * omega_basis))
     pz = hbar / (2.0 * xz)
-    a_plus_adag = ladder_sum_matrix(dim)
-    a_minus = np.zeros((dim, dim))
-    root = np.sqrt(np.arange(1, dim))
-    a_minus[np.arange(dim - 1), np.arange(1, dim)] = root
-    adag_minus_a = a_minus.T - a_minus
+    a = _annihilation(dim)
+    a_plus_adag = a + a.T
+    adag_minus_a = a.T - a
     p2 = -(pz**2) * adag_minus_a @ adag_minus_a
     h = p2 / (2.0 * m_eff)
     for order, coeff in sorted(poly.items()):

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
 from .errors import BracketError, DomainError
 
 
-@runtime_checkable
 class SurfacePotential(Protocol):
     """An interaction potential evaluable to arbitrary derivative order."""
 

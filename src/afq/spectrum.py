@@ -62,26 +62,22 @@ def _first_order_ladder(omega_eff, x_zpf, lam4, lam6):
 
 
 def perturbative_energies(bias: BiasState, taylor: TaylorCoefficients,
-                          n_max: int = 5, order: int = 6) -> QubitSpectrum:
-    """Anharmonic energy ladder at the bias point.
+                          n_max: int = 5) -> QubitSpectrum:
+    """Anharmonic energy ladder at the bias point: the closed cubic-in-n
+    form above, first order in the quartic and sextic Taylor terms.
 
-    ``order`` selects the highest even Taylor order included; 6 is the
-    closed cubic-in-n form above, larger (even) values add
-    x_zpf^(2k) lam_2k <n|(a+a^dag)^(2k)|n> terms evaluated with exact
-    ladder-operator matrix elements. A first-order omega_10 <= 0 (the
-    sweep's FLAG_BREAKDOWN) raises DomainError.
+    A first-order omega_10 <= 0 (the sweep's FLAG_BREAKDOWN) raises
+    DomainError.
     """
     if not math.isclose(taylor.expansion_point, bias.gap, rel_tol=1e-12):
         raise OrderMismatchError(
             "Taylor coefficients expanded at "
             f"{taylor.expansion_point:.6e} m but bias gap is {bias.gap:.6e} m")
-    if order < 6 or order % 2:
-        raise DomainError(f"order must be an even integer >= 6, got {order}")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
-    if taylor.max_order < order:
+    if taylor.max_order < 6:
         raise OrderMismatchError(
-            f"need Taylor coefficients to order {order}, have {taylor.max_order}")
+            f"need Taylor coefficients to order 6, have {taylor.max_order}")
 
     q4, q6, omega_10, eta = (a.item() for a in _first_order_ladder(
         *np.atleast_1d(bias.omega_eff, bias.x_zpf, taylor.lam(4),
@@ -96,18 +92,6 @@ def perturbative_energies(bias: BiasState, taylor: TaylorCoefficients,
     a3 = 20.0 * q6
     ns = np.arange(n_max + 1)
     energies = a0 + a1 * ns + a2 * ns**2 + a3 * ns**3
-
-    if order > 6:
-        from .oracle import fock_matrix_element
-        for two_k in range(8, order + 1, 2):
-            qk = taylor.lam(two_k) * bias.x_zpf**two_k
-            elems = np.array(
-                [fock_matrix_element(int(n), two_k, int(n) + two_k + 5)
-                 for n in ns])
-            energies = energies + qk * elems
-            omega_10 += qk * (elems[1] - elems[0]) / hbar
-            eta += qk * (elems[2] - 2.0 * elems[1] + elems[0]) / hbar
-
     omega_21 = omega_10 + eta
     return QubitSpectrum(energies=tuple(energies), omega_10=omega_10,
                          omega_21=omega_21, eta=eta, eta_r=eta / omega_10,

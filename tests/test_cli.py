@@ -179,3 +179,35 @@ def test_report_json_round_trip(tmp_path):
     assert outputs["temperature_mk"] == 8.0
     assert isinstance(outputs["energies_j"], list)
     assert len(outputs["energies_j"]) == 6
+
+
+@pytest.mark.parametrize("n_levels", [1, 2])
+def test_oracle_needs_three_levels(tmp_path, capsys, n_levels):
+    cfg = tmp_path / "levels.cfg"
+    cfg.write_text(PAPER_CONFIG + f"oracle.n_levels = {n_levels}\n")
+    assert main(["oracle", "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("afq: oracle.n_levels")
+    assert "3 levels" in err
+
+
+@pytest.mark.parametrize("setting", ["sweep.length_min_nm = 0",
+                                     "sweep.length_min_nm = -100",
+                                     "cantilever.width_nm = 0"])
+def test_sweep_rejects_non_positive_dimensions(tmp_path, capsys, setting):
+    key = setting.split(" = ")[0]
+    text = "".join(line + "\n" for line in PAPER_CONFIG.splitlines()
+                   if not line.startswith(key))
+    cfg = tmp_path / "dims.cfg"
+    cfg.write_text(text + setting + "\n")
+    assert main(["sweep", "--config", str(cfg), "--quiet"]) == 1
+    assert "geometry dimensions must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.csv"
+    assert main([command, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"afq: cannot write {out}: ")
+    assert "Traceback" not in err

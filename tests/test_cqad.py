@@ -234,4 +234,3 @@ def test_config_validation():
         make_config(gap=0.0)
     cfg = make_config()
     assert cfg.kappa == cfg.kappa_i + cfg.kappa_e
-    assert cfg.resolved_sideband

@@ -206,6 +206,16 @@ def test_optimize_length_headline_occupancy():
     assert abs(L - 495e-9) <= 2e-9
 
 
+def test_optimize_length_reaches_upper_bound():
+    # n_th(800 nm) = 4.29 at (w, t) = (10, 12) nm: the whole lattice fits,
+    # and the last point is the literal 800e-9
+    L, row = optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3,
+                             DesignConstraints(max_occupancy=5.0))
+    assert L == 800e-9
+    assert row["length_m"] == 800e-9
+    assert row["n_thermal"] == pytest.approx(4.290, abs=1e-3)
+
+
 def test_optimize_length_stops_below_snap_in():
     # past the inflection long beams snap in: at 1.26 sigma every L from
     # 237 nm up is flagged, and the longest fitting length is 236 nm
@@ -268,3 +278,12 @@ def test_spec_validation():
         SweepSpec(lengths=(2e-7,), gaps_over_sigma=(1.0, 1.5), width=1e-8,
                   thickness=1e-8, material=SILICON, potential=LJ,
                   temperature=8e-3)
+    # non-positive beam dimensions, as CantileverGeometry rejects them
+    for lengths, width, thickness in [((0.0, 1e-7), 1e-8, 1e-8),
+                                      ((-1e-7, 1e-7), 1e-8, 1e-8),
+                                      ((2e-7,), 0.0, 1e-8),
+                                      ((2e-7,), 1e-8, -1e-8)]:
+        with pytest.raises(DomainError, match="geometry dimensions"):
+            SweepSpec(lengths=lengths, gaps_over_sigma=(1.2, 1.5),
+                      width=width, thickness=thickness, material=SILICON,
+                      potential=LJ, temperature=8e-3)

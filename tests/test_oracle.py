@@ -8,7 +8,7 @@ import pytest
 from afq import (CantileverGeometry, GridSpec, LennardJones, MaterialParams,
                  bias_state, fock_eigensolve, fock_matrix_element,
                  grid_eigensolve, jc_dispersive_oracle, modal_params,
-                 total_potential, two_qubit_bus_oracle)
+                 taylor_coefficients, total_potential, two_qubit_bus_oracle)
 from afq.cqad import bus_coupling, dispersive_shift
 from afq.errors import (DomainError, LabelingError, TruncationError)
 from afq.units import MEV, ANGSTROM, MHZ, cycles, hbar
@@ -168,6 +168,25 @@ def test_fock_eigensolve_matches_grid_on_polynomial_well():
     ev_grid = grid_eigensolve(lambda dx: 0.5 * K_SPRING * dx**2 + lam4 * dx**4,
                               M_EFF, GridSpec(), 3, x_zpf=X_ZPF, gap=GAP)
     np.testing.assert_allclose(ev_fock, ev_grid.eigenvalues, rtol=1e-7)
+
+
+@pytest.mark.parametrize("dim", [120, 160])
+def test_eighth_order_term_is_negligible_at_headline_design(dim):
+    # the first-order ladder stops at lam6: adding lam8 to the even-order
+    # polynomial moves the exact omega_10 by ~1.1e-7 relative
+    x0 = LJ.inflection
+    state = bias_state(PAPER_MODAL, LJ, x0)
+    taylor = taylor_coefficients(LJ, x0, max_order=8)
+    poly = {2: 0.5 * state.effective_stiffness, 4: taylor.lam(4),
+            6: taylor.lam(6)}
+
+    def omega_10(poly):
+        ev = fock_eigensolve(M_EFF, state.omega_eff, poly, dim=dim,
+                             n_levels=2)
+        return (ev[1] - ev[0]) / hbar
+
+    shift = omega_10({**poly, 8: taylor.lam(8)}) / omega_10(poly) - 1
+    assert 0 < abs(shift) < 1e-6
 
 
 # --- Jaynes-Cummings dispersive oracle -------------------------------------

@@ -1,4 +1,5 @@
-"""Source hygiene: every parameter of every afq function is read in its body."""
+"""Source hygiene: every parameter of every afq function is read in its body,
+and the brute-force oracle shares no code with what it checks."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,37 @@ def test_unread_parameter_is_found():
     tree = ast.parse("def f(a, b):\n    return a\n"
                      "class P:\n    def g(self, x):\n        ...\n")
     assert unread_parameters(tree) == [(1, "f", "b")]
+
+
+def imported_paths(tree):
+    """Dotted paths an AST imports, at any depth: each module, and for
+    ``from M import x`` also ``M.x``; relative imports resolve into afq."""
+    paths = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["afq" if node.level else None,
+                                            node.module]))
+            paths |= {module} | {f"{module}.{a.name}" for a in node.names}
+    return paths
+
+
+ORACLE_CLIENTS = {"cli.py", "validate.py", "__init__.py"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name not in ORACLE_CLIENTS],
+                         ids=lambda p: p.name)
+def test_only_front_ends_import_the_oracle(path):
+    assert "afq.oracle" not in imported_paths(ast.parse(path.read_text(),
+                                                        str(path)))
+
+
+@pytest.mark.parametrize("source", [
+    "def f():\n    from .oracle import fock_eigensolve\n",
+    "def g():\n    if True:\n        from . import oracle\n",
+    "import afq.oracle\n",
+    "from afq import oracle\n"])
+def test_oracle_import_is_found(source):
+    assert "afq.oracle" in imported_paths(ast.parse(source))
