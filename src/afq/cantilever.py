@@ -36,6 +36,12 @@ FLAG_SNAP_IN = 2
 FLAG_BREAKDOWN = 3     # stable, but the first-order ladder gives omega_10 <= 0
 
 
+def _check_dimensions(*dims):
+    """Reject beam dimensions that are not > 0: zero, negative or NaN."""
+    if not all(d > 0 for d in dims):
+        raise DomainError("geometry dimensions must be > 0")
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Isotropic elastic constants used by the beam model."""
@@ -57,8 +63,7 @@ class CantileverGeometry:
     thickness: float
 
     def __post_init__(self):
-        if min(self.length, self.width, self.thickness) <= 0:
-            raise DomainError("geometry dimensions must be > 0")
+        _check_dimensions(self.length, self.width, self.thickness)
 
 
 @dataclass(frozen=True)

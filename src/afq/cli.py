@@ -195,7 +195,7 @@ def cmd_bias(cfg: RunConfig) -> tuple[dict, tuple | None]:
     pot, modal, gap, state = cfg.operating_point()
     snap = snap_in_threshold(modal, pot, (1.15 * pot.sigma, 2.0 * pot.sigma))
     outputs = {
-        "auto_bias": cfg.display["bias.auto"],
+        "auto_bias": cfg.si["bias.x_over_sigma"] is None,
         "gap_angstrom": gap / ANGSTROM,
         "gap_over_sigma": gap / pot.sigma,
         "equilibrium_offset_nm": state.equilibrium_offset / NM,

@@ -11,6 +11,7 @@ effective configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib.resources import files
 
@@ -33,16 +34,13 @@ PAPER_CONFIG = files(__package__).joinpath("paper.cfg").read_text("utf-8")
 
 @dataclass(frozen=True)
 class _Field:
-    kind: str                  # "float" | "int" | "bool" | "str"
+    kind: str                  # "float" | "int"
     unit: float = 1.0          # display -> SI multiplier (floats only)
     default: object = _REQUIRED
-    choices: tuple = ()
 
 
 # schema order is also the echo order
 SCHEMA = {
-    "potential.kind": _Field("str", default="lennard-jones",
-                             choices=("lennard-jones",)),
     "potential.epsilon_mev": _Field("float", MEV),
     "potential.sigma_angstrom": _Field("float", ANGSTROM),
     "material.young_modulus_gpa": _Field("float", GPA),
@@ -50,7 +48,6 @@ SCHEMA = {
     "cantilever.length_nm": _Field("float", NM),
     "cantilever.width_nm": _Field("float", NM),
     "cantilever.thickness_nm": _Field("float", NM),
-    "bias.auto": _Field("bool", default=True),
     "bias.x_over_sigma": _Field("float", default=None),
     "spectrum.n_max": _Field("int", default=5),
     "spectrum.temperature_mk": _Field("float", MK, default=8.0),
@@ -109,7 +106,8 @@ class RunConfig:
                                   thickness=self.si["cantilever.thickness_nm"])
 
     def bias_gap(self, potential: LennardJones) -> float:
-        """Configured gap; ``bias.auto`` resolves the curvature-free point."""
+        """``bias.x_over_sigma`` times sigma; the curvature-free point
+        (``find_bias_point``) when that key is unset."""
         ratio = self.si["bias.x_over_sigma"]
         if ratio is not None:
             return ratio * potential.sigma
@@ -149,22 +147,12 @@ class RunConfig:
 
 
 def _parse_value(key: str, field: _Field, text: str, line_no: int):
-    if field.kind == "bool":
-        low = text.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"line {line_no}: {key}: expected a boolean, got {text!r}")
-    if field.kind == "str":
-        if field.choices and text not in field.choices:
-            raise ConfigError(f"line {line_no}: {key}: expected one of "
-                              f"{field.choices}, got {text!r}")
-        return text
     try:
         value = int(text) if field.kind == "int" else float(text)
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: {key}: not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: {key}: not a finite number: {text!r}")
     if field.kind == "int" and value < 0:   # every int key is a count
         raise ConfigError(f"line {line_no}: {key}: count must be >= 0: {text}")
     return value
@@ -204,21 +192,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if missing:
         raise ConfigError(f"{source}: missing required keys: "
                           + ", ".join(missing))
-    if seen.get("bias.auto") is True and seen.get("bias.x_over_sigma") is not None:
-        raise ConfigError(f"{source}: bias.auto = true conflicts with an "
-                          "explicit bias.x_over_sigma")
-    if seen.get("bias.auto") is False and seen.get("bias.x_over_sigma") is None:
-        raise ConfigError(f"{source}: bias.auto = false requires "
-                          "bias.x_over_sigma")
 
     display = {}
     si = {}
     for key, field in SCHEMA.items():
         value = seen.get(key, field.default)
-        if key == "bias.auto":
-            # explicit gap implies manual bias unless auto was asked for
-            value = seen.get("bias.auto",
-                             seen.get("bias.x_over_sigma") is None)
         display[key] = value
         if field.kind == "float" and value is not None:
             si[key] = value * field.unit

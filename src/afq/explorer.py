@@ -14,7 +14,8 @@ import numpy as np
 
 from .cantilever import (CONTACT_GUARD, FLAG_BREAKDOWN,  # noqa: F401
                          FLAG_CONTACT, FLAG_OK, FLAG_SNAP_IN, MaterialParams,
-                         _modal_constants, _operating_state)
+                         _check_dimensions, _modal_constants,
+                         _operating_state)
 from .errors import DomainError
 from .potential import LennardJones, _taylor_term
 from .spectrum import _first_order_ladder, thermal_occupancy
@@ -64,8 +65,7 @@ class SweepSpec:
             raise DomainError("sweep grids must be non-empty")
         if np.any(np.diff(ls) <= 0) or np.any(np.diff(gs) <= 0):
             raise DomainError("sweep grids must be strictly increasing")
-        if ls[0] <= 0 or self.width <= 0 or self.thickness <= 0:
-            raise DomainError("geometry dimensions must be > 0")
+        _check_dimensions(ls[0], self.width, self.thickness)
         if gs[0] <= CONTACT_GUARD:
             raise DomainError(
                 f"gap grid must stay above the contact guard ({CONTACT_GUARD} sigma)")
@@ -187,6 +187,7 @@ def design_point(length, width, thickness, material, potential,
     Returns a dict of Python floats keyed by the SWEEP_COLUMNS headers,
     in that order, without the flag.
     """
+    _check_dimensions(length, width, thickness)
     if gap is None:
         gap = potential.inflection
     arrays = _figures(np.array([float(length)]), np.array([float(gap)]),
@@ -208,6 +209,7 @@ def optimize_length(width, thickness, material, potential, temperature,
     Raises DomainError when 200 nm does not fit, or when the returned row
     misses the eta_r floor.
     """
+    _check_dimensions(width, thickness)
     if gap is None:
         gap = potential.inflection
     lengths = np.arange(200, 801) / 1e9   # == n e-9; n * 1e-9 can be 1 ulp off

@@ -26,9 +26,7 @@ GPA = 1e9                   # GPa -> Pa
 MK = 1e-3                   # mK -> K
 
 # frequencies: display units are ordinary (Hz-like), internal are angular
-HZ = TWO_PI                 # Hz -> rad/s
-KHZ = TWO_PI * 1e3
-MHZ = TWO_PI * 1e6
+MHZ = TWO_PI * 1e6          # MHz -> rad/s
 GHZ = TWO_PI * 1e9
 
 

@@ -119,6 +119,20 @@ def test_negative_count_exit_code(tmp_path, capsys):
     assert "sweep.x_points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("cantilever.length_nm = nan", "cantilever.length_nm: not a finite number"),
+    ("cantilever.width_nm = inf", "cantilever.width_nm: not a finite number"),
+    ("potential.kind = lennard-jones", "unknown key 'potential.kind'"),
+    ("bias.auto = true", "unknown key 'bias.auto'")])
+def test_config_value_error_exit_code(tmp_path, capsys, line, message):
+    key = line.split(" = ")[0]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("".join(f"{row}\n" for row in PAPER_CONFIG.splitlines()
+                           if not row.startswith(key)) + line + "\n")
+    assert main(["spectrum", "--config", str(bad), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_validate_ignores_config(tmp_path):
     missing = tmp_path / "missing.cfg"
     assert main(["validate", "--config", str(missing), "--quiet"]) == 1
@@ -126,19 +140,16 @@ def test_validate_ignores_config(tmp_path):
 
 def test_physics_error_exit_code(tmp_path):
     cfg = tmp_path / "contact.cfg"
-    cfg.write_text(PAPER_CONFIG.replace("bias.auto = true",
-                                        "bias.x_over_sigma = 1.05"))
+    cfg.write_text(PAPER_CONFIG + "bias.x_over_sigma = 1.05\n")
     proc = run_cli(["spectrum", "--config", str(cfg)])
     assert proc.returncode == 1
     assert "contact" in proc.stderr.lower()
 
 
 # stable but next to snap-in: the first-order omega_10 is <= 0
-BREAKDOWN_CONFIG = (PAPER_CONFIG
-                    .replace("cantilever.length_nm = 495",
-                             "cantilever.length_nm = 221.1055276382")
-                    .replace("bias.auto = true",
-                             "bias.x_over_sigma = 1.666834170854"))
+BREAKDOWN_CONFIG = (PAPER_CONFIG.replace("cantilever.length_nm = 495",
+                                         "cantilever.length_nm = 221.1055276382")
+                    + "bias.x_over_sigma = 1.666834170854\n")
 
 
 def test_breakdown_design_bias_still_reports(tmp_path):

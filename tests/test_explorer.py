@@ -256,6 +256,23 @@ def test_design_point_names_breakdown():
                      gap=1.666834170854 * LJ.sigma)
 
 
+BAD_DIMENSIONS = [(0.0, 10e-9, 12e-9), (495e-9, 0.0, 12e-9),
+                  (495e-9, 10e-9, -12e-9), (495e-9, float("nan"), 12e-9)]
+
+
+@pytest.mark.parametrize("length, width, thickness", BAD_DIMENSIONS)
+def test_design_point_rejects_bad_dimensions(length, width, thickness):
+    with pytest.raises(DomainError, match="geometry dimensions must be > 0"):
+        design_point(length, width, thickness, SILICON, LJ, 8e-3)
+
+
+@pytest.mark.parametrize("length, width, thickness", BAD_DIMENSIONS[1:])
+def test_optimize_length_rejects_bad_dimensions(length, width, thickness):
+    with pytest.raises(DomainError, match="geometry dimensions must be > 0"):
+        optimize_length(width, thickness, SILICON, LJ, 8e-3,
+                        DesignConstraints(max_occupancy=2.3))
+
+
 def test_optimize_length_unsatisfiable():
     with pytest.raises(DomainError):
         optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3,

@@ -1,10 +1,13 @@
 """Source hygiene: every parameter of every afq function is read in its body,
-and the brute-force oracle shares no code with what it checks."""
+every config key is read somewhere, and the brute-force oracle shares no
+code with what it checks."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from afq.config import SCHEMA
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent
                   / "src" / "afq").glob("*.py"))
@@ -80,3 +83,27 @@ def test_only_front_ends_import_the_oracle(path):
     "from afq import oracle\n"])
 def test_oracle_import_is_found(source):
     assert "afq.oracle" in imported_paths(ast.parse(source))
+
+
+def config_reads(tree):
+    """String keys an AST reads as ``si[...]`` or ``display[...]``."""
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)
+            and getattr(node.value, "attr",
+                        getattr(node.value, "id", None)) in ("si", "display")}
+
+
+def test_every_config_key_is_read():
+    reads = set().union(*(config_reads(ast.parse(p.read_text(), str(p)))
+                          for p in SOURCES))
+    assert [key for key in SCHEMA if key not in reads] == []
+
+
+def test_config_read_is_found():
+    tree = ast.parse('a = cfg.si["x.a"]\nsi = self.si\nb = si["x.b"]\n'
+                     'c = cfg.display["x.c"]\nd = other["x.d"]\n'
+                     'si["x.e"] = 1\n')
+    assert config_reads(tree) == {"x.a", "x.b", "x.c"}
