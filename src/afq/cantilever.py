@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContactRegimeError, DomainError, SnapInError
-from .potential import LennardJones, SurfacePotential, _bisect
+from .potential import LennardJones, SurfacePotential, _rightmost_root
 from .units import hbar
 
 # fundamental lateral mode frequency prefactor, (beta_1 L)^2 / sqrt(12)
@@ -50,7 +50,7 @@ class MaterialParams:
     density: float         # kg/m^3
 
     def __post_init__(self):
-        if self.young_modulus <= 0 or self.density <= 0:
+        if not (self.young_modulus > 0 and self.density > 0):
             raise DomainError("material constants must be > 0")
 
 
@@ -168,19 +168,11 @@ def bias_state(modal: CantileverModal, potential: SurfacePotential,
 
 def snap_in_threshold(modal: CantileverModal, potential: SurfacePotential,
                       search):
-    """Largest gap in ``search`` where k + V''(x) crosses zero.
+    """Largest gap in ``search`` where k + V''(x) crosses zero, to the nearest float.
 
     Returns None when the combined stiffness never changes sign on 4096
-    evenly spaced gaps over the interval (no instability in range). The
-    root is bisected to a relative tolerance of 1e-9.
+    evenly spaced gaps over the interval (no instability in range).
     """
-    lo, hi = float(search[0]), float(search[1])
-    xs = np.linspace(lo, hi, 4096)
-    f = modal.spring_constant + np.asarray(potential.derivative(xs, 2))
-    sign_change = np.nonzero(np.diff(np.signbit(f)))[0]
-    if sign_change.size == 0:
-        return None
-    i = sign_change[-1]                          # rightmost bracket
-    stiffness = lambda x: modal.spring_constant + potential.derivative(x, 2)
-    a, _, b, _ = _bisect(stiffness, xs[i], f[i], xs[i + 1], f[i + 1], 1e-9)
-    return 0.5 * (a + b)
+    return _rightmost_root(
+        lambda x: modal.spring_constant + potential.derivative(x, 2),
+        float(search[0]), float(search[1]))

@@ -146,15 +146,16 @@ class RunConfig:
             temperature=si["sweep.temperature_mk"])
 
 
-def _parse_value(key: str, field: _Field, text: str, line_no: int):
+def _parse_value(key: str, field: _Field, text: str, where: str):
+    """``text`` as the field's kind; errors start with ``where``, "source: line N"."""
     try:
         value = int(text) if field.kind == "int" else float(text)
     except ValueError as exc:
-        raise ConfigError(f"line {line_no}: {key}: not a number: {text!r}") from exc
+        raise ConfigError(f"{where}: {key}: not a number: {text!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"line {line_no}: {key}: not a finite number: {text!r}")
+        raise ConfigError(f"{where}: {key}: not a finite number: {text!r}")
     if field.kind == "int" and value < 0:   # every int key is a count
-        raise ConfigError(f"line {line_no}: {key}: count must be >= 0: {text}")
+        raise ConfigError(f"{where}: {key}: count must be >= 0: {text}")
     return value
 
 
@@ -185,7 +186,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}: line {line_no}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{source}: line {line_no}: {key}: empty value")
-        seen[key] = _parse_value(key, SCHEMA[key], value, line_no)
+        seen[key] = _parse_value(key, SCHEMA[key], value,
+                                 f"{source}: line {line_no}")
 
     missing = [k for k, f in SCHEMA.items()
                if f.default is _REQUIRED and k not in seen]

@@ -49,13 +49,13 @@ class CqadConfig:
     def __post_init__(self):
         rates = (self.qubit_damping, self.mech_damping, self.kappa_i,
                  self.kappa_e)
-        if any(r < 0 for r in rates):
+        if not all(r >= 0 for r in rates):
             raise DomainError("damping rates must be >= 0")
-        if self.n_d < 0:
+        if not self.n_d >= 0:
             raise DomainError("drive photon number must be >= 0")
         if not 0 <= self.participation <= 1:
             raise DomainError("participation ratio must be in [0, 1]")
-        if self.gap <= 0:
+        if not self.gap > 0:
             raise DomainError("capacitor gap must be > 0")
 
     @property

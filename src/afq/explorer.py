@@ -69,7 +69,7 @@ class SweepSpec:
         if gs[0] <= CONTACT_GUARD:
             raise DomainError(
                 f"gap grid must stay above the contact guard ({CONTACT_GUARD} sigma)")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise DomainError("temperature must be >= 0")
 
 
@@ -112,9 +112,9 @@ class DesignConstraints:
     min_omega_10: float | None = None
 
     def __post_init__(self):
-        if self.max_occupancy < 0 or self.min_relative_anharmonicity < 0:
-            raise DomainError("constraint bounds must be >= 0")
-        if self.min_omega_10 is not None and self.min_omega_10 < 0:
+        bounds = (self.max_occupancy, self.min_relative_anharmonicity,
+                  0.0 if self.min_omega_10 is None else self.min_omega_10)
+        if not all(b >= 0 for b in bounds):
             raise DomainError("constraint bounds must be >= 0")
 
 

@@ -47,7 +47,7 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 201 or self.points % 2 == 0:
             raise DomainError(f"points must be odd and >= 201, got {self.points}")
-        if self.half_width <= 0 or not 0 < self.right_clip < 1:
+        if not self.half_width > 0 or not 0 < self.right_clip < 1:
             raise DomainError("invalid grid extents")
 
     def domain(self, x_zpf: float, gap: float):

@@ -46,9 +46,9 @@ class LennardJones:
     sigma: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise DomainError(f"sigma must be > 0, got {self.sigma}")
 
     def _check(self, x):
@@ -123,57 +123,45 @@ def taylor_coefficients(potential: SurfacePotential, x: float,
     return TaylorCoefficients(expansion_point=x, coefficients=coeffs)
 
 
-def _bisect(f, lo, flo, hi, fhi, rtol):
-    """Bisect the sign-change bracket [lo, hi] of ``f`` to hi - lo <= rtol |mid|.
+def _rightmost_root(f, lo, hi):
+    """Rightmost sign change of a vectorized ``f`` on [lo, hi], to the nearest float.
 
-    Returns (lo, flo, hi, fhi); an exact zero collapses the bracket onto it.
+    Scans 4096 evenly spaced points, keeps the rightmost cell whose ends
+    differ in sign and rescans it until its ends are adjacent floats,
+    then returns the end with the smaller |f|. None when the first scan
+    finds no sign change.
     """
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, fm, mid, fm
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if hi - lo <= rtol * abs(mid):
-            break
-    return lo, flo, hi, fhi
+    while True:
+        xs = np.linspace(lo, hi, 4096)
+        fs = f(xs)
+        change = np.nonzero(np.diff(np.signbit(fs)))[0]
+        if change.size == 0:
+            return None
+        i = change[-1]
+        lo, hi = xs[i], xs[i + 1]
+        if np.nextafter(lo, hi) == hi:
+            return float(xs[i + np.argmin(np.abs(fs[i:i + 2]))])
 
 
 def find_bias_point(potential: SurfacePotential, bracket) -> float:
-    """Root of the potential's second derivative within ``bracket``.
+    """Zero of the potential's second derivative in ``bracket``, to the nearest float.
 
-    Bisection to a tight interval followed by secant refinement; the
-    result is accurate to a relative tolerance of 1e-12. For the
-    Lennard-Jones model this is the curvature-free bias distance
+    For the Lennard-Jones model this is the curvature-free bias distance
     (26/7)^(1/6) sigma where the induced spring constant vanishes.
+
+    Raises
+    ------
+    BracketError
+        for an empty bracket, or when V'' shows no sign change on 4096
+        evenly spaced points of it. For Lennard-Jones, whose V'' has its
+        single zero at 1.2445 sigma, that is the same as the bracket
+        missing that zero.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"empty bracket [{lo}, {hi}]")
-    f = lambda x: potential.derivative(x, 2)
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
+    x = _rightmost_root(lambda x: potential.derivative(x, 2), lo, hi)
+    if x is None:
         raise BracketError(
             f"second derivative does not change sign over [{lo}, {hi}]")
-    # bisection until the interval is small enough for a safe secant
-    lo, flo, hi, fhi = _bisect(f, lo, flo, hi, fhi, 1e-6)
-    # secant refinement
-    a, b, fa, fb = lo, hi, flo, fhi
-    for _ in range(60):
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        if not lo <= c <= hi:
-            c = 0.5 * (a + b)
-        fc = f(c)
-        a, fa, b, fb = b, fb, c, fc
-        if abs(b - a) <= 1e-13 * abs(b):
-            break
-    return b
+    return x

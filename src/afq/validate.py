@@ -275,9 +275,11 @@ def check_design_sweep() -> Check:
 def check_snap_in_diagnostic() -> Check:
     pot, modal, *_ = default_config().operating_point()
     x_snap = snap_in_threshold(modal, pot, (1.15 * pot.sigma, 2.0 * pot.sigma))
+    if x_snap is None:
+        return Check("snap_in_margin", False,
+                     "no stability boundary in [1.15, 2.0] sigma")
     margin_pm = (x_snap - pot.inflection) / 1e-12
-    ok = x_snap is not None and 0.0 < margin_pm < 1.0
-    return Check("snap_in_margin", ok,
+    return Check("snap_in_margin", 0.0 < margin_pm < 1.0,
                  f"stability boundary {x_snap / pot.sigma:.6f} sigma, "
                  f"{margin_pm:.3f} pm above the bias point (zero-point "
                  f"spread is 2.14 pm)")

@@ -99,3 +99,10 @@ def test_full_suite_runtime_budget():
     # the two documented physics failures, nothing else
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"grid_oracle_agreement", "sweep_argmax_at_bias_point"}
+
+
+def test_snap_in_diagnostic_fails_without_boundary(monkeypatch):
+    monkeypatch.setattr(validate, "snap_in_threshold", lambda *args: None)
+    check = validate.check_snap_in_diagnostic()
+    assert not check.passed
+    assert check.detail == "no stability boundary in [1.15, 2.0] sigma"

@@ -1,11 +1,14 @@
 """Modal constants and the biased operating state."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from afq import (CantileverGeometry, LennardJones, MaterialParams,
-                 bias_state, modal_params, snap_in_threshold)
-from afq.errors import ContactRegimeError, SnapInError
+from afq import (CantileverGeometry, CqadConfig, DesignConstraints, GridSpec,
+                 LennardJones, MaterialParams, SweepSpec, bias_state,
+                 modal_params, snap_in_threshold)
+from afq.errors import ContactRegimeError, DomainError, SnapInError
 from afq.units import MEV, ANGSTROM, NM, PM, cycles
 
 SILICON = MaterialParams(young_modulus=160e9, density=2329.0)
@@ -106,6 +109,12 @@ def test_snap_in_threshold_paper_design():
     k = modal.spring_constant
     assert k + LJ.derivative(x * (1 - 1e-6), 2) > 0
     assert k + LJ.derivative(x * (1 + 1e-6), 2) < 0
+    # no float is closer to the root: x and a neighbour straddle it, and
+    # |k + V''| is no larger at x than at that neighbour
+    stiffness = lambda y: k + LJ.derivative(y, 2)
+    neighbours = [n for n in (np.nextafter(x, 0.0), np.nextafter(x, 1.0))
+                  if np.signbit(stiffness(n)) != np.signbit(stiffness(x))]
+    assert any(abs(stiffness(x)) <= abs(stiffness(n)) for n in neighbours)
     # the soft paper beam is stable only 0.57 pm past the bias point
     assert (x - LJ.inflection) / PM == pytest.approx(0.572, abs=0.01)
 
@@ -118,3 +127,40 @@ def test_snap_in_threshold_sentinels():
     soft = modal_params(PAPER_GEOMETRY, SILICON)
     assert snap_in_threshold(soft, _ZeroPotential(),
                              (1.15 * LJ.sigma, 2.0 * LJ.sigma)) is None
+
+
+_CQAD = CqadConfig(omega_q=3.8e8, omega_m=4.2e8, omega_r=3.1e10,
+                   omega_d=3.1e10, g=6.3e6, qubit_damping=0.0,
+                   mech_damping=4.2e4, kappa_i=6.3e5, kappa_e=5.7e6, n_d=1e4,
+                   participation=0.5, gap=60e-9, readout_x_zpf=4e-15)
+_SWEEP = SweepSpec(lengths=(495e-9,), gaps_over_sigma=(1.2,), width=10e-9,
+                   thickness=12e-9, material=SILICON, potential=LJ,
+                   temperature=8e-3)
+
+
+NAN_GUARDS = [
+    (SILICON, "young_modulus", "material constants must be > 0"),
+    (SILICON, "density", "material constants must be > 0"),
+    (LJ, "epsilon", "epsilon must be > 0"),
+    (LJ, "sigma", "sigma must be > 0"),
+    (_CQAD, "qubit_damping", "damping rates must be >= 0"),
+    (_CQAD, "mech_damping", "damping rates must be >= 0"),
+    (_CQAD, "kappa_i", "damping rates must be >= 0"),
+    (_CQAD, "kappa_e", "damping rates must be >= 0"),
+    (_CQAD, "n_d", "drive photon number must be >= 0"),
+    (_CQAD, "gap", "capacitor gap must be > 0"),
+    (_SWEEP, "temperature", "temperature must be >= 0"),
+    (DesignConstraints(1.0, 0.0, 0.0), "max_occupancy",
+     "constraint bounds must be >= 0"),
+    (DesignConstraints(1.0, 0.0, 0.0), "min_relative_anharmonicity",
+     "constraint bounds must be >= 0"),
+    (DesignConstraints(1.0, 0.0, 0.0), "min_omega_10",
+     "constraint bounds must be >= 0"),
+    (GridSpec(), "half_width", "invalid grid extents")]
+
+
+@pytest.mark.parametrize("instance, field, message", NAN_GUARDS,
+                         ids=[f"{type(i).__name__}.{f}" for i, f, _ in NAN_GUARDS])
+def test_nan_parameter_rejected(instance, field, message):
+    with pytest.raises(DomainError, match=message):
+        dataclasses.replace(instance, **{field: float("nan")})

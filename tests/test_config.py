@@ -95,6 +95,17 @@ def test_negative_count_rejected(key):
         parse_config_text(MINIMAL + f"{key} = -1\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("spectrum.temperature_mk = cold", "not a number: 'cold'"),
+    ("spectrum.temperature_mk = nan", "not a finite number: 'nan'"),
+    ("spectrum.n_max = -1", "count must be >= 0: -1")])
+def test_value_errors_name_their_source(line, message):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(MINIMAL + line + "\n", source="t.cfg")
+    assert str(info.value) == f"t.cfg: line 8: {key}: {message}"
+
+
 def test_comments_and_blank_lines():
     text = "# header\n\n" + MINIMAL.replace(
         "potential.epsilon_mev = 17.4",

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from afq import LennardJones, find_bias_point, taylor_coefficients
+from afq.config import default_config
 from afq.errors import BracketError, DomainError
+from afq.potential import _rightmost_root
 from afq.units import MEV, ANGSTROM
 
 EPS_SI = 17.4 * MEV
@@ -151,3 +153,43 @@ def test_find_bias_point_epsilon_independent_sigma_scaling():
 def test_find_bias_point_requires_sign_change(lj):
     with pytest.raises(BracketError):
         find_bias_point(lj, (1.5 * SIGMA_SI, 2.0 * SIGMA_SI))
+
+
+def test_find_bias_point_rejects_empty_bracket(lj):
+    for bracket in ((2.0 * SIGMA_SI, 1.05 * SIGMA_SI), (SIGMA_SI, SIGMA_SI)):
+        with pytest.raises(BracketError, match="empty bracket"):
+            find_bias_point(lj, bracket)
+
+
+def assert_nearest_float_root(f, x):
+    """x and an adjacent float straddle a sign change of f, and
+    |f(x)| <= |f(neighbour)|: no float is closer to the root."""
+    fx = f(x)
+    neighbours = [n for n in (np.nextafter(x, -np.inf), np.nextafter(x, np.inf))
+                  if np.signbit(f(n)) != np.signbit(fx)]
+    assert any(abs(fx) <= abs(f(n)) for n in neighbours), (x, fx)
+
+
+def test_bundled_bias_point_is_the_closed_form():
+    pot = default_config().potential()
+    assert find_bias_point(pot, (1.05 * pot.sigma, 2.0 * pot.sigma)) \
+        == pot.inflection
+
+
+def test_bias_point_is_nearest_float_root():
+    rng = np.random.default_rng(7)
+    for eps, sigma in zip(rng.uniform(1, 100, 40) * MEV,
+                          rng.uniform(2, 6, 40) * ANGSTROM):
+        lj = LennardJones(epsilon=eps, sigma=sigma)
+        x = find_bias_point(lj, (1.05 * sigma, 2.0 * sigma))
+        assert_nearest_float_root(lambda y: lj.derivative(y, 2), x)
+
+
+def test_rightmost_root_takes_the_last_sign_change():
+    x = _rightmost_root(np.sin, 0.5, 10.0)
+    assert x == pytest.approx(3 * np.pi, rel=1e-15)
+    assert_nearest_float_root(np.sin, x)
+
+
+def test_rightmost_root_none_without_sign_change():
+    assert _rightmost_root(lambda x: x - 5.0, 0.0, 1.0) is None

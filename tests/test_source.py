@@ -1,6 +1,6 @@
 """Source hygiene: every parameter of every afq function is read in its body,
-every config key is read somewhere, and the brute-force oracle shares no
-code with what it checks."""
+every private module-level name and every config key is read somewhere,
+and the brute-force oracle shares no code with what it checks."""
 
 import ast
 from pathlib import Path
@@ -49,6 +49,52 @@ def test_unread_parameter_is_found():
     tree = ast.parse("def f(a, b):\n    return a\n"
                      "class P:\n    def g(self, x):\n        ...\n")
     assert unread_parameters(tree) == [(1, "f", "b")]
+
+
+def unreferenced_private_names(trees):
+    """(module, name) of each module-level ``_name`` function, class or
+    assignment that no other top-level statement of any module loads;
+    importing it does not count as a use."""
+    loads = [(module, i, {node.id for node in ast.walk(stmt)
+                          if isinstance(node, ast.Name)
+                          and isinstance(node.ctx, ast.Load)})
+             for module, tree in trees.items()
+             for i, stmt in enumerate(tree.body)]
+    found = []
+    for module, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(stmt, "targets", None) or [stmt.target]
+                names = [node.id for t in targets for node in ast.walk(t)
+                         if isinstance(node, ast.Name)]
+            else:
+                continue
+            found += [(module, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")
+                      and not any(name in used for m, j, used in loads
+                                  if (m, j) != (module, i))]
+    return found
+
+
+def test_every_private_helper_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert unreferenced_private_names(trees) == []
+
+
+def test_unreferenced_private_name_is_found():
+    trees = {"a.py": ast.parse("def _used():\n    return 1\n"
+                               "def _recursive():\n    return _recursive()\n"
+                               "_TABLE = 1\n_SPARE, __all__ = _TABLE, []\n"
+                               "def public():\n    return _used()\n"),
+             "b.py": ast.parse("from .a import _imported_only\n"
+                               "class _Local:\n    pass\n"
+                               "x = _Local()\n"),
+             "c.py": ast.parse("def _imported_only():\n    pass\n")}
+    assert unreferenced_private_names(trees) == [
+        ("a.py", "_recursive"), ("a.py", "_SPARE"), ("c.py", "_imported_only")]
 
 
 def imported_paths(tree):
