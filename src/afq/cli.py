@@ -56,6 +56,10 @@ class CsvTable:
         return len(self.columns[0])
 
 
+# _POW10[k + 89] == 10**k, correctly rounded (float() of the literal)
+_POW10 = np.array([float(f"1e{k}") for k in range(-89, 114)])
+
+
 def _decimal_parts(x: np.ndarray):
     """13-digit mantissa, exponent and fallback mask of ``f"{v:.12e}"``.
 
@@ -73,12 +77,11 @@ def _decimal_parts(x: np.ndarray):
     normal = (a >= np.finfo(np.float64).tiny) & (a < np.inf)
     a = np.where(normal, a, 1.0)
     e = np.clip(np.floor(np.log10(a)), -100, 100).astype(np.int64)
-    pow10 = np.array([float(f"1e{k}") for k in range(-89, 114)])
-    m = a * pow10[101 - e]                     # pow10[101 - e] == 10**(12-e)
+    m = a * _POW10[101 - e]                    # _POW10[101 - e] == 10**(12-e)
     for step in (-1, 1):           # log10 can miss by one next to 10**e
         wrong = m < 1e12 if step < 0 else m >= 1e13
         e[wrong] += step
-        m[wrong] = a[wrong] * pow10[101 - e[wrong]]
+        m[wrong] = a[wrong] * _POW10[101 - e[wrong]]
     digits = np.rint(m)
     near_tie = np.abs(m - digits) > 0.5 - 1e-2
     carry = digits == 1e13                     # 9.99...97 rounds up a decade

@@ -98,7 +98,7 @@ def electromech_coupling(cfg: CqadConfig) -> float:
 
 def parametric_coupling(g_em: float, n_d: float) -> float:
     """Drive-enhanced beamsplitter rate G_EM = g_EM sqrt(n_d)."""
-    if n_d < 0:
+    if not n_d >= 0:
         raise DomainError("photon number must be >= 0")
     return g_em * np.sqrt(n_d)
 
@@ -139,9 +139,12 @@ def frequency_response(cfg: CqadConfig, omega_grid) -> ResponseSpectrum:
 
     Per probe frequency w (drive rotating frame) the response matrix is
 
-        M = [[i(omega_q - w) + gamma_i/2, i g, 0],
-             [i g, i(omega_m - w) + Gamma_i/2, i G_EM],
-             [0, i G_EM, i(Delta_r - w) + kappa/2]].
+        M = [[d_q, i g, 0],
+             [i g, d_m, i G_EM],
+             [0, i G_EM, d_c]],
+
+    d_q = i(omega_q - w) + gamma_i/2, d_m = i(omega_m - w) + Gamma_i/2,
+    d_c = i(Delta_r - w) + kappa/2.
 
     The reflection at the external microwave port is
     1 + sqrt(kappa_e) c with c driven through that port
@@ -150,29 +153,41 @@ def frequency_response(cfg: CqadConfig, omega_grid) -> ResponseSpectrum:
     drive on itself, dressed by the couplings. With everything
     uncoupled these reduce to the bare Lorentzians of widths gamma_i,
     Gamma_i, kappa.
+
+    M is tridiagonal, so that diagonal is three cofactors over one
+    determinant (the couplings square to -g^2 and -G_EM^2):
+
+        det  = d_q d_m d_c + d_q G_EM^2 + d_c g^2
+        M^-1_qq = (d_m d_c + G_EM^2) / det
+        M^-1_mm = d_q d_c / det
+        M^-1_cc = (d_q d_m + g^2) / det
+
+    A probe point where det is exactly zero (a lossless chain probed at
+    a normal mode) raises :class:`SingularModelError`; the grid must be
+    non-empty and finite.
     """
     w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if w.size == 0:
         raise DomainError("probe grid is empty")
+    if not np.isfinite(w).all():
+        raise DomainError("probe grid must be finite")
     big_g = parametric_coupling(electromech_coupling(cfg), cfg.n_d)
-    n = w.size
-    m = np.zeros((n, 3, 3), dtype=complex)
-    m[:, 0, 0] = 1j * (cfg.omega_q - w) + 0.5 * cfg.qubit_damping
-    m[:, 1, 1] = 1j * (cfg.omega_m - w) + 0.5 * cfg.mech_damping
-    m[:, 2, 2] = 1j * (cfg.delta_r - w) + 0.5 * cfg.kappa
-    m[:, 0, 1] = m[:, 1, 0] = 1j * cfg.g
-    m[:, 1, 2] = m[:, 2, 1] = 1j * big_g
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
+    d_q = 1j * (cfg.omega_q - w) + 0.5 * cfg.qubit_damping
+    d_m = 1j * (cfg.omega_m - w) + 0.5 * cfg.mech_damping
+    d_c = 1j * (cfg.delta_r - w) + 0.5 * cfg.kappa
+    qm = d_q * d_m
+    det = qm * d_c + d_q * big_g**2 + d_c * cfg.g**2
+    if not det.all():
         raise SingularModelError(
-            "lossless chain probed exactly at a normal mode") from exc
-    c_amp = -np.sqrt(cfg.kappa_e) * inv[:, 2, 2]
+            "lossless chain probed exactly at a normal mode")
+    inv_cc = (qm + cfg.g**2) / det
+    c_amp = -np.sqrt(cfg.kappa_e) * inv_cc
     reflection = 1.0 + np.sqrt(cfg.kappa_e) * c_amp
     return ResponseSpectrum(frequencies=w, reflection=reflection,
-                            qubit_susceptibility=np.abs(inv[:, 0, 0]),
-                            mech_susceptibility=np.abs(inv[:, 1, 1]),
-                            mw_susceptibility=np.abs(inv[:, 2, 2]))
+                            qubit_susceptibility=np.abs(
+                                (d_m * d_c + big_g**2) / det),
+                            mech_susceptibility=np.abs(d_q * d_c / det),
+                            mw_susceptibility=np.abs(inv_cc))
 
 
 def dispersive_shift(g: float, eta: float, delta_qc: float) -> float:
@@ -207,7 +222,7 @@ def cooling_estimate(n_th: float, mech_damping: float,
     is taken as zero temperature); the quantum back-action floor is not
     modeled.
     """
-    if mech_damping < 0 or purcell_rate < 0:
+    if not (mech_damping >= 0 and purcell_rate >= 0):
         raise DomainError("rates must be >= 0")
     if purcell_rate == 0.0:
         return n_th
@@ -240,6 +255,6 @@ def response_linewidth(spectrum: ResponseSpectrum) -> float:
 
 def quality_factor_damping(omega: float, quality: float) -> float:
     """Intrinsic damping rate omega/Q for a frequency-independent Q."""
-    if quality <= 0:
+    if not quality > 0:
         raise DomainError("quality factor must be > 0")
     return omega / quality

@@ -1,11 +1,16 @@
 """Electromechanical coupling, adiabatic elimination, 3-mode response."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from afq import (CqadConfig, adiabatic_elimination, bus_coupling,
                  cooling_estimate, dispersive_shift, electromech_coupling,
                  frequency_response, parametric_coupling, response_linewidth)
+from afq.cli import _cqad_config
+from afq.config import default_config
+from afq.cqad import quality_factor_damping
 from afq.errors import DomainError, SingularModelError
 from afq.units import GHZ, MHZ, NM, FM, cycles
 
@@ -154,18 +159,79 @@ def test_qubit_mechanics_normal_mode_splitting():
     assert splitting == pytest.approx(2 * g, rel=0.02)
 
 
+def random_chain(rng):
+    return make_config(g=rng.uniform(0, 2) * MHZ,
+                       n_d=rng.uniform(0, 1e4),
+                       qubit_damping=rng.uniform(0, 1) * MHZ,
+                       mech_damping=rng.uniform(0, 1) * MHZ,
+                       kappa_i=rng.uniform(0.1, 1) * MHZ,
+                       kappa_e=rng.uniform(0.1, 1) * MHZ)
+
+
 def test_reflection_passive_bound():
     rng = np.random.default_rng(11)
     for _ in range(5):
-        cfg = make_config(g=rng.uniform(0, 2) * MHZ,
-                          n_d=rng.uniform(0, 1e4),
-                          qubit_damping=rng.uniform(0, 1) * MHZ,
-                          mech_damping=rng.uniform(0, 1) * MHZ,
-                          kappa_i=rng.uniform(0.1, 1) * MHZ,
-                          kappa_e=rng.uniform(0.1, 1) * MHZ)
+        cfg = random_chain(rng)
         grid = np.linspace(50 * MHZ, 90 * MHZ, 3001)
         resp = frequency_response(cfg, grid)
         assert np.abs(resp.reflection).max() <= 1 + 1e-9
+
+
+def batched_inverse_response(cfg, w):
+    """Reference: invert the full (n, 3, 3) response matrix per point."""
+    big_g = parametric_coupling(electromech_coupling(cfg), cfg.n_d)
+    m = np.zeros((w.size, 3, 3), dtype=complex)
+    m[:, 0, 0] = 1j * (cfg.omega_q - w) + 0.5 * cfg.qubit_damping
+    m[:, 1, 1] = 1j * (cfg.omega_m - w) + 0.5 * cfg.mech_damping
+    m[:, 2, 2] = 1j * (cfg.delta_r - w) + 0.5 * cfg.kappa
+    m[:, 0, 1] = m[:, 1, 0] = 1j * cfg.g
+    m[:, 1, 2] = m[:, 2, 1] = 1j * big_g
+    inv = np.linalg.inv(m)
+    c_amp = -np.sqrt(cfg.kappa_e) * inv[:, 2, 2]
+    return (1.0 + np.sqrt(cfg.kappa_e) * c_amp, np.abs(inv[:, 0, 0]),
+            np.abs(inv[:, 1, 1]), np.abs(inv[:, 2, 2]))
+
+
+def bundled_chain():
+    run = default_config()
+    *_, spec = run.design()
+    grid = np.linspace(run.si["cqad.probe_min_mhz"],
+                       run.si["cqad.probe_max_mhz"],
+                       run.si["cqad.probe_points"])
+    return _cqad_config(run, spec), grid
+
+
+def assert_matches_batched_inverse(cfg, grid):
+    resp = frequency_response(cfg, grid)
+    got = (resp.reflection, resp.qubit_susceptibility,
+           resp.mech_susceptibility, resp.mw_susceptibility)
+    for g, ref in zip(got, batched_inverse_response(cfg, grid)):
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0)
+
+
+def test_closed_form_matches_batched_inverse_bundled_chain():
+    cfg, grid = bundled_chain()
+    assert grid.size == 2001
+    assert_matches_batched_inverse(cfg, grid)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_closed_form_matches_batched_inverse_random_chain(seed):
+    cfg = random_chain(np.random.default_rng(seed))
+    assert_matches_batched_inverse(cfg, np.linspace(50 * MHZ, 90 * MHZ, 3001))
+
+
+def test_response_memory_is_per_point_vectors():
+    # (n, 3, 3) complex matrices and their inverse alone cost 288 B/point
+    cfg, _ = bundled_chain()
+    grid = np.linspace(cfg.omega_q - 20 * MHZ, cfg.omega_q + 20 * MHZ, 100_000)
+    tracemalloc.start()
+    try:
+        frequency_response(cfg, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid.size <= 240
 
 
 def test_reduced_model_equivalence():
@@ -194,6 +260,25 @@ def test_response_grid_validation():
                            mech_damping=0.0)
     with pytest.raises(SingularModelError):
         frequency_response(lossless, [lossless.delta_r])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_response_refuses_non_finite_probe(bad):
+    cfg = make_config()
+    with pytest.raises(DomainError, match="probe grid must be finite"):
+        frequency_response(cfg, [cfg.omega_m, bad, cfg.delta_r])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parametric_coupling(1.0, np.nan), "photon number"),
+    (lambda: cooling_estimate(2.3, np.nan, 1.0), "rates must be >= 0"),
+    (lambda: cooling_estimate(2.3, 1.0, np.nan), "rates must be >= 0"),
+    (lambda: quality_factor_damping(1.0, np.nan), "quality factor"),
+], ids=["parametric_coupling.n_d", "cooling_estimate.mech_damping",
+        "cooling_estimate.purcell_rate", "quality_factor_damping.quality"])
+def test_nan_argument_rejected(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_dispersive_shift_values():
