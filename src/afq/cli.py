@@ -33,8 +33,9 @@ from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    quality_factor_damping)
 from .errors import AfqError, ConfigError, DomainError
 from .explorer import SWEEP_COLUMNS, sweep
-from .oracle import (GridSpec, grid_eigensolve, jc_dispersive_oracle,
-                     total_potential, two_qubit_bus_oracle)
+from .oracle import (GRID_CONVERGENCE_TOL, GridSpec, grid_eigensolve,
+                     jc_dispersive_oracle, total_potential,
+                     two_qubit_bus_oracle)
 from .spectrum import relative_frequency_shift, thermal_occupancy
 from .units import ANGSTROM, MHZ, MK, NM, PM, cycles, hbar
 
@@ -320,6 +321,11 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, tuple | None]:
     result = grid_eigensolve(v_q, modal.effective_mass, grid,
                              si["oracle.n_levels"], x_zpf=state.x_zpf,
                              gap=gap, check_convergence=False)
+    if result.convergence_estimate > GRID_CONVERGENCE_TOL:
+        warnings.warn(f"grid doubling moved E2 - E0 by "
+                      f"{result.convergence_estimate:.3e} relative (> "
+                      f"{GRID_CONVERGENCE_TOL:g}): the grid levels have not "
+                      "converged; raise oracle.grid_points", stacklevel=2)
     ev = np.array(result.eigenvalues)
     w10_grid = (ev[1] - ev[0]) / hbar
     eta_grid = (ev[2] - 2 * ev[1] + ev[0]) / hbar

@@ -5,14 +5,19 @@ closed-form results they check:
 
 * a position-grid Schroedinger eigensolver for the full biased-cantilever
   potential (3-point stencil, Dirichlet walls, one Richardson refinement
-  from a grid doubling);
+  from a grid doubling). Sturm bisection solves a seed grid 4x coarser
+  than the requested one; Rayleigh-quotient iteration refines its levels
+  on the requested grid and then on the doubled one. Each refined grid
+  must pass a certificate (small residuals, separated levels and a Sturm
+  count) that its levels are the lowest ones, or it is bisected instead;
 * exact ladder-operator matrix elements and a truncated-Fock-basis
   diagonalizer for polynomial potentials;
 * small dense diagonalizations of the Jaynes-Cummings and two-qubit-bus
   Hamiltonians for the dispersive shift and the bus-mediated coupling.
 
-The grid solver uses scipy's tridiagonal LAPACK driver, imported on the
-first grid solve, so importing afq needs only numpy.
+The grid solver uses scipy's tridiagonal LAPACK routines (``dstebz``
+bisection and counts, ``dgtsv`` solves), imported on the first grid
+solve, so importing afq needs only numpy.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .potential import SurfacePotential
 from .units import hbar
 
 DISPERSIVE_RATIO_WARN = 0.2
+GRID_CONVERGENCE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -84,15 +90,65 @@ def total_potential(modal: CantileverModal, potential: SurfacePotential,
     return v_q
 
 
-def _stencil_eigenvalues(v_q, m_eff, lo, hi, points, n_levels):
-    from scipy.linalg import eigh_tridiagonal
+def _stencil(v_q, m_eff, lo, hi, points):
+    """Diagonal and hopping t of the 3-point Hamiltonian on the interior
+    of ``points`` evenly spaced grid points (the off-diagonal is -t)."""
     grid = np.linspace(lo, hi, points)
     h = grid[1] - grid[0]
     t = hbar**2 / (2.0 * m_eff * h**2)
-    diag = np.asarray(v_q(grid[1:-1]), dtype=float) + 2.0 * t
-    off = np.full(points - 3, -t)
-    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                            select_range=(0, n_levels - 1))
+    return np.asarray(v_q(grid[1:-1]), dtype=float) + 2.0 * t, t
+
+
+def _stencil_eigenvalues(v_q, m_eff, lo, hi, points, n_levels):
+    """Lowest ``n_levels`` stencil eigenvalues by Sturm bisection."""
+    from scipy.linalg import eigh_tridiagonal
+    diag, t = _stencil(v_q, m_eff, lo, hi, points)
+    return eigh_tridiagonal(diag, np.full(points - 3, -t), eigvals_only=True,
+                            select="i", select_range=(0, n_levels - 1))
+
+
+def _refine(diag, t, seeds):
+    """The stencil eigenvalues next to ``seeds`` (ascending), or None when
+    they cannot be certified as the lowest ``len(seeds)``.
+
+    Each level runs inverse iteration from a fixed generic vector, shifted
+    to its seed, that turns into Rayleigh-quotient iteration: solve
+    (T - sigma) y = x with ``dgtsv``, take x = y / |y| and move sigma to
+    the Rayleigh quotient x.T x. It stops once the residual |(T - sigma) x|
+    is below a tenth of the margin 1e-8 (seeds[-1] - seeds[0]), so each
+    interval sigma +- margin holds an eigenvalue. The levels are certified
+    when they ascend with gaps above 2 margin, which makes those
+    eigenvalues distinct, and a Sturm count (``dstebz``) finds exactly
+    ``len(seeds)`` eigenvalues at or below the top level + margin, which
+    makes them the lowest ones.
+    """
+    from scipy.linalg.lapack import dgtsv, dstebz
+    off = np.full(diag.size - 1, -t)
+    start = np.random.default_rng(0).random(diag.size)
+    margin = 1e-8 * (seeds[-1] - seeds[0])
+    levels = []
+    for sigma in seeds:
+        x = start
+        for _ in range(8):      # a certified level takes 2 or 3 solves
+            *_, y, info = dgtsv(off, diag - sigma, off, x[:, None])
+            if info:    # singular: sigma is an eigenvalue to rounding
+                return None
+            x = y[:, 0] / np.linalg.norm(y)
+            tx = diag * x
+            tx[1:] -= t * x[:-1]
+            tx[:-1] -= t * x[1:]
+            sigma = x @ tx
+            if np.linalg.norm(tx - sigma * x) <= 0.1 * margin:
+                break
+        else:
+            return None
+        levels.append(sigma)
+    levels = np.array(levels)
+    count, *_ = dstebz(diag, off, 1, diag.min() - 2.0 * t, levels[-1] + margin,
+                       0, 0, np.inf, b"E")
+    if count == levels.size and np.all(np.diff(levels) > 2.0 * margin):
+        return levels
+    return None
 
 
 def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
@@ -104,21 +160,38 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     a doubled grid and the two are Richardson-combined (the stencil is
     second order, so the combination cancels the leading h^2 error).
     ``convergence_estimate`` is the relative change of the E_2 - E_0
-    span between the raw solves.
+    span between the raw solves; above ``GRID_CONVERGENCE_TOL`` it raises
+    :class:`ConvergenceError` unless ``check_convergence`` is false.
+
+    One grid is bisected, the seed: the same domain on
+    ``(points - 1) // 4 + 1`` points (51 for the smallest ``GridSpec``).
+    :func:`_refine` refines the seed levels on the ``points`` grid and
+    those on the doubled grid, and certifies each grid's levels as its
+    lowest eigenvalues. A grid that fails the certificate, as when two
+    levels lie within 2e-8 of the span of each other or a seed is too
+    coarse to lead to its level, is bisected instead. Either way every
+    raw level is its grid's eigenvalue to within about 1e-10 of the span.
     """
     if n_levels > 10 or n_levels < 1:
         raise DomainError(f"n_levels must be in 1..10, got {n_levels}")
     lo, hi = grid.domain(x_zpf, gap)
     n_solve = max(n_levels, 3)
-    coarse = _stencil_eigenvalues(v_q, m_eff, lo, hi, grid.points, n_solve)
-    fine = _stencil_eigenvalues(v_q, m_eff, lo, hi, 2 * grid.points - 1, n_solve)
+    levels = _stencil_eigenvalues(v_q, m_eff, lo, hi,
+                                  (grid.points - 1) // 4 + 1, n_solve)
+    raw = []
+    for points in (grid.points, 2 * grid.points - 1):
+        levels = _refine(*_stencil(v_q, m_eff, lo, hi, points), levels)
+        if levels is None:     # not certified: bisect this grid
+            levels = _stencil_eigenvalues(v_q, m_eff, lo, hi, points, n_solve)
+        raw.append(levels)
+    coarse, fine = raw
     span_c = coarse[2] - coarse[0]
     span_f = fine[2] - fine[0]
     estimate = abs(span_f - span_c) / abs(span_f)
-    if check_convergence and estimate > 1e-4:
+    if check_convergence and estimate > GRID_CONVERGENCE_TOL:
         raise ConvergenceError(
             f"grid doubling moved E2 - E0 by {estimate:.3e} relative "
-            "(> 1e-4); refine GridSpec.points")
+            f"(> {GRID_CONVERGENCE_TOL:g}); refine GridSpec.points")
     refined = (4.0 * fine - coarse) / 3.0
     return OracleResult(eigenvalues=tuple(refined[:n_levels]),
                         convergence_estimate=estimate)

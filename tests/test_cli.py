@@ -96,6 +96,24 @@ def test_oracle_reports_disagreement(tmp_path):
     assert abs(outputs["omega_10_grid_mhz"] / 60.0 - 1.0) > 1.0
 
 
+@pytest.mark.parametrize("points, warned", [(4001, True), (8001, False)])
+def test_oracle_warns_when_grid_not_converged(tmp_path, points, warned):
+    # the bundled design's grid doubling estimate is 1.26e-4 at 4001 points,
+    # past the 1e-4 that grid_eigensolve enforces; 8001 points converge
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(PAPER_CONFIG + f"oracle.grid_points = {points}\n")
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    report = json.loads(out.read_text())
+    estimate = report["outputs"]["grid_convergence_estimate"]
+    notes = [w for w in report["warnings"] if "have not converged" in w]
+    assert (estimate > 1e-4) == warned
+    assert notes == ([f"grid doubling moved E2 - E0 by {estimate:.3e} "
+                      "relative (> 0.0001): the grid levels have not "
+                      "converged; raise oracle.grid_points"] if warned else [])
+
+
 def test_validate_exit_code_and_known_failures():
     proc = run_cli(["validate"])
     assert proc.returncode == 1

@@ -151,6 +151,12 @@ def test_empty_table():
     assert emitted(["a", "b"], ([], [])) == "a,b\n"
 
 
+# what `afq oracle` warns on the bundled design: both dispersive oracles
+# run past g/|Delta| = 0.2, and the grid doubling estimate is past 1e-4
+ORACLE_WARNINGS = ("outside the dispersive regime",
+                   "above the dispersive regime", "have not converged")
+
+
 def _run_csv(tmp_path, command, config_text=PAPER_CONFIG):
     """The ``--format csv`` file of ``command`` and what the command returns."""
     path = tmp_path / "design.cfg"
@@ -158,7 +164,15 @@ def _run_csv(tmp_path, command, config_text=PAPER_CONFIG):
     out = tmp_path / f"{command}.csv"
     assert cli.main([command, "--config", str(path), "--format", "csv",
                      "--out", str(out), "--quiet"]) == 0
-    outputs, payload = cli.COMMANDS[command](parse_config_text(config_text))
+    cfg = parse_config_text(config_text)
+    if command != "oracle":
+        outputs, payload = cli.COMMANDS[command](cfg)
+    else:
+        with pytest.warns(UserWarning) as caught:
+            outputs, payload = cli.COMMANDS[command](cfg)
+        assert len(caught) == len(ORACLE_WARNINGS)
+        for note in ORACLE_WARNINGS:
+            assert any(note in str(w.message) for w in caught), note
     return out.read_bytes().decode(), outputs, payload
 
 

@@ -9,6 +9,8 @@ from afq import (CantileverGeometry, GridSpec, LennardJones, MaterialParams,
                  bias_state, fock_eigensolve, fock_matrix_element,
                  grid_eigensolve, jc_dispersive_oracle, modal_params,
                  taylor_coefficients, total_potential, two_qubit_bus_oracle)
+from afq import oracle
+from afq.config import default_config
 from afq.cqad import bus_coupling, dispersive_shift
 from afq.errors import (DomainError, LabelingError, TruncationError)
 from afq.units import MEV, ANGSTROM, MHZ, cycles, hbar
@@ -97,6 +99,132 @@ def test_grid_nonconvergence_raises():
     with pytest.raises(ConvergenceError):
         grid_eigensolve(harmonic, M_EFF, GridSpec(points=201), 3,
                         x_zpf=X_ZPF, gap=GAP)
+
+
+# --- seeded refinement against bisection -----------------------------------
+
+BISECT = oracle._stencil_eigenvalues
+
+
+def bisected_grids(monkeypatch):
+    """The grid sizes that grid_eigensolve bisects, in call order."""
+    sizes = []
+
+    def counting(v_q, m_eff, lo, hi, points, n_levels):
+        sizes.append(points)
+        return BISECT(v_q, m_eff, lo, hi, points, n_levels)
+
+    monkeypatch.setattr(oracle, "_stencil_eigenvalues", counting)
+    return sizes
+
+
+def bisection_result(v_q, m_eff, spec, n_levels, x_zpf, gap):
+    """What grid_eigensolve returns when both grids are bisected."""
+    lo, hi = spec.domain(x_zpf, gap)
+    n_solve = max(n_levels, 3)
+    coarse = BISECT(v_q, m_eff, lo, hi, spec.points, n_solve)
+    fine = BISECT(v_q, m_eff, lo, hi, 2 * spec.points - 1, n_solve)
+    return ((4 * fine - coarse) / 3)[:n_levels], coarse[2] - coarse[0]
+
+
+def audit_designs():
+    """The bundled design and 40 seeded ones with L, w and t within
+    +-30/20/20 % of 495/10/12 nm."""
+    rng = np.random.default_rng(14)
+    cfg = default_config()
+    geometries = [None] + [
+        CantileverGeometry(495e-9 * rng.uniform(0.7, 1.3),
+                           10e-9 * rng.uniform(0.8, 1.2),
+                           12e-9 * rng.uniform(0.8, 1.2)) for _ in range(40)]
+    for geometry in geometries:
+        pot, modal, gap, state, _ = cfg.design(geometry)
+        yield (total_potential(modal, pot, gap), modal.effective_mass,
+               state.x_zpf, gap)
+
+
+def test_refined_grids_match_bisection(monkeypatch):
+    refine = oracle._refine
+    refined = []
+
+    def recording(diag, t, seeds):
+        levels = refine(diag, t, seeds)
+        refined.append((diag.size + 2, levels))
+        return levels
+
+    monkeypatch.setattr(oracle, "_refine", recording)
+    spec = GridSpec()
+    for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
+        refined.clear()
+        grid_eigensolve(v_q, m_eff, spec, 3, x_zpf=x_zpf, gap=gap,
+                        check_convergence=False)
+        assert [p for p, _ in refined] == [spec.points, 2 * spec.points - 1]
+        lo, hi = spec.domain(x_zpf, gap)
+        for points, levels in refined:
+            assert levels is not None, f"design {i}, {points} points"
+            ref = BISECT(v_q, m_eff, lo, hi, points, 3)
+            assert np.abs(levels - ref).max() <= 1e-10 * (ref[2] - ref[0]), \
+                f"design {i}, {points} points"
+
+
+@pytest.mark.parametrize("n_levels", range(1, 11))
+def test_refinement_on_harmonic_well(monkeypatch, n_levels):
+    ref, span = bisection_result(harmonic, M_EFF, GridSpec(), n_levels,
+                                 X_ZPF, GAP)
+    bisected = bisected_grids(monkeypatch)
+    res = grid_eigensolve(harmonic, M_EFF, GridSpec(), n_levels, x_zpf=X_ZPF,
+                          gap=GAP)
+    assert bisected == [1001]       # the seed only: both grids certified
+    np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
+                               atol=1e-10 * span)
+    np.testing.assert_allclose(res.eigenvalues,
+                               hbar * OMEGA * (np.arange(n_levels) + 0.5),
+                               rtol=1e-6)
+
+
+@pytest.mark.parametrize("n_levels, bisected_sizes",
+                         [(3, [51]), (5, [51]), (10, [51, 201])])
+def test_smallest_grid_seeds_on_51_points(monkeypatch, n_levels,
+                                          bisected_sizes):
+    # GridSpec(points=201) seeds from 51 points. Three or five seeds there
+    # lead to their levels; ten do not, the 201-point grid fails its
+    # certificate and is bisected, and its levels seed the 401-point grid.
+    spec = GridSpec(points=201)
+    ref, span = bisection_result(harmonic, M_EFF, spec, n_levels, X_ZPF, GAP)
+    bisected = bisected_grids(monkeypatch)
+    res = grid_eigensolve(harmonic, M_EFF, spec, n_levels, x_zpf=X_ZPF,
+                          gap=GAP, check_convergence=False)
+    assert bisected == bisected_sizes
+    np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
+                               atol=1e-10 * span)
+
+
+def test_unresolved_tunnelling_pair_falls_back_to_bisection(monkeypatch):
+    # symmetric double well, barrier 20 hbar omega: the ground pair is
+    # split by ~6e-10 of E_2 - E_0, inside the 1e-8 certificate margin
+    b = 4 * X_ZPF
+    a = 20 * hbar * OMEGA / b**4
+
+    def double_well(dx):
+        return a * (dx**2 - b**2) ** 2
+
+    ref, _ = bisection_result(double_well, M_EFF, GridSpec(), 3, X_ZPF, GAP)
+    bisected = bisected_grids(monkeypatch)
+    res = grid_eigensolve(double_well, M_EFF, GridSpec(), 3, x_zpf=X_ZPF,
+                          gap=GAP)
+    assert bisected == [1001, 4001, 8001]
+    np.testing.assert_array_equal(res.eigenvalues, ref)
+
+
+@pytest.mark.parametrize("picks", [(0, 0, 2), (0, 2, 3)])
+def test_certificate_refuses_colliding_or_skipping_seeds(picks):
+    # (0, 0, 2): two seeds reach one level, so the levels are not separated;
+    # (0, 2, 3): three distinct levels, but the Sturm count finds four
+    spec = GridSpec()
+    lo, hi = spec.domain(X_ZPF, GAP)
+    diag, t = oracle._stencil(harmonic, M_EFF, lo, hi, spec.points)
+    exact = BISECT(harmonic, M_EFF, lo, hi, spec.points, 4)
+    assert oracle._refine(diag, t, exact[[0, 1, 2]]) is not None
+    assert oracle._refine(diag, t, exact[list(picks)]) is None
 
 
 def test_ground_state_above_potential_minimum():
