@@ -31,13 +31,13 @@ from .config import (PAPER_CONFIG, RunConfig, default_config,  # noqa: F401
 from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    dispersive_shift, frequency_response,
                    quality_factor_damping)
-from .errors import AfqError, ConfigError, DomainError
+from .errors import AfqError, ConfigError
 from .explorer import SWEEP_COLUMNS, sweep
 from .oracle import (GRID_CONVERGENCE_TOL, GridSpec, grid_eigensolve,
                      jc_dispersive_oracle, total_potential,
                      two_qubit_bus_oracle)
 from .spectrum import relative_frequency_shift, thermal_occupancy
-from .units import ANGSTROM, MHZ, MK, NM, PM, cycles, hbar
+from .units import ANGSTROM, MHZ, MK, NM, PM, cycles
 
 # readout-mode frequency shift from the hybridization joint (design input)
 JOINT_SHIFT_MHZ = -2.7
@@ -310,9 +310,6 @@ def cmd_cqad(cfg: RunConfig) -> tuple[dict, tuple]:
 
 def cmd_oracle(cfg: RunConfig) -> tuple[dict, tuple | None]:
     si = cfg.si
-    if si["oracle.n_levels"] < 3:
-        raise DomainError(f"oracle.n_levels = {si['oracle.n_levels']}: "
-                          "omega_10 and eta need 3 levels")
     pot, modal, gap, state, spec = cfg.design()
     grid = GridSpec(half_width=si["oracle.grid_half_width_zpf"],
                     right_clip=si["oracle.grid_right_clip"],
@@ -326,9 +323,6 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, tuple | None]:
                       f"{result.convergence_estimate:.3e} relative (> "
                       f"{GRID_CONVERGENCE_TOL:g}): the grid levels have not "
                       "converged; raise oracle.grid_points", stacklevel=2)
-    ev = np.array(result.eigenvalues)
-    w10_grid = (ev[1] - ev[0]) / hbar
-    eta_grid = (ev[2] - 2 * ev[1] + ev[0]) / hbar
     # dispersive cross-checks at the design's eta
     chain = _cqad_config(cfg, spec)
     delta = abs(_dispersive_detuning(chain))
@@ -342,10 +336,10 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, tuple | None]:
     outputs = {
         "grid_points": grid.points,
         "grid_convergence_estimate": result.convergence_estimate,
-        "grid_eigenvalues_j": ev.tolist(),
-        "omega_10_grid_mhz": cycles(w10_grid) / 1e6,
+        "grid_eigenvalues_j": list(result.eigenvalues),
+        "omega_10_grid_mhz": cycles(result.omega_10) / 1e6,
         "omega_10_perturbative_mhz": cycles(spec.omega_10) / 1e6,
-        "eta_grid_mhz": cycles(eta_grid) / 1e6,
+        "eta_grid_mhz": cycles(result.eta) / 1e6,
         "eta_perturbative_mhz": cycles(spec.eta) / 1e6,
         "chi_oracle_khz": cycles(chi_oracle) / 1e3,
         "chi_formula_khz": cycles(chi_formula) / 1e3,

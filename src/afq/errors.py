@@ -33,10 +33,6 @@ class ConvergenceError(AfqError, RuntimeError):
     """Numerical result failed its self-consistency check."""
 
 
-class TruncationError(AfqError, ValueError):
-    """Operator basis truncation too small for the requested element."""
-
-
 class LabelingError(AfqError, RuntimeError):
     """Eigenstate labeling ambiguous (too close to resonance)."""
 

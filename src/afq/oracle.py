@@ -12,8 +12,9 @@ closed-form results they check:
   count) that its levels are the lowest ones, or it is bisected instead;
 * exact ladder-operator matrix elements and a truncated-Fock-basis
   diagonalizer for polynomial potentials;
-* small dense diagonalizations of the Jaynes-Cummings and two-qubit-bus
-  Hamiltonians for the dispersive shift and the bus-mediated coupling.
+* small dense diagonalizations for the dispersive shift and the bus
+  coupling: the one- and two-excitation blocks of the three-level
+  Jaynes-Cummings model, the one-excitation sector of two qubits on a bus.
 
 The grid solver uses scipy's tridiagonal LAPACK routines (``dstebz``
 bisection and counts, ``dgtsv`` solves), imported on the first grid
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantilever import CantileverModal, bias_state
-from .errors import (ConvergenceError, DomainError, LabelingError,
-                     TruncationError)
+from .errors import ConvergenceError, DomainError, LabelingError
 from .potential import SurfacePotential
 from .units import hbar
 
@@ -51,8 +51,10 @@ class GridSpec:
     points: int = 4001
 
     def __post_init__(self):
-        if self.points < 201 or self.points % 2 == 0:
-            raise DomainError(f"points must be odd and >= 201, got {self.points}")
+        if (not isinstance(self.points, (int, np.integer))
+                or self.points < 201 or self.points % 2 == 0):
+            raise DomainError(
+                f"points must be an odd integer >= 201, got {self.points}")
         if not self.half_width > 0 or not 0 < self.right_clip < 1:
             raise DomainError("invalid grid extents")
 
@@ -66,10 +68,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Eigensolver output: levels ascending plus a grid-doubling error estimate."""
+    """Eigensolver output: levels ascending, a grid-doubling error estimate,
+    and omega_10 and eta (rad/s) from the three lowest levels."""
 
     eigenvalues: tuple
     convergence_estimate: float
+    omega_10: float
+    eta: float
 
 
 def total_potential(modal: CantileverModal, potential: SurfacePotential,
@@ -171,6 +176,8 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     levels lie within 2e-8 of the span of each other or a seed is too
     coarse to lead to its level, is bisected instead. Either way every
     raw level is its grid's eigenvalue to within about 1e-10 of the span.
+    At least three levels are solved for ``omega_10`` and ``eta``;
+    ``n_levels`` sets how many ``eigenvalues`` are returned.
     """
     if n_levels > 10 or n_levels < 1:
         raise DomainError(f"n_levels must be in 1..10, got {n_levels}")
@@ -193,8 +200,9 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
             f"grid doubling moved E2 - E0 by {estimate:.3e} relative "
             f"(> {GRID_CONVERGENCE_TOL:g}); refine GridSpec.points")
     refined = (4.0 * fine - coarse) / 3.0
-    return OracleResult(eigenvalues=tuple(refined[:n_levels]),
-                        convergence_estimate=estimate)
+    e0, e1, e2 = refined[:3]
+    return OracleResult(tuple(refined[:n_levels]), estimate,
+                        float((e1 - e0) / hbar), float((e2 - 2 * e1 + e0) / hbar))
 
 
 def _annihilation(dim: int) -> np.ndarray:
@@ -204,19 +212,15 @@ def _annihilation(dim: int) -> np.ndarray:
     return a
 
 
-def ladder_sum_matrix(dim: int) -> np.ndarray:
-    """(a + a^dag) in a Fock basis truncated at ``dim`` levels."""
-    a = _annihilation(dim)
-    return a + a.T
-
-
-def fock_matrix_element(n: int, power: int, truncation: int) -> float:
-    """<n| (a + a^dag)^power |n> by repeated matrix multiplication."""
-    if truncation < n + power + 5:
-        raise TruncationError(
-            f"truncation {truncation} < n + power + 5 = {n + power + 5}")
-    m = np.linalg.matrix_power(ladder_sum_matrix(truncation), power)
-    return float(m[n, n])
+def fock_matrix_element(n: int, power: int) -> float:
+    """<n| (a + a^dag)^power |n> by repeated matrix multiplication, exact in
+    the Fock basis of n + power // 2 + 1 levels: a path of ``power`` ladder
+    steps from n back to n climbs at most ``power // 2`` levels above n."""
+    if n < 0 or power < 0:
+        raise DomainError(f"n and power must be >= 0, got n = {n}, "
+                          f"power = {power}")
+    a = _annihilation(n + power // 2 + 1)
+    return float(np.linalg.matrix_power(a + a.T, power)[n, n])
 
 
 def fock_eigensolve(m_eff: float, omega_basis: float, poly: dict,
@@ -228,6 +232,9 @@ def fock_eigensolve(m_eff: float, omega_basis: float, poly: dict,
     companion to the grid solver; a hard repulsive wall is represented
     poorly here, polynomials are fine.
     """
+    if dim < n_levels:
+        raise DomainError(f"dim = {dim} holds fewer than n_levels = "
+                          f"{n_levels} levels")
     xz = np.sqrt(hbar / (2.0 * m_eff * omega_basis))
     pz = hbar / (2.0 * xz)
     a = _annihilation(dim)
@@ -240,6 +247,14 @@ def fock_eigensolve(m_eff: float, omega_basis: float, poly: dict,
             continue
         h = h + coeff * xz**order * np.linalg.matrix_power(a_plus_adag, order)
     return np.linalg.eigvalsh(h)[:n_levels]
+
+
+def _require_finite(**values):
+    """Raise :class:`DomainError` naming the first argument with a NaN or
+    infinite entry."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 def _max_overlap_labels(evecs, indices):
@@ -256,13 +271,14 @@ def _max_overlap_labels(evecs, indices):
     return labels
 
 
-def jc_dispersive_oracle(qubit_levels, omega_cavity: float, g: float,
-                         photon_truncation: int = 20) -> float:
+def jc_dispersive_oracle(qubit_levels, omega_cavity: float, g: float) -> float:
     """Dispersive shift from exact diagonalization of the 3-level JC model.
 
-    ``qubit_levels`` are the three lowest qubit energies (J); the cavity
-    is truncated at ``photon_truncation`` Fock states; the coupling is
-    excitation-conserving with harmonic-ratio matrix elements. Returns
+    ``qubit_levels`` are the three lowest qubit energies (J); the coupling
+    is excitation-conserving with harmonic-ratio matrix elements, so chi
+    needs only |0,0> (E_g0 = qubit_levels[0]), the one-excitation block
+    {|1,0>, |0,1>} and the two-excitation block {|1,1>, |0,2>, |2,0>},
+    whose couplings are sqrt(2) hbar g. Returns
 
         chi = [(E_e1 - E_e0) - (E_g1 - E_g0)] / (2 hbar)
 
@@ -272,8 +288,7 @@ def jc_dispersive_oracle(qubit_levels, omega_cavity: float, g: float,
     e_q = np.asarray(qubit_levels, dtype=float)
     if e_q.shape != (3,):
         raise DomainError("qubit_levels must be exactly three energies")
-    if photon_truncation < 10:
-        raise DomainError("photon_truncation must be >= 10")
+    _require_finite(qubit_levels=e_q, omega_cavity=omega_cavity, g=g)
     omega_10 = (e_q[1] - e_q[0]) / hbar
     delta = omega_10 - omega_cavity
     if g != 0.0 and abs(delta) < 2.0 * abs(g):
@@ -285,23 +300,18 @@ def jc_dispersive_oracle(qubit_levels, omega_cavity: float, g: float,
                       f"{DISPERSIVE_RATIO_WARN}: outside the dispersive regime",
                       stacklevel=2)
 
-    n_ph = photon_truncation
-    dim = 3 * n_ph
-    idx = lambda j, n: j * n_ph + n
-    diag = np.empty(dim)
-    for j in range(3):
-        diag[j * n_ph:(j + 1) * n_ph] = e_q[j] + hbar * omega_cavity * np.arange(n_ph)
-    h = np.diag(diag)
-    for j in range(2):
-        for n in range(n_ph - 1):
-            amp = hbar * g * np.sqrt(j + 1) * np.sqrt(n + 1)
-            h[idx(j + 1, n), idx(j, n + 1)] += amp
-            h[idx(j, n + 1), idx(j + 1, n)] += amp
-    evals, evecs = np.linalg.eigh(h)
-    rows = {(j, n): idx(j, n) for (j, n) in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-    lab = _max_overlap_labels(evecs, rows)
-    e = {key: evals[pick] for key, pick in lab.items()}
-    return 0.5 * ((e[(1, 1)] - e[(1, 0)]) - (e[(0, 1)] - e[(0, 0)])) / hbar
+    hw = hbar * omega_cavity
+    hg = hbar * g
+    hg2 = hg * np.sqrt(2.0)
+    e_one, v_one = np.linalg.eigh([[e_q[1], hg],             # |1,0>
+                                   [hg, e_q[0] + hw]])       # |0,1>
+    e_two, v_two = np.linalg.eigh([[e_q[1] + hw, hg2, hg2],  # |1,1>
+                                   [hg2, e_q[0] + 2 * hw, 0.0],  # |0,2>
+                                   [hg2, 0.0, e_q[2]]])      # |2,0>
+    one = _max_overlap_labels(v_one, {(0, 1): 1, (1, 0): 0})
+    two = _max_overlap_labels(v_two, {(1, 1): 0})
+    return 0.5 * ((e_two[two[(1, 1)]] - e_one[one[(1, 0)]])
+                  - (e_one[one[(0, 1)]] - e_q[0])) / hbar
 
 
 def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
@@ -314,6 +324,8 @@ def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
     qubit-like branches (the pair of eigenvalues nearest omega_q2), refined
     by parabolic interpolation around the discrete minimum.
     """
+    _require_finite(omega_q1=omega_q1, omega_q2=omega_q2, omega_bus=omega_bus,
+                    g1=g1, g2=g2)
     deltas = [abs(omega_bus - omega_q1), abs(omega_bus - omega_q2)]
     gmax = max(abs(g1), abs(g2))
     if gmax > 0 and any(gmax / d > DISPERSIVE_RATIO_WARN for d in deltas if d > 0):

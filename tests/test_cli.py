@@ -210,14 +210,33 @@ def test_report_json_round_trip(tmp_path):
     assert len(outputs["energies_j"]) == 6
 
 
-@pytest.mark.parametrize("n_levels", [1, 2])
-def test_oracle_needs_three_levels(tmp_path, capsys, n_levels):
+def _oracle_outputs(tmp_path, n_levels):
+    cfg = tmp_path / f"levels{n_levels}.cfg"
+    cfg.write_text(PAPER_CONFIG + f"oracle.n_levels = {n_levels}\n")
+    out = tmp_path / f"oracle{n_levels}.json"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    return json.loads(out.read_text())["outputs"]
+
+
+def test_oracle_n_levels_sets_only_the_reported_eigenvalues(tmp_path):
+    three = _oracle_outputs(tmp_path, 3)
+    for n_levels in (1, 2):
+        outputs = _oracle_outputs(tmp_path, n_levels)
+        assert len(outputs["grid_eigenvalues_j"]) == n_levels
+        assert (outputs["grid_eigenvalues_j"]
+                == three["grid_eigenvalues_j"][:n_levels])
+        for key in ("omega_10_grid_mhz", "eta_grid_mhz"):
+            assert outputs[key] == three[key]
+
+
+@pytest.mark.parametrize("n_levels", [0, 11])
+def test_oracle_n_levels_out_of_range(tmp_path, capsys, n_levels):
     cfg = tmp_path / "levels.cfg"
     cfg.write_text(PAPER_CONFIG + f"oracle.n_levels = {n_levels}\n")
     assert main(["oracle", "--config", str(cfg), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("afq: oracle.n_levels")
-    assert "3 levels" in err
+    assert capsys.readouterr().err == (
+        f"afq: n_levels must be in 1..10, got {n_levels}\n")
 
 
 @pytest.mark.parametrize("setting", ["sweep.length_min_nm = 0",

@@ -12,7 +12,7 @@ from afq import (CantileverGeometry, GridSpec, LennardJones, MaterialParams,
 from afq import oracle
 from afq.config import default_config
 from afq.cqad import bus_coupling, dispersive_shift
-from afq.errors import (DomainError, LabelingError, TruncationError)
+from afq.errors import DomainError, LabelingError
 from afq.units import MEV, ANGSTROM, MHZ, cycles, hbar
 
 SILICON = MaterialParams(young_modulus=160e9, density=2329.0)
@@ -90,8 +90,24 @@ def test_grid_validation():
         GridSpec(points=200)
     with pytest.raises(DomainError):
         GridSpec(points=4000)
+    with pytest.raises(DomainError, match="odd integer"):
+        GridSpec(points=201.0)
     with pytest.raises(DomainError):
         grid_eigensolve(harmonic, M_EFF, GridSpec(), 11, x_zpf=X_ZPF, gap=GAP)
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 5])
+def test_grid_reports_omega_10_and_eta_at_any_n_levels(n_levels):
+    res = grid_eigensolve(harmonic, M_EFF, GridSpec(), n_levels, x_zpf=X_ZPF,
+                          gap=GAP)
+    ref = grid_eigensolve(harmonic, M_EFF, GridSpec(), 3, x_zpf=X_ZPF,
+                          gap=GAP)
+    e0, e1, e2 = ref.eigenvalues
+    assert len(res.eigenvalues) == n_levels
+    assert res.omega_10 == (e1 - e0) / hbar
+    assert res.eta == (e2 - 2 * e1 + e0) / hbar
+    assert res.omega_10 == pytest.approx(OMEGA, rel=1e-6)
+    assert abs(res.eta) < 1e-6 * OMEGA       # harmonic: equal spacing
 
 
 def test_grid_nonconvergence_raises():
@@ -273,20 +289,42 @@ def test_full_potential_is_metastable_at_bias_point():
 
 @pytest.mark.parametrize("n", range(6))
 def test_matrix_element_quartic(n):
-    assert fock_matrix_element(n, 4, n + 12) == pytest.approx(
+    assert fock_matrix_element(n, 4) == pytest.approx(
         6 * n**2 + 6 * n + 3, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_matrix_element_sextic(n):
-    assert fock_matrix_element(n, 6, n + 15) == pytest.approx(
+    assert fock_matrix_element(n, 6) == pytest.approx(
         20 * n**3 + 30 * n**2 + 40 * n + 15, abs=1e-9)
 
 
-def test_matrix_element_quadratic_and_truncation():
-    assert fock_matrix_element(0, 2, 12) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(TruncationError):
-        fock_matrix_element(3, 6, 10)
+def test_matrix_element_quadratic():
+    assert fock_matrix_element(0, 2) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("power", [2, 4, 6])
+@pytest.mark.parametrize("n", range(6))
+def test_matrix_element_basis_holds_every_path(n, power):
+    # the derived basis of n + power // 2 + 1 levels gives the same bits
+    # as the bases of n + 12, n + 15 and 12 levels the callers used to pass
+    for dim in (n + 12, n + 15, 12):
+        a = oracle._annihilation(dim)
+        wide = np.linalg.matrix_power(a + a.T, power)[n, n]
+        assert fock_matrix_element(n, power) == wide
+
+
+@pytest.mark.parametrize("n, power", [(-1, 4), (0, -2), (3, -1)])
+def test_matrix_element_refuses_negative_arguments(n, power):
+    with pytest.raises(DomainError, match="n and power must be >= 0"):
+        fock_matrix_element(n, power)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 4])
+def test_fock_eigensolve_refuses_basis_smaller_than_n_levels(dim):
+    with pytest.raises(DomainError, match="fewer than n_levels"):
+        fock_eigensolve(M_EFF, OMEGA, {2: 0.5 * K_SPRING}, dim=dim,
+                        n_levels=5)
 
 
 def test_fock_eigensolve_matches_grid_on_polynomial_well():
@@ -360,20 +398,67 @@ def test_jc_g_squared_scaling():
     assert c1 / c2 == pytest.approx(4.0, rel=0.02)
 
 
-def test_jc_truncation_stability():
-    a = jc_dispersive_oracle(LEVELS, W_Q - 4.3 * MHZ, 0.6 * MHZ,
-                             photon_truncation=12)
-    b = jc_dispersive_oracle(LEVELS, W_Q - 4.3 * MHZ, 0.6 * MHZ,
-                             photon_truncation=24)
-    assert a == pytest.approx(b, rel=1e-9)
-
-
 def test_jc_labeling_error_near_resonance():
     with pytest.raises(LabelingError):
         jc_dispersive_oracle(LEVELS, W_Q - 1.0 * MHZ, 1.0 * MHZ)
-    with pytest.raises(DomainError):
-        jc_dispersive_oracle(LEVELS, W_Q - 4.3 * MHZ, 0.5 * MHZ,
-                             photon_truncation=5)
+
+
+def dense_jc_chi(qubit_levels, omega_cavity, g, n_ph=20):
+    """chi from the full 3 x n_ph product basis, cavity truncated at n_ph
+    Fock states: the reference for the block diagonalization."""
+    e_q = np.asarray(qubit_levels, dtype=float)
+    idx = lambda j, n: j * n_ph + n
+    diag = np.concatenate([e_q[j] + hbar * omega_cavity * np.arange(n_ph)
+                           for j in range(3)])
+    h = np.diag(diag)
+    for j in range(2):
+        for n in range(n_ph - 1):
+            amp = hbar * g * np.sqrt(j + 1) * np.sqrt(n + 1)
+            h[idx(j + 1, n), idx(j, n + 1)] += amp
+            h[idx(j, n + 1), idx(j + 1, n)] += amp
+    evals, evecs = np.linalg.eigh(h)
+    lab = oracle._max_overlap_labels(
+        evecs, {key: idx(*key) for key in [(0, 0), (0, 1), (1, 0), (1, 1)]})
+    e = {key: evals[pick] for key, pick in lab.items()}
+    return 0.5 * ((e[(1, 1)] - e[(1, 0)]) - (e[(0, 1)] - e[(0, 0)])) / hbar
+
+
+def test_jc_blocks_match_dense_reference():
+    # 300 seeded draws, E_0 = 0 as afq oracle passes: both signs of Delta
+    # and eta, g/|Delta| in 0.05..0.45. Where Delta + eta is small the
+    # |1,1> and |2,0> states mix, and both refuse to label them.
+    rng = np.random.default_rng(15)
+    refused = 0
+    for _ in range(300):
+        delta = rng.choice([-1, 1]) * rng.uniform(1, 20) * MHZ
+        eta = rng.choice([-1, 1]) * rng.uniform(0.5, 10) * MHZ
+        g = rng.uniform(0.05, 0.45) * abs(delta)
+        levels = (0.0, hbar * W_Q, hbar * (2 * W_Q + eta))
+        outcomes = []
+        for chi in (jc_dispersive_oracle, dense_jc_chi):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    outcomes.append(chi(levels, W_Q - delta, g))
+                except LabelingError:
+                    outcomes.append(None)
+        blocks, dense = outcomes
+        assert (blocks is None) == (dense is None), (delta, eta, g)
+        if blocks is None:
+            refused += 1
+        else:
+            assert blocks == pytest.approx(dense, rel=1e-9, abs=0)
+    assert 0 < refused < 150
+
+
+@pytest.mark.parametrize("levels, omega_cavity, g, name", [
+    (LEVELS, W_Q - 4.3 * MHZ, np.nan, "g"),
+    (LEVELS, np.nan, 0.5 * MHZ, "omega_cavity"),
+    (LEVELS, W_Q - 4.3 * MHZ, np.inf, "g"),
+    ((0.0, np.nan, LEVELS[2]), W_Q - 4.3 * MHZ, 0.5 * MHZ, "qubit_levels")])
+def test_jc_refuses_non_finite_arguments(levels, omega_cavity, g, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        jc_dispersive_oracle(levels, omega_cavity, g)
 
 
 # --- two-qubit bus oracle ---------------------------------------------------
@@ -406,6 +491,15 @@ def test_bus_exchange_symmetry_dispersive():
     ja = two_qubit_bus_oracle(W_Q, W_Q, W_Q + 5 * MHZ, 0.2 * MHZ, 0.3 * MHZ)
     jb = two_qubit_bus_oracle(W_Q, W_Q, W_Q + 5 * MHZ, 0.3 * MHZ, 0.2 * MHZ)
     assert ja == pytest.approx(jb, rel=0.01)
+
+
+@pytest.mark.parametrize("name", ["omega_q1", "omega_q2", "omega_bus", "g1",
+                                  "g2"])
+def test_bus_refuses_non_finite_arguments(name):
+    args = {"omega_q1": W_Q, "omega_q2": W_Q, "omega_bus": W_Q + 5 * MHZ,
+            "g1": 0.2 * MHZ, "g2": 0.2 * MHZ, name: np.nan}
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        two_qubit_bus_oracle(**args)
 
 
 def test_bus_asymmetric_formula_value():

@@ -1,6 +1,7 @@
 """Source hygiene: every parameter of every afq function is read in its body,
 every private module-level name and every config key is read somewhere,
-and the brute-force oracle shares no code with what it checks."""
+every error class is raised somewhere, and the brute-force oracle shares
+no code with what it checks."""
 
 import ast
 from pathlib import Path
@@ -153,3 +154,41 @@ def test_config_read_is_found():
                      'c = cfg.display["x.c"]\nd = other["x.d"]\n'
                      'si["x.e"] = 1\n')
     assert config_reads(tree) == {"x.a", "x.b", "x.c"}
+
+
+def raised_names(tree):
+    """Names an AST raises, as ``raise X``, ``raise X(...)`` or ``raise m.X``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return names
+
+
+def unraised_errors(errors_tree, trees):
+    """Classes of ``errors_tree`` other than the base ``AfqError`` that no
+    tree raises."""
+    raised = set().union(*(raised_names(tree) for tree in trees))
+    return [node.name for node in errors_tree.body
+            if isinstance(node, ast.ClassDef) and node.name != "AfqError"
+            and node.name not in raised]
+
+
+def test_every_error_is_raised():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert unraised_errors(trees["errors.py"], trees.values()) == []
+
+
+def test_unraised_error_is_found():
+    errors = ast.parse("class AfqError(Exception):\n    pass\n"
+                       "class AError(AfqError):\n    pass\n"
+                       "class BError(AfqError):\n    pass\n"
+                       "class CError(AfqError):\n    pass\n"
+                       "class DError(AfqError):\n    pass\n")
+    user = ast.parse("def f():\n    raise AError('x')\n"
+                     "def g(exc):\n    raise errors.CError from exc\n"
+                     "def h():\n    try:\n        pass\n"
+                     "    except BError:\n        raise\n"
+                     "def k():\n    raise DError\n")
+    assert unraised_errors(errors, [user]) == ["BError"]
