@@ -73,7 +73,6 @@ class CantileverModal:
     spring_constant: float
     effective_mass: float
     omega_c: float
-    moment_of_inertia: float
 
 
 @dataclass(frozen=True)
@@ -95,12 +94,12 @@ class BiasState:
 
 
 def _modal_constants(length, width, thickness, material):
-    """I, k, omega_c and m_eff = k/omega_c^2; any argument may be an array."""
+    """k, omega_c and m_eff = k/omega_c^2; any argument may be an array."""
     inertia = thickness * width**3 / 12.0
     k = 3.0 * material.young_modulus * inertia / length**3
     omega_c = MODE_FREQ_COEFF * np.sqrt(
         material.young_modulus * width**2 / (material.density * length**4))
-    return inertia, k, omega_c, k / omega_c**2
+    return k, omega_c, k / omega_c**2
 
 
 def _operating_state(k, m_eff, potential, gap):
@@ -127,12 +126,12 @@ def _operating_state(k, m_eff, potential, gap):
 def modal_params(geometry: CantileverGeometry,
                  material: MaterialParams) -> CantileverModal:
     """Modal spring constant, frequency, and effective mass of the lateral mode."""
-    inertia, k, omega_c, m_eff = _modal_constants(
+    k, omega_c, m_eff = _modal_constants(
         np.array([geometry.length], dtype=float), geometry.width,
         geometry.thickness, material)
     return CantileverModal(spring_constant=k.item(),
                            effective_mass=m_eff.item(),
-                           omega_c=omega_c.item(), moment_of_inertia=inertia)
+                           omega_c=omega_c.item())
 
 
 def bias_state(modal: CantileverModal, potential: SurfacePotential,

@@ -124,7 +124,7 @@ def _figures(length, gap, width, thickness, material, potential, temperature):
     Returns every stored SweepResult column, by name. A stable row with a
     first-order omega_10 <= 0 is FLAG_BREAKDOWN, with NaN ladder figures.
     """
-    _, k, omega_c, m_eff = _modal_constants(length, width, thickness, material)
+    k, omega_c, m_eff = _modal_constants(length, width, thickness, material)
     _, k_eff, omega_eff, x_zpf, flag = _operating_state(k, m_eff, potential,
                                                         gap)
     _, _, omega_10, eta = _first_order_ladder(

@@ -319,35 +319,44 @@ def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
     """Bus-mediated coupling from the avoided crossing of two qubits.
 
     Diagonalizes the one-excitation sector of two qubits exchange-coupled
-    to a single bus mode while sweeping qubit 1 through qubit 2 in 4001
-    evenly spaced steps; returns half the minimum splitting of the two
-    qubit-like branches (the pair of eigenvalues nearest omega_q2), refined
-    by parabolic interpolation around the discrete minimum.
+    to a single bus mode while sweeping qubit 1 through qubit 2, and
+    returns half the minimum splitting of the two qubit-like branches (the
+    pair of eigenvalues nearest omega_q2). The sweep is a zoom scan: 33
+    evenly spaced qubit-1 frequencies over the range, then 33 over the two
+    cells around the smallest splitting, and so on until the bracket stops
+    shrinking or 12 scans have narrowed it at least 16^12-fold; a parabola
+    through the last minimum and its neighbours refines it.
+    :class:`DomainError` is raised when the second scan, which resolves
+    1/1024 of the range, still puts the minimum at an end of the range.
     """
     _require_finite(omega_q1=omega_q1, omega_q2=omega_q2, omega_bus=omega_bus,
                     g1=g1, g2=g2)
-    deltas = [abs(omega_bus - omega_q1), abs(omega_bus - omega_q2)]
-    gmax = max(abs(g1), abs(g2))
-    if gmax > 0 and any(gmax / d > DISPERSIVE_RATIO_WARN for d in deltas if d > 0):
+    if max(abs(g1), abs(g2)) > DISPERSIVE_RATIO_WARN * min(
+            abs(omega_bus - omega_q1), abs(omega_bus - omega_q2)):
         warnings.warn("g/|Delta| above the dispersive regime", stacklevel=2)
     span = max(8.0 * (abs(g1) + abs(g2)), 2.0 * abs(omega_q1 - omega_q2),
                1e-6 * abs(omega_q2))
-    w1 = np.linspace(omega_q2 - span, omega_q2 + span, 4001)
-    h = np.zeros((w1.size, 3, 3))
-    h[:, 0, 0] = w1
+    h = np.zeros((33, 3, 3))
     h[:, 1, 1] = omega_q2
     h[:, 2, 2] = omega_bus
     h[:, 0, 2] = h[:, 2, 0] = g1
     h[:, 1, 2] = h[:, 2, 1] = g2
-    evals = np.linalg.eigvalsh(h)
-    dist = np.abs(evals - omega_q2)
-    order = np.argsort(dist, axis=1)
-    pair = np.take_along_axis(evals, order[:, :2], axis=1)
-    gaps = np.abs(pair[:, 1] - pair[:, 0])
-    i = int(np.argmin(gaps))
-    if i in (0, w1.size - 1):
-        raise DomainError("no avoided crossing inside the sweep range")
+    ends = lo, hi = omega_q2 - span, omega_q2 + span
+    for scan in range(12):
+        w1 = h[:, 0, 0] = np.linspace(lo, hi, 33)
+        e0, e1, e2 = np.linalg.eigvalsh(h).T
+        # e1 is always one of the two eigenvalues nearest omega_q2
+        gaps = np.where(abs(e0 - omega_q2) <= abs(e2 - omega_q2),
+                        e1 - e0, e2 - e1)
+        i = int(np.argmin(gaps))
+        if scan == 1 and w1[i] in ends:
+            raise DomainError("no avoided crossing inside the sweep range")
+        below, above = w1[max(i - 1, 0)], w1[min(i + 1, 32)]
+        if above - below >= hi - lo:
+            break
+        lo, hi = below, above
     # parabolic refinement of the minimum
+    i = min(max(i, 1), 31)
     y0, y1, y2 = gaps[i - 1], gaps[i], gaps[i + 1]
     denom = y0 - 2.0 * y1 + y2
     gap_min = y1 if denom == 0 else y1 - 0.125 * (y0 - y2) ** 2 / denom

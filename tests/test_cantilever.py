@@ -27,7 +27,6 @@ class _ZeroPotential:
 
 def test_paper_modal_constants():
     modal = modal_params(PAPER_GEOMETRY, SILICON)
-    assert modal.moment_of_inertia == pytest.approx(1e-33, rel=1e-12)
     assert modal.spring_constant == pytest.approx(3.958e-3, rel=1e-3)
     assert modal.effective_mass == pytest.approx(3.357e-20, rel=1e-3)
     # omega_c ~ 2 pi x 55 MHz (precisely 54.645 MHz)

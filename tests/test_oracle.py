@@ -493,6 +493,92 @@ def test_bus_exchange_symmetry_dispersive():
     assert ja == pytest.approx(jb, rel=0.01)
 
 
+def _dense_bus_sweep(omega_q1, omega_q2, omega_bus, g1, g2):
+    """The former bus oracle: one batched sweep of 4001 evenly spaced steps
+    and a parabola through its discrete minimum, kept as a reference."""
+    span = max(8.0 * (abs(g1) + abs(g2)), 2.0 * abs(omega_q1 - omega_q2),
+               1e-6 * abs(omega_q2))
+    h = np.zeros((4001, 3, 3))
+    h[:, 0, 0] = np.linspace(omega_q2 - span, omega_q2 + span, 4001)
+    h[:, 1, 1] = omega_q2
+    h[:, 2, 2] = omega_bus
+    h[:, 0, 2] = h[:, 2, 0] = g1
+    h[:, 1, 2] = h[:, 2, 1] = g2
+    evals = np.linalg.eigvalsh(h)
+    order = np.argsort(np.abs(evals - omega_q2), axis=1)
+    pair = np.take_along_axis(evals, order[:, :2], axis=1)
+    gaps = np.abs(pair[:, 1] - pair[:, 0])
+    i = int(np.argmin(gaps))
+    assert 0 < i < 4000
+    y0, y1, y2 = gaps[i - 1:i + 2]
+    return 0.5 * (y1 - 0.125 * (y0 - y2) ** 2 / (y0 - 2.0 * y1 + y2))
+
+
+VALIDATE_BUS = (W_Q, W_Q, W_Q + 4.35 * MHZ, 0.4 * MHZ, 0.4 * MHZ)
+
+
+def _seeded_bus_designs(count, seed=5):
+    """Bus cases with g/|Delta| between 0.05 and 0.15 for each coupling."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        delta = rng.uniform(3, 8) * MHZ * rng.choice([-1, 1])
+        g1, g2 = rng.uniform(0.05, 0.15, 2) * abs(delta)
+        w_q = rng.uniform(40, 140) * MHZ
+        yield w_q, w_q, w_q + delta, g1, g2
+
+
+def test_bus_zoom_scan_matches_dense_sweep():
+    # the validate case, then seeded dispersive designs; the dense sweep's
+    # own discretization error is up to ~2e-6 of J
+    for case in [VALIDATE_BUS, *_seeded_bus_designs(60)]:
+        assert two_qubit_bus_oracle(*case) == pytest.approx(
+            _dense_bus_sweep(*case), rel=3e-6, abs=0), case
+
+
+def test_bus_warns_at_exact_resonance():
+    with pytest.warns(UserWarning, match="above the dispersive regime"):
+        j = two_qubit_bus_oracle(W_Q, W_Q, W_Q, 1.0 * MHZ, 1.0 * MHZ)
+    assert j > 0
+
+
+@pytest.mark.parametrize("g1, g2", [(1.0 * MHZ, 0.0), (0.0, 1.0 * MHZ)],
+                         ids=["g2_off", "g1_off"])
+def test_bus_one_coupling_off_gives_zero(g1, g2):
+    # qubit levels cross exactly, so the splitting closes to rounding
+    with pytest.warns(UserWarning, match="above the dispersive regime"):
+        j = two_qubit_bus_oracle(W_Q, W_Q, W_Q + 4.35 * MHZ, g1, g2)
+    span = 8.0 * (g1 + g2)
+    assert 0.0 <= j <= 1e-9 * span
+
+
+@pytest.mark.parametrize("bus_offset, refused", [(0.1, True), (0.05, True),
+                                                 (0.11, False), (0.2, False)])
+def test_bus_refuses_minimum_at_range_end(bus_offset, refused):
+    # at 0.11 MHz the minimum lies 0.4 % of the range inside its upper end
+    args = (W_Q, W_Q, W_Q + bus_offset * MHZ, 1.0 * MHZ, 0.1 * MHZ)
+    with pytest.warns(UserWarning, match="above the dispersive regime"):
+        if refused:
+            with pytest.raises(DomainError, match="no avoided crossing"):
+                two_qubit_bus_oracle(*args)
+        else:
+            assert two_qubit_bus_oracle(*args) > 0
+
+
+def test_bus_eigensolve_work_bound(monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved.append(np.prod(np.shape(a)[:-2], dtype=int))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.np.linalg, "eigvalsh", counting)
+    for case in [VALIDATE_BUS, *_seeded_bus_designs(5)]:
+        solved.clear()
+        two_qubit_bus_oracle(*case)
+        assert 0 < sum(solved) <= 500
+
+
 @pytest.mark.parametrize("name", ["omega_q1", "omega_q2", "omega_bus", "g1",
                                   "g2"])
 def test_bus_refuses_non_finite_arguments(name):
