@@ -11,9 +11,8 @@ Run:  python demos/headline_design.py
 import numpy as np
 
 from afq import (bias_state, find_bias_point, modal_params,
-                 perturbative_energies, relative_anharmonicity,
-                 relative_frequency_shift, snap_in_threshold,
-                 taylor_coefficients, thermal_occupancy)
+                 perturbative_energies, relative_frequency_shift,
+                 snap_in_threshold, taylor_coefficients, thermal_occupancy)
 from afq.config import default_config
 from afq.units import MEV, ANGSTROM, NM, PM, cycles, hbar
 
@@ -48,18 +47,23 @@ print(f"snap-in boundary  : {x_snap / ANGSTROM:.4f} A "
       "inside the zero-point spread)")
 
 print("\n== Anharmonic spectrum (quartic + sextic perturbation theory) ==")
-spectrum = perturbative_energies(state, taylor_coefficients(lj, x0), n_max=5)
+taylor = taylor_coefficients(lj, x0)
+spectrum = perturbative_energies(state, taylor, n_max=5)
 print(f"f_10              : {cycles(spectrum.omega_10) / 1e6:.3f} MHz")
 print(f"f_21              : {cycles(spectrum.omega_21) / 1e6:.3f} MHz")
 print(f"anharmonicity     : {cycles(spectrum.eta) / 1e6:.3f} MHz")
 print(f"relative          : {spectrum.eta_r * 100:.2f} %")
 print(f"frequency pull    : {relative_frequency_shift(spectrum, modal):.4f}")
-eta_r, eta, r0, r1 = relative_anharmonicity(state, lj)
+# the paper's closed form, from q4 = lam4 xz^4 and q6 = lam6 xz^6
+q4 = taylor.lam(4) * state.x_zpf**4
+q6 = taylor.lam(6) * state.x_zpf**6
+r0 = hbar * state.omega_eff / (12.0 * q4)
+r1 = 7.5 * q6 / q4
+eta_r = (1.0 + 2.0 * r1) / (1.0 + r1 + r0)
 print(f"closed form       : eta_r = (1 + 2 r1)/(1 + r1 + r0) = {eta_r:.4f} "
       f"with r0 = {r0:.2f}, r1 = {r1:.2e}")
 
-levels = np.array(spectrum.energies)
-spacings = np.diff(levels) / hbar
+spacings = np.diff(spectrum.energies) / hbar
 print("level spacings    : "
       + "  ".join(f"{cycles(d) / 1e6:.2f}" for d in spacings)
       + "  MHz (spacing grows with n: hardening ladder)")

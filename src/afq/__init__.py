@@ -27,8 +27,7 @@ from .oracle import (GridSpec, OracleResult, fock_eigensolve,
 from .potential import (LennardJones, SurfacePotential, TaylorCoefficients,
                         find_bias_point, taylor_coefficients)
 from .spectrum import (QubitSpectrum, perturbative_energies,
-                       relative_anharmonicity, relative_frequency_shift,
-                       thermal_occupancy)
+                       relative_frequency_shift, thermal_occupancy)
 
 __all__ = [
     "__version__", "AfqError",
@@ -36,8 +35,8 @@ __all__ = [
     "find_bias_point", "taylor_coefficients",
     "MaterialParams", "CantileverGeometry", "CantileverModal", "BiasState",
     "modal_params", "bias_state", "snap_in_threshold",
-    "QubitSpectrum", "perturbative_energies", "relative_anharmonicity",
-    "relative_frequency_shift", "thermal_occupancy",
+    "QubitSpectrum", "perturbative_energies", "relative_frequency_shift",
+    "thermal_occupancy",
     "GridSpec", "OracleResult", "total_potential", "grid_eigensolve",
     "fock_matrix_element", "fock_eigensolve", "jc_dispersive_oracle",
     "two_qubit_bus_oracle",

@@ -233,7 +233,6 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[dict, tuple | None]:
         "n_thermal": thermal_occupancy(spec.omega_10, temp),
         "temperature_mk": temp / MK,
         "energies_j": list(spec.energies),
-        "alpha_coeffs_j": list(spec.alpha_coeffs),
     }
     return outputs, None
 
@@ -326,9 +325,8 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, tuple | None]:
     # dispersive cross-checks at the design's eta
     chain = _cqad_config(cfg, spec)
     delta = abs(_dispersive_detuning(chain))
-    levels = (0.0, spec.energies[1] - spec.energies[0],
-              spec.energies[2] - spec.energies[0])
-    chi_oracle = jc_dispersive_oracle(levels, spec.omega_10 - delta, chain.g)
+    chi_oracle = jc_dispersive_oracle(spec.energies[:3], spec.omega_10 - delta,
+                                      chain.g)
     chi_formula = dispersive_shift(chain.g, spec.eta, delta)
     j_oracle = two_qubit_bus_oracle(spec.omega_10, spec.omega_10,
                                     spec.omega_10 + delta, chain.g, chain.g)

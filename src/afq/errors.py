@@ -26,7 +26,8 @@ class SingularModelError(AfqError, ValueError):
 
 
 class OrderMismatchError(AfqError, ValueError):
-    """Taylor expansion order too low for the requested computation."""
+    """Taylor coefficients that do not fit the computation: expanded to too
+    low an order, or about a point other than the bias gap."""
 
 
 class ConvergenceError(AfqError, RuntimeError):

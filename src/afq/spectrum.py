@@ -1,20 +1,18 @@
 """Perturbative anharmonic spectrum of the biased cantilever.
 
 First-order perturbation theory on the quartic and sextic Taylor terms
-gives a cubic-in-n level ladder
+gives a cubic-in-n level ladder, measured from the ground level E_0:
 
-    E_n = alpha_0 + alpha_1 n + alpha_2 n^2 + alpha_3 n^3
+    E_n - E_0 = hbar [omega_10 n + eta n(n-1)/2] + 20 q6 n(n-1)(n-2)
 
-with
+with q4 = lam4 xz^4, q6 = lam6 xz^6 (xz = zero-point motion) and
 
-    alpha_0 = 15 lam6 xz^6 + 3 lam4 xz^4 + hbar w_eff / 2 + V(x)
-    alpha_1 = 40 lam6 xz^6 + 6 lam4 xz^4 + hbar w_eff
-    alpha_2 = 30 lam6 xz^6 + 6 lam4 xz^4
-    alpha_3 = 20 lam6 xz^6
+    hbar omega_10 = hbar w_eff + 12 q4 + 90 q6
+    hbar eta      = 12 q4 + 180 q6
 
-(xz = zero-point motion). Odd Taylor orders vanish at first order and
-are not resummed here; the brute-force validators in :mod:`afq.oracle`
-quantify what that omission costs.
+Odd Taylor orders vanish at first order and are not resummed here; the
+brute-force validators in :mod:`afq.oracle` quantify what that omission
+costs.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantilever import BiasState, CantileverModal
-from .errors import DomainError, OrderMismatchError, SingularModelError
-from .potential import SurfacePotential, TaylorCoefficients
+from .errors import DomainError, OrderMismatchError
+from .potential import TaylorCoefficients
 from .units import hbar, k_B
 
 
@@ -38,20 +36,18 @@ class QubitSpectrum:
     for the value in Hz.
     """
 
-    energies: tuple            # J, n = 0..n_max
+    energies: tuple            # E_n - E_0 (J), n = 0..n_max; E_0 = 0.0
     omega_10: float            # rad/s
     omega_21: float            # rad/s
     eta: float                 # rad/s
     eta_r: float
-    alpha_coeffs: tuple        # (alpha_0 .. alpha_3), J
 
 
 def _first_order_ladder(omega_eff, x_zpf, lam4, lam6):
     """q4 = lam4 xz^4, q6 = lam6 xz^6, omega_10 and eta (rad/s); arrays in.
 
-    The splittings come from the alpha coefficients, not from differencing
-    absolute energies, which carry the deep potential offset and would
-    lose digits against them.
+    The closed forms of the module docstring, shared by the sweep and
+    :func:`perturbative_energies`, which builds its levels from them.
     """
     q4 = lam4 * x_zpf**4
     q6 = lam6 * x_zpf**6
@@ -79,46 +75,18 @@ def perturbative_energies(bias: BiasState, taylor: TaylorCoefficients,
         raise OrderMismatchError(
             f"need Taylor coefficients to order 6, have {taylor.max_order}")
 
-    q4, q6, omega_10, eta = (a.item() for a in _first_order_ladder(
+    _, q6, omega_10, eta = (a.item() for a in _first_order_ladder(
         *np.atleast_1d(bias.omega_eff, bias.x_zpf, taylor.lam(4),
                        taylor.lam(6))))
     if omega_10 <= 0:
         raise DomainError(f"first-order breakdown at gap {bias.gap:.4e} m: "
                           f"omega_10 = {omega_10:.4e} rad/s <= 0")
-    hw = hbar * bias.omega_eff
-    a0 = 15.0 * q6 + 3.0 * q4 + 0.5 * hw + taylor.lam(0)
-    a1 = 40.0 * q6 + 6.0 * q4 + hw
-    a2 = 30.0 * q6 + 6.0 * q4
-    a3 = 20.0 * q6
     ns = np.arange(n_max + 1)
-    energies = a0 + a1 * ns + a2 * ns**2 + a3 * ns**3
-    omega_21 = omega_10 + eta
+    energies = (hbar * (omega_10 * ns + eta * (ns * (ns - 1) / 2))
+                + 20.0 * q6 * (ns * (ns - 1) * (ns - 2)))
     return QubitSpectrum(energies=tuple(energies), omega_10=omega_10,
-                         omega_21=omega_21, eta=eta, eta_r=eta / omega_10,
-                         alpha_coeffs=(a0, a1, a2, a3))
-
-
-def relative_anharmonicity(bias: BiasState, potential: SurfacePotential):
-    """Closed-form relative and absolute anharmonicity at the bias point.
-
-    Returns (eta_r, eta, r0, r1) with
-
-        r0 = 2 hbar w_eff / (xz^4 V''''(x))
-        r1 = V^(6)(x) xz^2 / (4 V''''(x))
-        eta_r = (1 + 2 r1) / (1 + r1 + r0)
-        eta  = xz^4 V''''(x) (1 + 2 r1) / (2 hbar)
-    """
-    v4 = potential.derivative(bias.gap, 4)
-    if v4 == 0.0:
-        raise SingularModelError(
-            "V''''(x) = 0: relative anharmonicity undefined at this gap")
-    v6 = potential.derivative(bias.gap, 6)
-    xz = bias.x_zpf
-    r0 = 2.0 * hbar * bias.omega_eff / (xz**4 * v4)
-    r1 = v6 * xz**2 / (4.0 * v4)
-    eta_r = (1.0 + 2.0 * r1) / (1.0 + r1 + r0)
-    eta = xz**4 * v4 * (1.0 + 2.0 * r1) / (2.0 * hbar)
-    return eta_r, eta, r0, r1
+                         omega_21=omega_10 + eta, eta=eta,
+                         eta_r=eta / omega_10)
 
 
 def relative_frequency_shift(spectrum: QubitSpectrum,

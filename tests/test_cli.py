@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from afq.cli import PAPER_CONFIG, main
+from afq import jc_dispersive_oracle
+from afq.cli import JOINT_SHIFT_MHZ, PAPER_CONFIG, main
+from afq.config import default_config
+from afq.units import MHZ, cycles, hbar
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,6 +97,26 @@ def test_oracle_reports_disagreement(tmp_path):
     # at the metastable headline bias point
     assert outputs["omega_10_perturbative_mhz"] == pytest.approx(60.0, abs=1.0)
     assert abs(outputs["omega_10_grid_mhz"] / 60.0 - 1.0) > 1.0
+
+
+def test_oracle_chi_uses_the_spectrum_splittings(tmp_path):
+    # the JC oracle gets (0, hbar omega_10, hbar (2 omega_10 + eta)) from
+    # the same ladder `afq spectrum` reports, with no absolute offset
+    outputs = {}
+    for command in ("spectrum", "oracle"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--out", str(out), "--quiet"]) == 0
+        outputs[command] = json.loads(out.read_text())["outputs"]
+    omega_10 = outputs["spectrum"]["omega_10_rad_s"]
+    eta = outputs["spectrum"]["eta_rad_s"]
+    si = default_config().si
+    delta = abs(si["cqad.omega_m_mhz"] + JOINT_SHIFT_MHZ * MHZ - omega_10)
+    with pytest.warns(UserWarning, match="outside the dispersive regime"):
+        chi = jc_dispersive_oracle(
+            (0.0, hbar * omega_10, hbar * (2 * omega_10 + eta)),
+            omega_10 - delta, si["cqad.g_mhz"])
+    assert outputs["oracle"]["chi_oracle_khz"] == pytest.approx(
+        cycles(chi) / 1e3, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("points, warned", [(4001, True), (8001, False)])

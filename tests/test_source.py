@@ -1,13 +1,15 @@
 """Source hygiene: every parameter of every afq function is read in its body,
 every private module-level name and every config key is read somewhere,
-every error class is raised somewhere, and the brute-force oracle shares
-no code with what it checks."""
+every error class is raised somewhere, ``afq.__all__`` matches what the
+package imports, and the brute-force oracle shares no code with what it
+checks."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import afq
 from afq.config import SCHEMA
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent
@@ -192,3 +194,33 @@ def test_unraised_error_is_found():
                      "    except BError:\n        raise\n"
                      "def k():\n    raise DError\n")
     assert unraised_errors(errors, [user]) == ["BError"]
+
+
+def unlisted_imports(tree):
+    """Public names a package ``__init__`` AST imports but leaves out of
+    its ``__all__``."""
+    imported, listed = [], set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            imported += [(a.asname or a.name).split(".")[0]
+                         for a in stmt.names]
+        elif isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in stmt.targets):
+            listed = set(ast.literal_eval(stmt.value))
+    return [name for name in imported
+            if not name.startswith("_") and name not in listed]
+
+
+def test_every_public_import_is_listed():
+    init = next(p for p in SOURCES if p.name == "__init__.py")
+    assert unlisted_imports(ast.parse(init.read_text(), str(init))) == []
+
+
+def test_unlisted_import_is_found():
+    tree = ast.parse("from .a import (x, _y, z as w)\nimport os.path\n"
+                     "__all__ = ['x']\n")
+    assert unlisted_imports(tree) == ["w", "os"]
+
+
+def test_every_all_entry_resolves():
+    assert [name for name in afq.__all__ if not hasattr(afq, name)] == []

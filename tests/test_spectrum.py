@@ -1,13 +1,14 @@
-"""Perturbative spectrum, anharmonicity closed forms, thermal occupancy."""
+"""Perturbative spectrum, the paper's anharmonicity closed form, thermal
+occupancy."""
 
 import numpy as np
 import pytest
 
 from afq import (CantileverGeometry, LennardJones, MaterialParams,
                  bias_state, modal_params, perturbative_energies,
-                 relative_anharmonicity, relative_frequency_shift,
-                 taylor_coefficients, thermal_occupancy)
-from afq.errors import (DomainError, OrderMismatchError, SingularModelError)
+                 relative_frequency_shift, taylor_coefficients,
+                 thermal_occupancy)
+from afq.errors import DomainError, OrderMismatchError
 from afq.potential import TaylorCoefficients
 from afq.units import MEV, ANGSTROM, MHZ, MK, cycles, hbar
 
@@ -29,9 +30,10 @@ def test_harmonic_limit():
                               coefficients=(0.0,) * 7)
     spec = perturbative_energies(state, flat, n_max=5)
     ns = np.arange(6)
-    np.testing.assert_allclose(spec.energies,
-                               hbar * state.omega_eff * (ns + 0.5), rtol=1e-15)
-    assert spec.eta == 0.0  # alpha_2 = alpha_3 = 0 exactly
+    np.testing.assert_allclose(spec.energies, hbar * state.omega_eff * ns,
+                               rtol=1e-15)
+    assert spec.energies[0] == 0.0
+    assert spec.eta == 0.0
 
 
 def test_paper_design_frequencies():
@@ -45,13 +47,21 @@ def test_paper_design_frequencies():
     assert cycles(spec.omega_10 - state.omega_eff - quartic) / 1e6 < 0.05
 
 
-def test_alpha_energy_consistency():
-    _, state, taylor = paper_chain()
-    spec = perturbative_energies(state, taylor, n_max=5)
-    a0, a1, a2, a3 = spec.alpha_coeffs
-    ns = np.arange(6)
-    np.testing.assert_allclose(
-        spec.energies, a0 + a1 * ns + a2 * ns**2 + a3 * ns**3, rtol=1e-14)
+def test_levels_match_splittings():
+    # levels are measured from E_0 = 0, so E_1 and E_2 - E_1 carry no
+    # offset to lose digits against
+    for length in (300e-9, 495e-9, 700e-9):
+        _, state, taylor = paper_chain(length=length)
+        spec = perturbative_energies(state, taylor, n_max=5)
+        assert spec.energies[0] == 0.0
+        assert spec.energies[1] == pytest.approx(hbar * spec.omega_10,
+                                                 rel=1e-14, abs=0)
+        assert spec.energies[2] - spec.energies[1] == pytest.approx(
+            hbar * spec.omega_21, rel=1e-14, abs=0)
+        # the sextic's n(n-1)(n-2) term: third differences of 6 * 20 q6
+        q6 = taylor.lam(6) * state.x_zpf**6
+        np.testing.assert_allclose(np.diff(spec.energies, 3), 120.0 * q6,
+                                   rtol=1e-9)
 
 
 def test_levels_harden():
@@ -62,31 +72,39 @@ def test_levels_harden():
     assert np.all(np.diff(diffs) > 0)  # spacing grows with n
 
 
+def paper_r_parameters(state, taylor):
+    """The paper's r0 = hbar w_eff / (12 q4) and r1 = 7.5 q6 / q4, with
+    q4 = lam4 xz^4 and q6 = lam6 xz^6."""
+    q4 = taylor.lam(4) * state.x_zpf**4
+    q6 = taylor.lam(6) * state.x_zpf**6
+    return hbar * state.omega_eff / (12.0 * q4), 7.5 * q6 / q4
+
+
 def test_closed_form_matches_level_ladder():
-    # Both derive from the same cubic-in-n ladder; agreement to 1e-12
+    # the paper's eta_r = (1 + 2 r1) / (1 + r1 + r0) restates the ladder's
     for length in (300e-9, 495e-9, 700e-9):
         _, state, taylor = paper_chain(length=length)
         spec = perturbative_energies(state, taylor, n_max=3)
-        eta_r, eta, r0, r1 = relative_anharmonicity(state, LJ)
-        assert eta_r == pytest.approx(spec.eta_r, rel=1e-12)
-        assert eta == pytest.approx(spec.eta, rel=1e-12)
+        r0, r1 = paper_r_parameters(state, taylor)
+        assert (1.0 + 2.0 * r1) / (1.0 + r1 + r0) == pytest.approx(
+            spec.eta_r, rel=1e-12)
 
 
 def test_r_parameters_paper_values():
-    _, state, _ = paper_chain()
-    eta_r, eta, r0, r1 = relative_anharmonicity(state, LJ)
+    _, state, taylor = paper_chain()
+    r0, r1 = paper_r_parameters(state, taylor)
     assert r0 == pytest.approx(10.2, abs=0.1)
     assert r1 == pytest.approx(1.8e-3, rel=0.05)
-    assert eta_r == pytest.approx(0.089, abs=0.003)
+    spec = perturbative_energies(state, taylor, n_max=3)
+    assert spec.eta_r == pytest.approx(0.089, abs=0.003)
 
 
 def test_eta_r_vanishes_in_stiff_limit():
     # heavier/stiffer beams push r0 -> infinity and eta_r -> 0
     etas = []
     for length in (600e-9, 400e-9, 250e-9, 150e-9):
-        _, state, _ = paper_chain(length=length)
-        eta_r, *_ = relative_anharmonicity(state, LJ)
-        etas.append(eta_r)
+        _, state, taylor = paper_chain(length=length)
+        etas.append(perturbative_energies(state, taylor).eta_r)
     assert np.all(np.diff(etas) < 0)
     assert etas[-1] < 1e-3
     assert etas[-1] < etas[0] / 50
@@ -94,27 +112,14 @@ def test_eta_r_vanishes_in_stiff_limit():
 
 def test_epsilon_scaling_of_eta():
     # at fixed x/sigma with omega_eff = omega_c, eta is linear in epsilon
-    modal, state, _ = paper_chain()
-    base_eta = relative_anharmonicity(state, LJ)[1]
+    modal, state, taylor = paper_chain()
+    base_eta = perturbative_energies(state, taylor).eta
     for c in (0.5, 2.0, 3.0):
         scaled = LennardJones(epsilon=c * LJ.epsilon, sigma=LJ.sigma)
-        st = bias_state(modal, scaled, scaled.inflection)
-        eta = relative_anharmonicity(st, scaled)[1]
+        gap = scaled.inflection
+        st = bias_state(modal, scaled, gap)
+        eta = perturbative_energies(st, taylor_coefficients(scaled, gap)).eta
         assert eta == pytest.approx(c * base_eta, rel=1e-12)
-
-
-def test_quartic_singularity_error():
-    class _Quadratic:
-        def value(self, x):
-            return 0.0
-
-        def derivative(self, x, n):
-            return 1e-3 if n == 2 else 0.0
-
-    modal, state, _ = paper_chain()
-    flat_state = bias_state(modal, _Quadratic(), 5 * ANGSTROM)
-    with pytest.raises(SingularModelError):
-        relative_anharmonicity(flat_state, _Quadratic())
 
 
 def test_taylor_order_and_gap_mismatch_errors():
