@@ -24,7 +24,7 @@ geometry = design.geometry()
 print("== Surface potential ==")
 print(f"well depth        : {lj.epsilon / MEV:.1f} meV")
 print(f"offset distance   : {lj.sigma / ANGSTROM:.3f} A")
-x0 = find_bias_point(lj, (1.05 * lj.sigma, 2.0 * lj.sigma))
+x0 = find_bias_point(lj)
 print(f"bias point x0     : {x0 / ANGSTROM:.4f} A  ({x0 / lj.sigma:.5f} sigma)")
 print(f"V(x0)             : {lj.value(x0) / MEV:.2f} meV")
 print(f"V''''(x0)         : {lj.derivative(x0, 4):.3e} J/m^4")

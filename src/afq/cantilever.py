@@ -94,12 +94,23 @@ class BiasState:
 
 
 def _modal_constants(length, width, thickness, material):
-    """k, omega_c and m_eff = k/omega_c^2; any argument may be an array."""
-    inertia = thickness * width**3 / 12.0
-    k = 3.0 * material.young_modulus * inertia / length**3
-    omega_c = MODE_FREQ_COEFF * np.sqrt(
-        material.young_modulus * width**2 / (material.density * length**4))
-    return k, omega_c, k / omega_c**2
+    """k, omega_c and m_eff = k/omega_c^2 (any argument may be an array);
+    DomainError unless each is finite and > 0."""
+    with np.errstate(all="ignore"):
+        try:
+            inertia = thickness * width**3 / 12.0
+            k = 3.0 * material.young_modulus * inertia / length**3
+            omega_c = MODE_FREQ_COEFF * np.sqrt(
+                material.young_modulus * width**2 / (material.density * length**4))
+        except OverflowError:      # a Python-float power past 1.8e308
+            k = omega_c = np.inf
+        m_eff = k / omega_c**2
+    for name, value in (("k", k), ("omega_c", omega_c), ("m_eff", m_eff)):
+        lo, hi = np.min(value), np.max(value)
+        if not (lo > 0 and hi < np.inf):
+            raise DomainError(f"beam out of range: modal {name} = "
+                              f"{hi if lo > 0 else lo:.4g}, not finite and > 0")
+    return k, omega_c, m_eff
 
 
 def _operating_state(k, m_eff, potential, gap):

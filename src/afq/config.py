@@ -111,8 +111,7 @@ class RunConfig:
         ratio = self.si["bias.x_over_sigma"]
         if ratio is not None:
             return ratio * potential.sigma
-        return find_bias_point(potential,
-                               (1.05 * potential.sigma, 2.0 * potential.sigma))
+        return find_bias_point(potential)
 
     def operating_point(self, geometry: CantileverGeometry | None = None):
         """(potential, modal, gap, bias state) of the configured design;

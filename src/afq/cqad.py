@@ -123,7 +123,11 @@ def adiabatic_elimination(cfg: CqadConfig) -> EffectiveReadout:
                       "adiabatic elimination marginal", stacklevel=2)
     delta = cfg.omega_m - cfg.delta_r
     kappa = cfg.kappa
-    denom = 4.0 * delta**2 + kappa**2
+    try:
+        denom = 4.0 * delta**2 + kappa**2
+    except OverflowError as exc:
+        raise DomainError(f"4 delta^2 + kappa^2 overflows at delta = "
+                          f"{delta:.4g} rad/s, kappa = {kappa:.4g} rad/s") from exc
     alpha = 1j * big_g / (1j * delta - 0.5 * kappa)
     gamma_e = 4.0 * big_g**2 * kappa / denom
     omega_shift = 4.0 * big_g**2 * delta / denom
@@ -204,7 +208,10 @@ def dispersive_shift(g: float, eta: float, delta_qc: float) -> float:
     if delta_qc == 0.0 or delta_qc + eta == 0.0:
         raise SingularModelError(
             "dispersive shift undefined at Delta = 0 or Delta = -eta")
-    return -g**2 * eta / (delta_qc * (delta_qc + eta))
+    try:
+        return -g**2 * eta / (delta_qc * (delta_qc + eta))
+    except OverflowError as exc:
+        raise DomainError(f"dispersive shift overflows at g = {g:.4g} rad/s") from exc
 
 
 def bus_coupling(g1: float, g2: float, delta1: float, delta2: float) -> float:

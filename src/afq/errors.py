@@ -17,10 +17,6 @@ class SnapInError(AfqError, ValueError):
     """Static instability: attractive force gradient exceeds the spring."""
 
 
-class BracketError(AfqError, ValueError):
-    """Root finder bracket does not contain a sign change."""
-
-
 class SingularModelError(AfqError, ValueError):
     """A closed-form expression is undefined at the requested point."""
 

@@ -30,10 +30,6 @@ _SWEEP_TABLE = (
     ("flag", "flag"))
 SWEEP_COLUMNS = tuple(header for header, _ in _SWEEP_TABLE)
 
-_REGIMES = {FLAG_CONTACT: "contact", FLAG_SNAP_IN: "snap-in",
-            FLAG_BREAKDOWN: "first-order breakdown"}
-
-
 def _named_columns(arrays, sigma):
     """(CSV header, array) pairs in _SWEEP_TABLE order."""
     return [(header, arrays["gap"] / sigma if name is None else arrays[name])
@@ -105,17 +101,13 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class DesignConstraints:
-    """Feasibility bounds for design filtering."""
+    """Feasibility bound for design filtering: the thermal occupancy."""
 
     max_occupancy: float
-    min_relative_anharmonicity: float = 0.0
-    min_omega_10: float | None = None
 
     def __post_init__(self):
-        bounds = (self.max_occupancy, self.min_relative_anharmonicity,
-                  0.0 if self.min_omega_10 is None else self.min_omega_10)
-        if not all(b >= 0 for b in bounds):
-            raise DomainError("constraint bounds must be >= 0")
+        if not self.max_occupancy >= 0:
+            raise DomainError("max_occupancy must be >= 0")
 
 
 def _figures(length, gap, width, thickness, material, potential, temperature):
@@ -154,26 +146,24 @@ def sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _fits(arrays, constraints: DesignConstraints):
-    """Rows that are FLAG_OK and meet the occupancy and omega_10 bounds."""
-    ok = arrays["flag"] == FLAG_OK
+    """Rows that are FLAG_OK and meet the occupancy bound."""
     with np.errstate(invalid="ignore"):
-        ok &= arrays["n_thermal"] <= constraints.max_occupancy
-        if constraints.min_omega_10 is not None:
-            ok &= arrays["omega_10"] >= constraints.min_omega_10
-    return ok
+        return ((arrays["flag"] == FLAG_OK)
+                & (arrays["n_thermal"] <= constraints.max_occupancy))
 
 
 def feasible_designs(result: SweepResult,
                      constraints: DesignConstraints) -> SweepResult:
-    """Rows satisfying all constraints, sorted by descending eta_r.
+    """Rows satisfying the constraints with eta_r >= 0, by descending eta_r.
 
-    A row qualifies when it fits as in :func:`optimize_length` and reaches
-    the eta_r floor; flagged rows never do. Ties break lexicographically
-    by (L, x). An empty selection is a valid outcome.
+    A row qualifies when it fits as in :func:`optimize_length` and its
+    anharmonicity hardens (eta_r >= 0 drops the softening rows past about
+    1.49 sigma); flagged rows never do. Ties break lexicographically by
+    (L, x). An empty selection is a valid outcome.
     """
     ok = _fits(result.arrays, constraints)
     with np.errstate(invalid="ignore"):
-        ok &= result.eta_r >= constraints.min_relative_anharmonicity
+        ok &= result.eta_r >= 0.0
     idx = np.nonzero(ok)[0]
     order = np.lexsort((result.gap[idx], result.length[idx],
                         -result.eta_r[idx]))
@@ -181,48 +171,42 @@ def feasible_designs(result: SweepResult,
 
 
 def design_point(length, width, thickness, material, potential,
-                 temperature, gap=None):
-    """Figures of merit for a single design; ``gap`` defaults to the bias point.
+                 temperature):
+    """Figures of merit for a single design at the bias gap ``potential.inflection``.
 
     Returns a dict of Python floats keyed by the SWEEP_COLUMNS headers,
-    in that order, without the flag.
+    in that order, without the flag. A design outside the stable regime
+    raises DomainError; V''(x0) is rounding noise of either sign, so only
+    a beam softer than that noise snaps in.
     """
     _check_dimensions(length, width, thickness)
-    if gap is None:
-        gap = potential.inflection
-    arrays = _figures(np.array([float(length)]), np.array([float(gap)]),
+    gap = potential.inflection
+    arrays = _figures(np.array([float(length)]), np.array([gap]),
                       width, thickness, material, potential, temperature)
-    flag = arrays["flag"][0]
-    if flag != FLAG_OK:
+    if arrays["flag"][0] != FLAG_OK:   # x0 > 1.1 sigma and eta > 0 there
         raise DomainError(f"design point (L, x) = ({length:.4e}, {gap:.4e}) m"
-                          f" is in the {_REGIMES[flag]} regime (flag {flag})")
+                          f" is in the snap-in regime (flag {FLAG_SNAP_IN})")
     return _row(arrays, 0, potential.sigma)
 
 
 def optimize_length(width, thickness, material, potential, temperature,
-                    constraints: DesignConstraints, gap=None):
+                    constraints: DesignConstraints):
     """Largest cantilever length satisfying the constraints at the bias gap.
 
-    One vectorized evaluation over the lattice 200-800 nm in 1 nm steps;
-    returns the longest length whose row fits (flag OK, ``max_occupancy``,
-    ``min_omega_10``) and that row, keyed like :func:`design_point`.
-    Raises DomainError when 200 nm does not fit, or when the returned row
-    misses the eta_r floor.
+    One vectorized evaluation at ``potential.inflection`` over the lattice
+    200-800 nm in 1 nm steps; returns the longest length whose row fits
+    (flag OK and ``max_occupancy``) and that row, keyed like
+    :func:`design_point`. Its eta_r is > 0: at the inflection lambda_4
+    and lambda_6 are positive for every Lennard-Jones potential. Raises
+    DomainError when 200 nm does not fit.
     """
     _check_dimensions(width, thickness)
-    if gap is None:
-        gap = potential.inflection
     lengths = np.arange(200, 801) / 1e9   # == n e-9; n * 1e-9 can be 1 ulp off
-    arrays = _figures(lengths, np.full(lengths.shape, float(gap)), width,
-                      thickness, material, potential, temperature)
+    arrays = _figures(lengths, np.full(lengths.shape, potential.inflection),
+                      width, thickness, material, potential, temperature)
     fits = _fits(arrays, constraints)
     if not fits[0]:
         raise DomainError(
-            "occupancy/frequency constraints unsatisfiable at the smallest "
-            "allowed length")
+            "occupancy constraint unsatisfiable at the smallest allowed length")
     i = int(np.nonzero(fits)[0][-1])
-    best = _row(arrays, i, potential.sigma)
-    if best["eta_r"] < constraints.min_relative_anharmonicity:
-        raise DomainError(
-            "anharmonicity floor unreachable under the occupancy bound")
-    return lengths[i].item(), best
+    return lengths[i].item(), _row(arrays, i, potential.sigma)

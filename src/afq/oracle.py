@@ -100,8 +100,13 @@ def _stencil(v_q, m_eff, lo, hi, points):
     of ``points`` evenly spaced grid points (the off-diagonal is -t)."""
     grid = np.linspace(lo, hi, points)
     h = grid[1] - grid[0]
-    t = hbar**2 / (2.0 * m_eff * h**2)
-    return np.asarray(v_q(grid[1:-1]), dtype=float) + 2.0 * t, t
+    with np.errstate(all="ignore"):
+        t = hbar**2 / (2.0 * m_eff * h**2)
+        diag = np.asarray(v_q(grid[1:-1]), dtype=float) + 2.0 * t
+    if not np.isfinite(diag).all():     # an infinite t, or V, on the grid
+        raise DomainError(f"grid stencil on [{lo:.4g}, {hi:.4g}] m is not "
+                          f"finite (hopping t = {t:.4g} J)")
+    return diag, t
 
 
 def _stencil_eigenvalues(v_q, m_eff, lo, hi, points, n_levels):

@@ -19,7 +19,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import BracketError, DomainError
+from .errors import DomainError
 
 
 class SurfacePotential(Protocol):
@@ -143,25 +143,13 @@ def _rightmost_root(f, lo, hi):
             return float(xs[i + np.argmin(np.abs(fs[i:i + 2]))])
 
 
-def find_bias_point(potential: SurfacePotential, bracket) -> float:
-    """Zero of the potential's second derivative in ``bracket``, to the nearest float.
+def find_bias_point(potential: LennardJones) -> float:
+    """Zero of the second derivative in [1.05 sigma, 2 sigma], to the nearest float.
 
-    For the Lennard-Jones model this is the curvature-free bias distance
-    (26/7)^(1/6) sigma where the induced spring constant vanishes.
-
-    Raises
-    ------
-    BracketError
-        for an empty bracket, or when V'' shows no sign change on 4096
-        evenly spaced points of it. For Lennard-Jones, whose V'' has its
-        single zero at 1.2445 sigma, that is the same as the bracket
-        missing that zero.
+    This is the curvature-free bias distance (26/7)^(1/6) sigma = 1.2445
+    sigma where the induced spring constant vanishes: the single zero of
+    the Lennard-Jones V'', always inside that bracket.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise BracketError(f"empty bracket [{lo}, {hi}]")
-    x = _rightmost_root(lambda x: potential.derivative(x, 2), lo, hi)
-    if x is None:
-        raise BracketError(
-            f"second derivative does not change sign over [{lo}, {hi}]")
-    return x
+    sigma = potential.sigma
+    return _rightmost_root(lambda x: potential.derivative(x, 2),
+                           1.05 * sigma, 2.0 * sigma)

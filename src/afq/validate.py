@@ -54,7 +54,7 @@ class Check:
 
 def check_bias_point() -> Check:
     pot = default_config().potential()
-    found = find_bias_point(pot, (1.05 * pot.sigma, 2.0 * pot.sigma))
+    found = find_bias_point(pot)
     closed = pot.inflection
     rel = abs(found / closed - 1.0)
     return Check("bias_point_closed_form", rel <= 1e-9,

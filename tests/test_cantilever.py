@@ -7,7 +7,7 @@ import pytest
 
 from afq import (CantileverGeometry, CqadConfig, DesignConstraints, GridSpec,
                  LennardJones, MaterialParams, SweepSpec, bias_state,
-                 modal_params, snap_in_threshold)
+                 modal_params, snap_in_threshold, sweep)
 from afq.errors import ContactRegimeError, DomainError, SnapInError
 from afq.units import MEV, ANGSTROM, NM, PM, cycles
 
@@ -50,6 +50,20 @@ def test_omega_scales_as_inverse_length_squared():
     doubled = modal_params(CantileverGeometry(2 * 495e-9, 10e-9, 12e-9),
                            SILICON)
     assert doubled.omega_c == pytest.approx(base.omega_c / 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("length, width, message", [
+    (1e291, 10e-9, "modal k = 0,"), (495e-9, 1e-309, "modal k = 0,"),
+    (495e-9, 1e291, "modal k = inf,"), (1e-309, 10e-9, "modal k = inf,")])
+def test_modal_constants_out_of_range(length, width, message):
+    # the scalar chain and the sweep refuse the same beams
+    with pytest.raises(DomainError, match=message):
+        modal_params(CantileverGeometry(length, width, 12e-9), SILICON)
+    spec = SweepSpec(lengths=tuple(sorted((200e-9, length))),
+                     gaps_over_sigma=(1.2,), width=width, thickness=12e-9,
+                     material=SILICON, potential=LJ, temperature=8e-3)
+    with pytest.raises(DomainError, match=message):
+        sweep(spec)
 
 
 def test_bias_state_at_paper_design():
@@ -149,12 +163,7 @@ NAN_GUARDS = [
     (_CQAD, "n_d", "drive photon number must be >= 0"),
     (_CQAD, "gap", "capacitor gap must be > 0"),
     (_SWEEP, "temperature", "temperature must be >= 0"),
-    (DesignConstraints(1.0, 0.0, 0.0), "max_occupancy",
-     "constraint bounds must be >= 0"),
-    (DesignConstraints(1.0, 0.0, 0.0), "min_relative_anharmonicity",
-     "constraint bounds must be >= 0"),
-    (DesignConstraints(1.0, 0.0, 0.0), "min_omega_10",
-     "constraint bounds must be >= 0"),
+    (DesignConstraints(1.0), "max_occupancy", "max_occupancy must be >= 0"),
     (GridSpec(), "half_width", "invalid grid extents")]
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
+    # the child imports afq from this checkout, installed or not
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "afq.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_no_arguments_usage_error():
@@ -172,6 +177,36 @@ def test_config_value_error_exit_code(tmp_path, capsys, line, message):
                            if not row.startswith(key)) + line + "\n")
     assert main(["spectrum", "--config", str(bad), "--quiet"]) == 2
     assert message in capsys.readouterr().err
+
+
+# parseable values whose arithmetic overflows or underflows: k = 0 for a
+# 1e300 nm beam or a 1e-300 nm width, inf for a 1e300 nm width (a
+# Python-float width**3) or a 1e-300 nm length; a 1e-300 zero-point grid
+# has an infinite hopping t; g^2 and kappa^2 overflow in the readout chain
+@pytest.mark.parametrize("line, commands, message", [
+    ("cantilever.length_nm = 1e300", ("bias", "spectrum", "cqad", "oracle"),
+     "modal k = 0,"),
+    ("cantilever.width_nm = 1e-300",
+     ("bias", "spectrum", "sweep", "cqad", "oracle"),
+     "modal k = 0,"),
+    ("cantilever.width_nm = 1e300",
+     ("bias", "spectrum", "sweep", "cqad", "oracle"),
+     "modal k = inf,"),
+    ("cantilever.length_nm = 1e-300", ("bias", "spectrum", "cqad", "oracle"),
+     "modal k = inf,"),
+    ("oracle.grid_half_width_zpf = 1e-300", ("oracle",), "hopping t = inf J"),
+    ("cqad.g_mhz = 1e300", ("cqad",), "dispersive shift overflows at g ="),
+    ("cqad.kappa_e_mhz = 1e300", ("cqad",), "kappa = 6.283e+306 rad/s")])
+def test_out_of_range_value_exit_code(tmp_path, capsys, line, commands,
+                                      message):
+    key = line.split(" = ")[0]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("".join(f"{row}\n" for row in PAPER_CONFIG.splitlines()
+                           if not row.startswith(key)) + line + "\n")
+    for command in commands:
+        assert main([command, "--config", str(bad), "--quiet"]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("afq: ") and message in err, (command, err)
 
 
 def test_validate_ignores_config(tmp_path):

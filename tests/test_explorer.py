@@ -12,7 +12,7 @@ from afq import (CantileverGeometry, DesignConstraints, LennardJones,
 from afq.errors import ContactRegimeError, DomainError, SnapInError
 from afq.explorer import (CONTACT_GUARD, FLAG_BREAKDOWN, FLAG_CONTACT, FLAG_OK,
                           FLAG_SNAP_IN, SWEEP_COLUMNS, _figures)
-from afq.units import MEV, ANGSTROM, MHZ, cycles
+from afq.units import MEV, ANGSTROM, cycles
 
 SILICON = MaterialParams(young_modulus=160e9, density=2329.0)
 LJ = LennardJones(epsilon=17.4 * MEV, sigma=3.826 * ANGSTROM)
@@ -83,14 +83,19 @@ def test_sweep_never_raises_and_ok_rows_are_finite(l_min, l_span, n_l, x_min,
 
 
 def test_sweep_matches_design_point():
-    spec = make_spec(5, 5)
+    # the middle gap column is x0 / sigma, so its sigma multiple is the
+    # bias gap design_point evaluates, to the bit
+    spec = SweepSpec(lengths=tuple(np.linspace(200e-9, 800e-9, 5)),
+                     gaps_over_sigma=(1.2, (26 / 7) ** (1 / 6), 1.5),
+                     width=10e-9, thickness=12e-9, material=SILICON,
+                     potential=LJ, temperature=8e-3)
     result = sweep(spec)
-    i = 10  # L index 2, x index 0 (stable for every length)
+    i = 7  # L index 2, x index 1
     L = spec.lengths[2]
-    x = spec.gaps_over_sigma[0] * LJ.sigma
     row = design_point(L, spec.width, spec.thickness, SILICON, LJ,
-                       spec.temperature, gap=x)
-    assert result.length[i] == L and result.gap[i] == x
+                       spec.temperature)
+    assert result.length[i] == L and result.gap[i] == LJ.inflection
+    assert row["gap_m"] == LJ.inflection
     assert row["eta_r"] == pytest.approx(result.eta_r[i], rel=1e-14)
     assert row["n_thermal"] == pytest.approx(result.n_thermal[i], rel=1e-14)
 
@@ -148,9 +153,9 @@ def test_feasible_designs_sorted_and_commutes():
     feas = feasible_designs(result, constraints)
     assert len(feas) > 0
     assert np.all(np.diff(feas.eta_r) <= 0)  # descending
-    # filtering commutes with pointwise evaluation (note the default
-    # anharmonicity floor of 0 drops softening rows past ~1.49 sigma
-    # where the quartic potential derivative turns negative)
+    # filtering commutes with pointwise evaluation (the fixed eta_r >= 0
+    # rule drops softening rows past ~1.49 sigma, where the quartic
+    # potential derivative turns negative)
     with np.errstate(invalid="ignore"):
         mask = ((result.flag == FLAG_OK)
                 & (result.n_thermal <= constraints.max_occupancy)
@@ -177,10 +182,8 @@ def test_feasible_designs_carries_every_column():
 
 def test_feasible_designs_empty_on_impossible_bound():
     result = sweep(make_spec(20, 20))
-    feas = feasible_designs(result,
-                            DesignConstraints(max_occupancy=10.0,
-                                              min_relative_anharmonicity=0.5))
-    assert len(feas) == 0  # max eta_r over the physical range is far below 0.5
+    feas = feasible_designs(result, DesignConstraints(max_occupancy=0.0))
+    assert len(feas) == 0  # no row is in its ground state at 8 mK
 
 
 def test_feasibility_boundary_small_design_family():
@@ -216,44 +219,30 @@ def test_optimize_length_reaches_upper_bound():
     assert row["n_thermal"] == pytest.approx(4.290, abs=1e-3)
 
 
-def test_optimize_length_stops_below_snap_in():
-    # past the inflection long beams snap in: at 1.26 sigma every L from
-    # 237 nm up is flagged, and the longest fitting length is 236 nm
-    gap = 1.26 * LJ.sigma
-    bound = DesignConstraints(max_occupancy=2.0)
-    L, row = optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3, bound, gap=gap)
-    assert L == pytest.approx(236e-9, abs=1e-15)
-    assert row == design_point(L, 10e-9, 12e-9, SILICON, LJ, 8e-3, gap=gap)
-    assert row["n_thermal"] <= 2.0
+def test_design_point_names_snap_in():
+    # V''(x0) is rounding noise; this seeded potential's is negative, and a
+    # 1 mm x 1 nm x 1 nm beam (k = 4e-17 N/m) is softer than its magnitude
+    rng = np.random.default_rng(18)
+    lj = LennardJones(rng.uniform(1, 100) * MEV, rng.uniform(2, 6) * ANGSTROM)
+    assert -lj.derivative(lj.inflection, 2) > 4e-17
     with pytest.raises(DomainError, match="snap-in regime \\(flag 2\\)"):
-        design_point(L + 1e-9, 10e-9, 12e-9, SILICON, LJ, 8e-3, gap=gap)
-    # at 1.8 sigma (flagged from 265 nm up) the anharmonicity is negative,
-    # so the default eta_r floor of 0 is what rejects the fitting lengths
-    with pytest.raises(DomainError, match="anharmonicity floor"):
-        optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3, bound,
-                        gap=1.8 * LJ.sigma)
+        design_point(1e-3, 1e-9, 1e-9, SILICON, lj, 8e-3)
 
 
-def test_min_omega_10_bound():
-    # with the occupancy bound loose, the frequency floor picks the paper's
-    # sub-unity family: 345 nm at 115.09 MHz
-    bound = DesignConstraints(max_occupancy=10.0, min_omega_10=115.0 * MHZ)
-    L, row = optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3, bound)
-    assert L == pytest.approx(345e-9, abs=1e-15)
-    assert cycles(row["omega_10_rad_s"]) / 1e6 == pytest.approx(115.09,
-                                                                abs=0.01)
-    result = sweep(make_spec(100, 100))
-    loose = feasible_designs(result, DesignConstraints(max_occupancy=10.0))
-    feas = feasible_designs(result, bound)
-    assert (len(loose), len(feas)) == (1221, 1128)
-    assert np.all(feas.omega_10 >= 115.0 * MHZ)
-
-
-def test_design_point_names_breakdown():
-    with pytest.raises(DomainError,
-                       match="first-order breakdown regime \\(flag 3\\)"):
-        design_point(221.1055276382e-9, 10e-9, 12e-9, SILICON, LJ, 8e-3,
-                     gap=1.666834170854 * LJ.sigma)
+def test_hardening_at_every_bias_gap():
+    # lambda_4 and lambda_6 at (26/7)^(1/6) sigma do not depend on epsilon
+    # or sigma in sign, so every stable design there has eta_r > 0
+    rng = np.random.default_rng(2000)
+    for _ in range(200):
+        lj = LennardJones(rng.uniform(1, 100) * MEV,
+                          rng.uniform(2, 6) * ANGSTROM)
+        assert lj.derivative(lj.inflection, 4) > 0
+        assert lj.derivative(lj.inflection, 6) > 0
+        length, width, thickness = (rng.uniform(50, 5000) * 1e-9,
+                                    *rng.uniform(3, 100, 2) * 1e-9)
+        row = design_point(length, width, thickness, SILICON, lj, 8e-3)
+        assert row["eta_r"] > 0
+        assert row["omega_10_rad_s"] > 0
 
 
 BAD_DIMENSIONS = [(0.0, 10e-9, 12e-9), (495e-9, 0.0, 12e-9),
@@ -274,14 +263,9 @@ def test_optimize_length_rejects_bad_dimensions(length, width, thickness):
 
 
 def test_optimize_length_unsatisfiable():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unsatisfiable"):
         optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3,
                         DesignConstraints(max_occupancy=0.0))
-    with pytest.raises(DomainError):
-        # anharmonicity floor collides with the occupancy cap
-        optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3,
-                        DesignConstraints(max_occupancy=1.0,
-                                          min_relative_anharmonicity=0.05))
 
 
 def test_spec_validation():

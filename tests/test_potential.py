@@ -7,7 +7,7 @@ import pytest
 
 from afq import LennardJones, find_bias_point, taylor_coefficients
 from afq.config import default_config
-from afq.errors import BracketError, DomainError
+from afq.errors import DomainError
 from afq.potential import _rightmost_root
 from afq.units import MEV, ANGSTROM
 
@@ -132,7 +132,7 @@ def test_taylor_order_validation(lj):
 
 
 def test_find_bias_point_matches_closed_form(lj):
-    x0 = find_bias_point(lj, (1.05 * SIGMA_SI, 2.0 * SIGMA_SI))
+    x0 = find_bias_point(lj)
     assert x0 == pytest.approx(lj.inflection, rel=1e-12)
     assert x0 / ANGSTROM == pytest.approx(4.7613, abs=1e-3)
     assert x0 / SIGMA_SI == pytest.approx(1.24446, abs=1e-5)
@@ -142,23 +142,12 @@ def test_find_bias_point_epsilon_independent_sigma_scaling():
     # eps rescales V'' uniformly; the root scales linearly with sigma
     for eps in (1e-22, 3.7e-21, 2.5e-19):
         lj = LennardJones(epsilon=eps, sigma=1.0)
-        assert find_bias_point(lj, (1.05, 2.0)) == pytest.approx(
+        assert find_bias_point(lj) == pytest.approx(
             (26 / 7) ** (1 / 6), rel=1e-12)
     for sigma in (0.5e-10, 1.0, 42.0):
         lj = LennardJones(epsilon=1e-21, sigma=sigma)
-        assert find_bias_point(lj, (1.05 * sigma, 2 * sigma)) == pytest.approx(
+        assert find_bias_point(lj) == pytest.approx(
             (26 / 7) ** (1 / 6) * sigma, rel=1e-12)
-
-
-def test_find_bias_point_requires_sign_change(lj):
-    with pytest.raises(BracketError):
-        find_bias_point(lj, (1.5 * SIGMA_SI, 2.0 * SIGMA_SI))
-
-
-def test_find_bias_point_rejects_empty_bracket(lj):
-    for bracket in ((2.0 * SIGMA_SI, 1.05 * SIGMA_SI), (SIGMA_SI, SIGMA_SI)):
-        with pytest.raises(BracketError, match="empty bracket"):
-            find_bias_point(lj, bracket)
 
 
 def assert_nearest_float_root(f, x):
@@ -172,8 +161,7 @@ def assert_nearest_float_root(f, x):
 
 def test_bundled_bias_point_is_the_closed_form():
     pot = default_config().potential()
-    assert find_bias_point(pot, (1.05 * pot.sigma, 2.0 * pot.sigma)) \
-        == pot.inflection
+    assert find_bias_point(pot) == pot.inflection
 
 
 def test_bias_point_is_nearest_float_root():
@@ -181,7 +169,7 @@ def test_bias_point_is_nearest_float_root():
     for eps, sigma in zip(rng.uniform(1, 100, 40) * MEV,
                           rng.uniform(2, 6, 40) * ANGSTROM):
         lj = LennardJones(epsilon=eps, sigma=sigma)
-        x = find_bias_point(lj, (1.05 * sigma, 2.0 * sigma))
+        x = find_bias_point(lj)
         assert_nearest_float_root(lambda y: lj.derivative(y, 2), x)
 
 

@@ -1,8 +1,8 @@
 """Source hygiene: every parameter of every afq function is read in its body,
-every private module-level name and every config key is read somewhere,
-every error class is raised somewhere, ``afq.__all__`` matches what the
-package imports, and the brute-force oracle shares no code with what it
-checks."""
+every default some caller overrides, every private module-level name and
+every config key is read somewhere, every error class is raised somewhere,
+``afq.__all__`` matches what the package imports, and the brute-force
+oracle shares no code with what it checks."""
 
 import ast
 from pathlib import Path
@@ -12,8 +12,11 @@ import pytest
 import afq
 from afq.config import SCHEMA
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent
-                  / "src" / "afq").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "afq").glob("*.py"))
+# the code that may set a default: the package, its demos and its benchmark
+CALLERS = SOURCES + sorted((ROOT / "demos").glob("*.py")) + sorted(
+    (ROOT / "bench").glob("*.py"))
 
 
 def _is_stub(fn):
@@ -52,6 +55,86 @@ def test_unread_parameter_is_found():
     tree = ast.parse("def f(a, b):\n    return a\n"
                      "class P:\n    def g(self, x):\n        ...\n")
     assert unread_parameters(tree) == [(1, "f", "b")]
+
+
+def _name(node):
+    """The name a callee or decorator ends in: ``f``, ``m.f`` or ``f(...)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def defaulted_parameters(tree):
+    """(callee, parameter, position) of each defaulted parameter of a
+    function or method and each defaulted ``@dataclass`` field, matched by
+    its class's name. ``position`` is the positional slot a call fills,
+    counted after ``self`` or ``cls`` for a method and in field order for
+    a dataclass; it is None for a keyword-only parameter."""
+    methods = {id(stmt) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for stmt in cls.body
+               if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and "staticmethod" not in map(_name, stmt.decorator_list)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            slots = [*a.posonlyargs, *a.args][(id(node) in methods):]
+            found += [(node.name, p.arg, slots.index(p))
+                      for p in slots[len(slots) - len(a.defaults):]]
+            found += [(node.name, p.arg, None)
+                      for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+        elif isinstance(node, ast.ClassDef) and "dataclass" in map(
+                _name, node.decorator_list):
+            fields = [stmt for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)]
+            found += [(node.name, f.target.id, i)
+                      for i, f in enumerate(fields) if f.value is not None]
+    return found
+
+
+def unset_defaults(definitions, callers):
+    """(module, callee, parameter) of each default of ``definitions`` (module
+    name -> AST) that no call in ``callers`` sets, by keyword or by
+    position; a call with ``*args`` or ``**kwargs`` sets every one."""
+    calls = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                star = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+                calls.setdefault(_name(node), []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, star))
+    return sorted(
+        (module, callee, param)
+        for module, tree in definitions.items()
+        for callee, param, position in defaulted_parameters(tree)
+        if not any(star or param in keywords
+                   or (position is not None and count > position)
+                   for count, keywords, star in calls.get(callee, ())))
+
+
+def test_every_default_is_set_by_a_caller():
+    definitions = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    callers = [ast.parse(p.read_text(), str(p)) for p in CALLERS]
+    assert unset_defaults(definitions, callers) == []
+
+
+def test_unset_default_is_found():
+    definitions = {"m.py": ast.parse(
+        "def f(a, b=1, /, c=2, *, d=3, e=4):\n    pass\n"
+        "class K:\n"
+        "    def m(self, x, y=0, z=0):\n        pass\n"
+        "    @staticmethod\n    def s(x=0):\n        pass\n"
+        "@dataclass(frozen=True)\nclass D:\n"
+        "    p: int\n    q: int = 0\n    r: int = 1\n"
+        "class N:\n    q: int = 0\n"
+        "def g(a=1):\n    pass\n")}
+    callers = [ast.parse("f(1, 2, e=3)\nobj.m(1, 2)\nK.s(x=1)\nD(1, r=2)\n"
+                         "g(*args)\nN()\n")]
+    assert unset_defaults(definitions, callers) == [
+        ("m.py", "D", "q"), ("m.py", "f", "c"), ("m.py", "f", "d"),
+        ("m.py", "m", "z")]
 
 
 def unreferenced_private_names(trees):
