@@ -31,8 +31,7 @@ CONTACT_GUARD = 1.1
 
 # per-element regime of the operating state
 FLAG_OK = 0
-FLAG_CONTACT = 1
-FLAG_SNAP_IN = 2
+FLAG_SNAP_IN = 2       # 1 (contact) is refused before evaluation
 FLAG_BREAKDOWN = 3     # stable, but the first-order ladder gives omega_10 <= 0
 
 
@@ -114,21 +113,12 @@ def _modal_constants(length, width, thickness, material):
 
 
 def _operating_state(k, m_eff, potential, gap):
-    """V''(x), k_eff, omega_eff, x_zpf and a flag per element of ``gap``.
-
-    Flagged elements carry NaN omega_eff and x_zpf. Contact is decided
-    first, so an all-contact input (x <= 0 is singular) evaluates no V''.
-    """
-    contact = np.zeros(np.shape(gap), dtype=bool)
-    if isinstance(potential, LennardJones):
-        contact = gap <= CONTACT_GUARD * potential.sigma
-    if contact.all():
-        nan = np.full(contact.shape, np.nan)
-        return nan, nan, nan, nan, np.full(contact.shape, FLAG_CONTACT)
+    """V''(x), k_eff, omega_eff, x_zpf and a flag per element of k + V''(x);
+    snap-in elements (k_eff <= 0) carry NaN omega_eff and x_zpf. Callers
+    refuse contact gaps first."""
     v2 = potential.derivative(gap, 2)
     k_eff = k + v2
-    snap = (k_eff <= 0) & ~contact
-    flag = np.where(contact, FLAG_CONTACT, np.where(snap, FLAG_SNAP_IN, FLAG_OK))
+    flag = np.where(k_eff <= 0, FLAG_SNAP_IN, FLAG_OK)
     omega_eff = np.sqrt(np.where(flag == FLAG_OK, k_eff, np.nan) / m_eff)
     x_zpf = np.sqrt(hbar / (2.0 * m_eff * omega_eff))
     return v2, k_eff, omega_eff, x_zpf, flag
@@ -157,14 +147,14 @@ def bias_state(modal: CantileverModal, potential: SurfacePotential,
         if the attractive force gradient exceeds the spring constant
         (k_eff <= 0), i.e. past the static pull-in instability.
     """
+    if isinstance(potential, LennardJones) and x <= CONTACT_GUARD * potential.sigma:
+        raise ContactRegimeError(
+            f"gap {x:.4e} m inside contact region (<= 1.1 sigma "
+            f"= {CONTACT_GUARD * potential.sigma:.4e} m)")
     k = modal.spring_constant
     v2, k_eff, omega_eff, x_zpf, flag = (
         np.asarray(a).item() for a in _operating_state(
             k, modal.effective_mass, potential, np.array([x], dtype=float)))
-    if flag == FLAG_CONTACT:
-        raise ContactRegimeError(
-            f"gap {x:.4e} m inside contact region (<= 1.1 sigma "
-            f"= {CONTACT_GUARD * potential.sigma:.4e} m)")
     if flag == FLAG_SNAP_IN:
         raise SnapInError(
             f"k_eff = {k_eff:.4e} N/m <= 0 at gap {x:.4e} m (snap-in: "

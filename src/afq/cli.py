@@ -31,7 +31,7 @@ from .config import (PAPER_CONFIG, RunConfig, default_config,  # noqa: F401
 from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    dispersive_shift, frequency_response,
                    quality_factor_damping)
-from .errors import AfqError, ConfigError
+from .errors import AfqError, ConfigError, DomainError
 from .explorer import SWEEP_COLUMNS, sweep
 from .oracle import (GRID_CONVERGENCE_TOL, GridSpec, grid_eigensolve,
                      jc_dispersive_oracle, total_potential,
@@ -392,6 +392,11 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             outputs, csv_payload = COMMANDS[args.command](cfg)
+        non_finite = [k for k, v in outputs.items() if any(
+            isinstance(x, float) and not np.isfinite(x)
+            for x in (v if isinstance(v, list) else [v]))]
+        if non_finite:      # NaN/Infinity is no JSON, nor a design figure
+            raise DomainError(f"non-finite result: {', '.join(non_finite)}")
     except ConfigError as exc:
         print(f"afq: config error: {exc}", file=sys.stderr)
         return 2

@@ -153,6 +153,8 @@ def _parse_value(key: str, field: _Field, text: str, where: str):
         raise ConfigError(f"{where}: {key}: not a number: {text!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"{where}: {key}: not a finite number: {text!r}")
+    if field.kind == "float" and not math.isfinite(value * field.unit):
+        raise ConfigError(f"{where}: {key}: {text} is not finite in SI units")
     if field.kind == "int" and value < 0:   # every int key is a count
         raise ConfigError(f"{where}: {key}: count must be >= 0: {text}")
     return value

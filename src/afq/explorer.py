@@ -2,8 +2,8 @@
 
 A sweep evaluates the full modal -> bias -> anharmonicity -> occupancy
 chain on a (length, gap) grid in one vectorized pass. Grid points that
-violate physics (contact region, snap-in, first-order breakdown) are
-flagged and kept: the feasibility boundary is itself a result.
+violate physics (snap-in, first-order breakdown) are flagged and kept:
+the feasibility boundary is itself a result. Contact gaps are refused.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantilever import (CONTACT_GUARD, FLAG_BREAKDOWN,  # noqa: F401
-                         FLAG_CONTACT, FLAG_OK, FLAG_SNAP_IN, MaterialParams,
-                         _check_dimensions, _modal_constants,
-                         _operating_state)
+                         FLAG_OK, FLAG_SNAP_IN, MaterialParams,
+                         _check_dimensions, _modal_constants, _operating_state)
 from .errors import DomainError
 from .potential import LennardJones, _taylor_term
 from .spectrum import _first_order_ladder, thermal_occupancy
@@ -110,12 +109,14 @@ class DesignConstraints:
             raise DomainError("max_occupancy must be >= 0")
 
 
-def _figures(length, gap, width, thickness, material, potential, temperature):
-    """Vectorized figure-of-merit chain; NaN rows where physics fails.
+def _figures(lengths, gaps, width, thickness, material, potential, temperature):
+    """Vectorized figure-of-merit chain on the 1-D axes ``lengths`` x ``gaps``.
 
-    Returns every stored SweepResult column, by name. A stable row with a
+    Returns every stored SweepResult column by name, raveled in C order:
+    row i is (lengths[i // n_x], gaps[i % n_x]). A stable row with a
     first-order omega_10 <= 0 is FLAG_BREAKDOWN, with NaN ladder figures.
     """
+    length, gap = lengths[:, None], gaps[None, :]
     k, omega_c, m_eff = _modal_constants(length, width, thickness, material)
     _, k_eff, omega_eff, x_zpf, flag = _operating_state(k, m_eff, potential,
                                                         gap)
@@ -128,21 +129,21 @@ def _figures(length, gap, width, thickness, material, potential, temperature):
     eta_r = eta / omega_10
     delta_omega = np.abs(1.0 - omega_10 / omega_c)
     n_th = np.where(valid, thermal_occupancy(omega_10, temperature), np.nan)
-    return {"length": length, "gap": gap, "omega_c": omega_c,
-            "omega_10": omega_10, "eta_r": eta_r, "eta": eta,
-            "delta_omega": delta_omega, "n_thermal": n_th, "x_zpf": x_zpf,
-            "k_eff": k_eff, "flag": flag}
+    length, gap, omega_c, _ = np.broadcast_arrays(length, gap, omega_c, flag)
+    return {name: a.ravel() for name, a in {
+        "length": length, "gap": gap, "omega_c": omega_c,
+        "omega_10": omega_10, "eta_r": eta_r, "eta": eta,
+        "delta_omega": delta_omega, "n_thermal": n_th, "x_zpf": x_zpf,
+        "k_eff": k_eff, "flag": flag}.items()}
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the design grid; rows ordered lexicographically by (L, x)."""
-    ls = np.asarray(spec.lengths, dtype=float)
-    gs = np.asarray(spec.gaps_over_sigma, dtype=float) * spec.potential.sigma
-    length, gap = np.meshgrid(ls, gs, indexing="ij")
-    length, gap = length.ravel(), gap.ravel()
-    return SweepResult(spec, _figures(length, gap, spec.width, spec.thickness,
-                                      spec.material, spec.potential,
-                                      spec.temperature))
+    return SweepResult(spec, _figures(
+        np.asarray(spec.lengths, dtype=float),
+        np.asarray(spec.gaps_over_sigma, dtype=float) * spec.potential.sigma,
+        spec.width, spec.thickness, spec.material, spec.potential,
+        spec.temperature))
 
 
 def _fits(arrays, constraints: DesignConstraints):
@@ -202,8 +203,8 @@ def optimize_length(width, thickness, material, potential, temperature,
     """
     _check_dimensions(width, thickness)
     lengths = np.arange(200, 801) / 1e9   # == n e-9; n * 1e-9 can be 1 ulp off
-    arrays = _figures(lengths, np.full(lengths.shape, potential.inflection),
-                      width, thickness, material, potential, temperature)
+    arrays = _figures(lengths, np.array([potential.inflection]), width,
+                      thickness, material, potential, temperature)
     fits = _fits(arrays, constraints)
     if not fits[0]:
         raise DomainError(

@@ -10,7 +10,7 @@ import pytest
 
 from afq import jc_dispersive_oracle
 from afq.cli import JOINT_SHIFT_MHZ, PAPER_CONFIG, main
-from afq.config import default_config
+from afq.config import SCHEMA, default_config
 from afq.units import MHZ, cycles, hbar
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -165,16 +165,22 @@ def test_negative_count_exit_code(tmp_path, capsys):
     assert "sweep.x_points" in capsys.readouterr().err
 
 
+def _config_with(tmp_path, line):
+    """The bundled config with ``line`` in place of its key's line."""
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("".join(f"{row}\n" for row in PAPER_CONFIG.splitlines()
+                           if not row.startswith(key)) + line + "\n")
+    return cfg
+
+
 @pytest.mark.parametrize("line, message", [
     ("cantilever.length_nm = nan", "cantilever.length_nm: not a finite number"),
     ("cantilever.width_nm = inf", "cantilever.width_nm: not a finite number"),
     ("potential.kind = lennard-jones", "unknown key 'potential.kind'"),
     ("bias.auto = true", "unknown key 'bias.auto'")])
 def test_config_value_error_exit_code(tmp_path, capsys, line, message):
-    key = line.split(" = ")[0]
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("".join(f"{row}\n" for row in PAPER_CONFIG.splitlines()
-                           if not row.startswith(key)) + line + "\n")
+    bad = _config_with(tmp_path, line)
     assert main(["spectrum", "--config", str(bad), "--quiet"]) == 2
     assert message in capsys.readouterr().err
 
@@ -199,14 +205,55 @@ def test_config_value_error_exit_code(tmp_path, capsys, line, message):
     ("cqad.kappa_e_mhz = 1e300", ("cqad",), "kappa = 6.283e+306 rad/s")])
 def test_out_of_range_value_exit_code(tmp_path, capsys, line, commands,
                                       message):
-    key = line.split(" = ")[0]
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("".join(f"{row}\n" for row in PAPER_CONFIG.splitlines()
-                           if not row.startswith(key)) + line + "\n")
+    bad = _config_with(tmp_path, line)
     for command in commands:
         assert main([command, "--config", str(bad), "--quiet"]) == 1, command
         err = capsys.readouterr().err
         assert err.startswith("afq: ") and message in err, (command, err)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+# every float key at each extreme value through every command that reads
+# the config: a refusal (exit 1 or 2) is an answer, a traceback or a
+# NaN/Infinity behind exit 0 is not
+@pytest.mark.parametrize(
+    "key", [k for k, field in SCHEMA.items() if field.kind == "float"])
+def test_extreme_float_values_never_escape(tmp_path, capsys, key):
+    out = tmp_path / "out.json"
+    for value in ("0", "-1", "1e300", "-1e300", "1e-300"):
+        cfg = _config_with(tmp_path, f"{key} = {value}")
+        for command in ("bias", "spectrum", "cqad", "oracle", "sweep"):
+            out.unlink(missing_ok=True)
+            code = main([command, "--config", str(cfg), "--format", "json",
+                         "--out", str(out), "--quiet"])
+            assert code in (0, 1, 2), (value, command, code)
+            if code == 0:
+                json.loads(out.read_text(), parse_constant=_refuse_constant)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_result_refused(tmp_path, capsys, fmt):
+    cfg = _config_with(tmp_path, "potential.epsilon_mev = 1e300")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--format", fmt,
+                 "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("afq: non-finite result: ") and "eta_r" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["cqad.omega_r_ghz", "cqad.omega_d_ghz"])
+@pytest.mark.parametrize("value", ["1e300", "-1e300"])
+def test_si_overflow_is_config_error(tmp_path, capsys, key, value):
+    cfg = _config_with(tmp_path, f"{key} = {value}")
+    assert main(["cqad", "--config", str(cfg), "--quiet"]) == 2
+    line_no = len(cfg.read_text().splitlines())     # the key's line is last
+    assert (f"probe.cfg: line {line_no}: {key}: {value} is not finite in SI "
+            "units") in capsys.readouterr().err
 
 
 def test_validate_ignores_config(tmp_path):

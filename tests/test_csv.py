@@ -126,15 +126,17 @@ def test_default_sweep_csv_matches_reference():
         "546b6239fb4910cabdc1de5c7ada38ae9fa36db4a2f7c804ac23c349b8294b94")
 
 
-def test_contact_snap_in_and_ok_rows_match_reference():
-    lengths, gaps = (a.ravel() for a in np.meshgrid(
-        np.linspace(200e-9, 800e-9, 7),
-        np.linspace(1.05, 2.0, 20) * LJ.sigma, indexing="ij"))
-    figures = _figures(lengths, gaps, 10e-9, 12e-9, SILICON, LJ, 8e-3)
-    assert set(figures["flag"]) == {0, 1, 2}     # OK, contact, snap-in
-    columns = (lengths, gaps, gaps / LJ.sigma, figures["omega_c"],
-               figures["omega_10"], figures["eta_r"], figures["eta"],
-               figures["delta_omega"], figures["n_thermal"],
+def test_snap_in_and_ok_rows_match_reference():
+    ls = np.linspace(200e-9, 800e-9, 7)
+    xs = np.linspace(1.15, 2.0, 20) * LJ.sigma
+    figures = _figures(ls, xs, 10e-9, 12e-9, SILICON, LJ, 8e-3)
+    assert set(figures["flag"]) == {0, 2}     # OK, snap-in
+    i = np.arange(ls.size * xs.size)           # rows lexicographic in (L, x)
+    np.testing.assert_array_equal(figures["length"], ls[i // xs.size])
+    np.testing.assert_array_equal(figures["gap"], xs[i % xs.size])
+    columns = (figures["length"], figures["gap"], figures["gap"] / LJ.sigma,
+               figures["omega_c"], figures["omega_10"], figures["eta_r"],
+               figures["eta"], figures["delta_omega"], figures["n_thermal"],
                figures["x_zpf"], figures["k_eff"], figures["flag"])
     assert emitted(list(SWEEP_COLUMNS), columns) == reference_csv(
         SWEEP_COLUMNS, zip(*columns))

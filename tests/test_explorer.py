@@ -1,5 +1,7 @@
 """Design-space sweep, feasibility filtering, length optimization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +11,10 @@ from afq import (CantileverGeometry, DesignConstraints, LennardJones,
                  MaterialParams, SweepSpec, bias_state, design_point,
                  feasible_designs, modal_params, optimize_length,
                  perturbative_energies, sweep, taylor_coefficients)
-from afq.errors import ContactRegimeError, DomainError, SnapInError
-from afq.explorer import (CONTACT_GUARD, FLAG_BREAKDOWN, FLAG_CONTACT, FLAG_OK,
-                          FLAG_SNAP_IN, SWEEP_COLUMNS, _figures)
+from afq.errors import DomainError, SnapInError
+from afq import explorer
+from afq.explorer import (CONTACT_GUARD, FLAG_BREAKDOWN, FLAG_OK, FLAG_SNAP_IN,
+                          SWEEP_COLUMNS, _figures)
 from afq.units import MEV, ANGSTROM, cycles
 
 SILICON = MaterialParams(young_modulus=160e9, density=2329.0)
@@ -76,8 +79,8 @@ def test_sweep_never_raises_and_ok_rows_are_finite(l_min, l_span, n_l, x_min,
     result = sweep(spec)
     assert len(result) == n_l * n_x
     ok = result.flag == FLAG_OK
-    assert set(np.unique(result.flag)) <= {
-        FLAG_OK, FLAG_CONTACT, FLAG_SNAP_IN, FLAG_BREAKDOWN}
+    assert set(np.unique(result.flag)) <= {FLAG_OK, FLAG_SNAP_IN,
+                                           FLAG_BREAKDOWN}
     assert np.all(np.isfinite(result.omega_10[ok]) & (result.omega_10[ok] > 0))
     assert np.all(np.isfinite(result.n_thermal[ok]))
 
@@ -100,20 +103,21 @@ def test_sweep_matches_design_point():
     assert row["n_thermal"] == pytest.approx(result.n_thermal[i], rel=1e-14)
 
     # the sweep kernel and the scalar chain share their arithmetic: every
-    # stable row agrees to the bit, every flagged row raises its error
-    lengths, gaps = (a.ravel() for a in np.meshgrid(
-        np.linspace(200e-9, 800e-9, 7),
-        np.linspace(1.05, 2.0, 20) * LJ.sigma, indexing="ij"))
-    figures = _figures(lengths, gaps, 10e-9, 12e-9, SILICON, LJ, 8e-3)
+    # stable row agrees to the bit, every snap-in row raises SnapInError
+    ls = np.linspace(200e-9, 800e-9, 7)
+    xs = np.linspace(1.15, 2.0, 20) * LJ.sigma
+    figures = _figures(ls, xs, 10e-9, 12e-9, SILICON, LJ, 8e-3)
     omega_10, eta, flag = figures["omega_10"], figures["eta"], figures["flag"]
     x_zpf, k_eff = figures["x_zpf"], figures["k_eff"]
-    assert set(flag) == {FLAG_OK, FLAG_CONTACT, FLAG_SNAP_IN}
-    errors = {FLAG_CONTACT: ContactRegimeError, FLAG_SNAP_IN: SnapInError}
+    assert set(flag) == {FLAG_OK, FLAG_SNAP_IN}
+    i = np.arange(ls.size * xs.size)
+    np.testing.assert_array_equal(figures["length"], ls[i // xs.size])
+    np.testing.assert_array_equal(figures["gap"], xs[i % xs.size])
     scalar = []
-    for L, x, f in zip(lengths, gaps, flag):
+    for L, x, f in zip(figures["length"], figures["gap"], flag):
         modal = modal_params(CantileverGeometry(L, 10e-9, 12e-9), SILICON)
         if f != FLAG_OK:
-            with pytest.raises(errors[f]):
+            with pytest.raises(SnapInError):
                 bias_state(modal, LJ, x)
             continue
         state = bias_state(modal, LJ, x)
@@ -123,6 +127,31 @@ def test_sweep_matches_design_point():
     ok = flag == FLAG_OK
     np.testing.assert_array_equal(
         np.array(scalar).T, [omega_10[ok], eta[ok], x_zpf[ok], k_eff[ok]])
+
+
+def test_sweep_evaluates_each_stage_on_its_axis(monkeypatch):
+    # beam constants depend on L only and V'', lambda_4, lambda_6 on x
+    # only: a 40 x 25 sweep takes them on 40 lengths and 25 gaps, never
+    # on the 1000 grid points
+    derivative_sizes, modal_sizes = [], []
+
+    class RecordingLJ(LennardJones):
+        def derivative(self, x, n):
+            derivative_sizes.append(np.size(x))
+            return super().derivative(x, n)
+
+    modal_constants = explorer._modal_constants
+
+    def recording_modal_constants(length, *args):
+        modal_sizes.append(np.size(length))
+        return modal_constants(length, *args)
+
+    monkeypatch.setattr(explorer, "_modal_constants", recording_modal_constants)
+    result = sweep(replace(make_spec(40, 25),
+                           potential=RecordingLJ(LJ.epsilon, LJ.sigma)))
+    assert len(result) == 1000
+    assert derivative_sizes and set(derivative_sizes) == {25}
+    assert modal_sizes == [40]
 
 
 def test_headline_row():
