@@ -18,6 +18,7 @@ writer formats whole columns with numpy (:func:`emit_csv`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -146,8 +147,7 @@ def _csv_rows(columns) -> str:
             rows, cells.itemsize)
     grid[:, :, width] = ord(",")
     grid[:, -1, width] = ord("\n")
-    body = grid.reshape(-1)
-    return body[body != 0].tobytes().decode()
+    return grid.tobytes().translate(None, b"\0").decode()
 
 
 # Cells per block of rows: each numpy temporary stays near 128 KiB, which
@@ -352,7 +352,9 @@ COMMANDS = {"bias": cmd_bias, "spectrum": cmd_spectrum, "sweep": cmd_sweep,
             "cqad": cmd_cqad, "oracle": cmd_oracle}
 
 
-def parse_cli(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``afq`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="afq",
         description="Design and analysis toolkit for atomic-force "
@@ -374,11 +376,11 @@ def parse_cli(argv):
         p.add_argument("--out", default=None, metavar="PATH")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--quiet", action="store_true")
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = parse_cli(argv)
+    args = _parser().parse_args(argv)
     if args.command == "validate":     # checks the bundled design only
         from .validate import run_validation_suite
         report = run_validation_suite(quiet=args.quiet)

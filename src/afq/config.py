@@ -26,6 +26,7 @@ from .spectrum import perturbative_energies
 from .units import ANGSTROM, FM, GHZ, GPA, MEV, MHZ, MK, NM
 
 _REQUIRED = object()
+_COUNT_MAX = np.iinfo(np.int64).max     # a count must fit a numpy index
 
 # bundled headline design (silicon, curvature-free bias, 8 mK); the
 # repository's top-level paper.cfg is a link to this package file
@@ -151,12 +152,15 @@ def _parse_value(key: str, field: _Field, text: str, where: str):
         value = int(text) if field.kind == "int" else float(text)
     except ValueError as exc:
         raise ConfigError(f"{where}: {key}: not a number: {text!r}") from exc
-    if not math.isfinite(value):
+    if field.kind == "int":     # every int key is a count
+        if value < 0:
+            raise ConfigError(f"{where}: {key}: count must be >= 0: {text}")
+        if value > _COUNT_MAX:
+            raise ConfigError(f"{where}: {key}: count out of range: {text}")
+    elif not math.isfinite(value):
         raise ConfigError(f"{where}: {key}: not a finite number: {text!r}")
-    if field.kind == "float" and not math.isfinite(value * field.unit):
+    elif not math.isfinite(value * field.unit):
         raise ConfigError(f"{where}: {key}: {text} is not finite in SI units")
-    if field.kind == "int" and value < 0:   # every int key is a count
-        raise ConfigError(f"{where}: {key}: count must be >= 0: {text}")
     return value
 
 

@@ -6,10 +6,12 @@ closed-form results they check:
 * a position-grid Schroedinger eigensolver for the full biased-cantilever
   potential (3-point stencil, Dirichlet walls, one Richardson refinement
   from a grid doubling). Sturm bisection solves a seed grid 4x coarser
-  than the requested one; Rayleigh-quotient iteration refines its levels
-  on the requested grid and then on the doubled one. Each refined grid
-  must pass a certificate (small residuals, separated levels and a Sturm
-  count) that its levels are the lowest ones, or it is bisected instead;
+  than the requested one, to 1e-3 hbar omega (``SEED_TOL``): the seeds
+  only pick the shifts that Rayleigh-quotient iteration starts from, and
+  it refines them on the requested grid and then on the doubled one.
+  Each refined grid must pass a certificate (small residuals, separated
+  levels and a Sturm count) that its levels are the lowest ones, or it is
+  bisected instead, to full precision;
 * exact ladder-operator matrix elements and a truncated-Fock-basis
   diagonalizer for polynomial potentials;
 * small dense diagonalizations for the dispersive shift and the bus
@@ -35,6 +37,9 @@ from .units import hbar
 
 DISPERSIVE_RATIO_WARN = 0.2
 GRID_CONVERGENCE_TOL = 1e-4
+# seed bisection tolerance, in units of hbar omega = hbar^2 / (2 m x_zpf^2):
+# Rayleigh-quotient iteration converges cubically from a seed this close
+SEED_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -109,12 +114,28 @@ def _stencil(v_q, m_eff, lo, hi, points):
     return diag, t
 
 
-def _stencil_eigenvalues(v_q, m_eff, lo, hi, points, n_levels):
-    """Lowest ``n_levels`` stencil eigenvalues by Sturm bisection."""
-    from scipy.linalg import eigh_tridiagonal
+def _stencil_eigenvalues(v_q, m_eff, lo, hi, points, n_levels, abstol=0.0):
+    """Lowest ``n_levels`` stencil eigenvalues by Sturm bisection (``dstebz``),
+    each to within ``abstol`` (J); 0 bisects to machine precision.
+
+    The lowest three levels are bisected apart from any above them: where
+    a bisection stops depends on the interval it starts from, which spans
+    every level asked for. So the three levels that give omega_10 and eta
+    do not depend on ``n_levels``.
+    """
+    from scipy.linalg.lapack import dstebz
     diag, t = _stencil(v_q, m_eff, lo, hi, points)
-    return eigh_tridiagonal(diag, np.full(points - 3, -t), eigvals_only=True,
-                            select="i", select_range=(0, n_levels - 1))
+    off = np.full(points - 3, -t)
+    levels = []
+    for first, last in ((1, min(n_levels, 3)), (4, n_levels)):
+        if first <= last:
+            found, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, first, last,
+                                          abstol, b"E")
+            if info:
+                raise ConvergenceError(f"dstebz bisection failed (info = "
+                                       f"{info})")
+            levels.append(w[:found])
+    return np.concatenate(levels)
 
 
 def _refine(diag, t, seeds):
@@ -174,13 +195,15 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     :class:`ConvergenceError` unless ``check_convergence`` is false.
 
     One grid is bisected, the seed: the same domain on
-    ``(points - 1) // 4 + 1`` points (51 for the smallest ``GridSpec``).
+    ``(points - 1) // 4 + 1`` points (51 for the smallest ``GridSpec``),
+    to ``SEED_TOL`` hbar omega, hbar omega = hbar^2 / (2 m_eff x_zpf^2).
     :func:`_refine` refines the seed levels on the ``points`` grid and
     those on the doubled grid, and certifies each grid's levels as its
     lowest eigenvalues. A grid that fails the certificate, as when two
     levels lie within 2e-8 of the span of each other or a seed is too
-    coarse to lead to its level, is bisected instead. Either way every
-    raw level is its grid's eigenvalue to within about 1e-10 of the span.
+    coarse to lead to its level, is bisected instead, to full precision.
+    Either way every raw level is its grid's eigenvalue to within about
+    1e-10 of the span.
     At least three levels are solved for ``omega_10`` and ``eta``;
     ``n_levels`` sets how many ``eigenvalues`` are returned.
     """
@@ -189,7 +212,8 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     lo, hi = grid.domain(x_zpf, gap)
     n_solve = max(n_levels, 3)
     levels = _stencil_eigenvalues(v_q, m_eff, lo, hi,
-                                  (grid.points - 1) // 4 + 1, n_solve)
+                                  (grid.points - 1) // 4 + 1, n_solve,
+                                  SEED_TOL * hbar**2 / (2.0 * m_eff * x_zpf**2))
     raw = []
     for points in (grid.points, 2 * grid.points - 1):
         levels = _refine(*_stencil(v_q, m_eff, lo, hi, points), levels)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from afq import jc_dispersive_oracle
+from afq import __version__, cli, jc_dispersive_oracle
 from afq.cli import JOINT_SHIFT_MHZ, PAPER_CONFIG, main
 from afq.config import SCHEMA, default_config
 from afq.units import MHZ, cycles, hbar
@@ -163,6 +163,47 @@ def test_negative_count_exit_code(tmp_path, capsys):
     bad.write_text(PAPER_CONFIG + "sweep.x_points = -1\n")
     assert main(["sweep", "--config", str(bad), "--quiet"]) == 2
     assert "sweep.x_points" in capsys.readouterr().err
+
+
+def test_count_past_float_range_exit_code(tmp_path, capsys):
+    bad = tmp_path / "huge.cfg"
+    bad.write_text(PAPER_CONFIG + "spectrum.n_max = 1" + "0" * 400 + "\n")
+    line_no = len(bad.read_text().splitlines())
+    assert main(["spectrum", "--config", str(bad), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"afq: config error: {bad}: line {line_no}: spectrum.n_max: count "
+        f"out of range: 1{'0' * 400}\n")
+
+
+def test_parser_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_in_process_calls_keep_their_own_options(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["spectrum", "--format", "csv", "--out", str(a),
+                 "--quiet"]) == 0
+    assert main(["spectrum", "--out", str(b)]) == 0
+    assert capsys.readouterr().out == f"{b}\n"      # not quiet
+    assert a.read_text().startswith("gap_angstrom,gap_m,")
+    assert json.loads(b.read_text())["command"] == "spectrum"    # JSON
+
+
+VALIDATE_DOC = ("run the full self-validation suite on the bundled design "
+                "(ignores --config and --format; --out writes JSON)")
+
+
+def test_version_and_help_unchanged(capsys):
+    for _ in range(2):      # the second pass reuses the parser
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
+        for argv in (["--help"], ["validate", "--help"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            assert VALIDATE_DOC in " ".join(capsys.readouterr().out.split())
 
 
 def _config_with(tmp_path, line):

@@ -95,6 +95,23 @@ def test_negative_count_rejected(key):
         parse_config_text(MINIMAL + f"{key} = -1\n")
 
 
+@pytest.mark.parametrize("text", [str(2**63), "1" + "0" * 400])
+@pytest.mark.parametrize("key", [k for k, f in SCHEMA.items()
+                                 if f.kind == "int"])
+def test_count_past_int64_rejected(key, text):
+    # 1e400 is past a float too: no finiteness test may see an int key
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(MINIMAL + f"{key} = {text}\n", source="t.cfg")
+    assert str(info.value) == f"t.cfg: line 8: {key}: count out of range: {text}"
+
+
+@pytest.mark.parametrize("key", [k for k, f in SCHEMA.items()
+                                 if f.kind == "int"])
+def test_largest_int64_count_parses(key):
+    cfg = parse_config_text(MINIMAL + f"{key} = {2**63 - 1}\n")
+    assert cfg.si[key] == cfg.display[key] == 2**63 - 1
+
+
 @pytest.mark.parametrize("line, message", [
     ("spectrum.temperature_mk = cold", "not a number: 'cold'"),
     ("spectrum.temperature_mk = nan", "not a finite number: 'nan'"),

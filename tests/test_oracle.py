@@ -126,9 +126,9 @@ def bisected_grids(monkeypatch):
     """The grid sizes that grid_eigensolve bisects, in call order."""
     sizes = []
 
-    def counting(v_q, m_eff, lo, hi, points, n_levels):
+    def counting(v_q, m_eff, lo, hi, points, n_levels, abstol=0.0):
         sizes.append(points)
-        return BISECT(v_q, m_eff, lo, hi, points, n_levels)
+        return BISECT(v_q, m_eff, lo, hi, points, n_levels, abstol)
 
     monkeypatch.setattr(oracle, "_stencil_eigenvalues", counting)
     return sizes
@@ -180,6 +180,26 @@ def test_refined_grids_match_bisection(monkeypatch):
             ref = BISECT(v_q, m_eff, lo, hi, points, 3)
             assert np.abs(levels - ref).max() <= 1e-10 * (ref[2] - ref[0]), \
                 f"design {i}, {points} points"
+
+
+def test_seeds_off_by_the_seed_tolerance_still_certify():
+    # the seed grid is bisected only to SEED_TOL hbar omega: seeds that far
+    # from their level, either way, still lead to it on both refined grids
+    spec = GridSpec()
+    seed_points = (spec.points - 1) // 4 + 1
+    for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
+        lo, hi = spec.domain(x_zpf, gap)
+        seeds = BISECT(v_q, m_eff, lo, hi, seed_points, 5)
+        tol = oracle.SEED_TOL * hbar**2 / (2 * m_eff * x_zpf**2)
+        for points in (spec.points, 2 * spec.points - 1):
+            diag, t = oracle._stencil(v_q, m_eff, lo, hi, points)
+            ref = BISECT(v_q, m_eff, lo, hi, points, 5)
+            for sign in (1, -1):
+                levels = oracle._refine(diag, t, seeds + sign * tol)
+                assert levels is not None, f"design {i}, {points} points"
+                assert (np.abs(levels - ref).max()
+                        <= 1e-10 * (ref[2] - ref[0])), \
+                    f"design {i}, {points} points, offset {sign} tol"
 
 
 @pytest.mark.parametrize("n_levels", range(1, 11))
