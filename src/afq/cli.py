@@ -267,8 +267,9 @@ def _cqad_config(cfg: RunConfig, spec) -> CqadConfig:
 
 
 def _dispersive_detuning(chain: CqadConfig) -> float:
-    """Readout-mode minus qubit frequency (rad/s), the readout mode shifted
-    by the hybridization joint (``JOINT_SHIFT_MHZ``)."""
+    """Readout-mode minus qubit frequency (rad/s), the readout mode shifted by
+    the hybridization joint (``JOINT_SHIFT_MHZ``). ``afq cqad`` reports it
+    signed; it and ``afq oracle`` evaluate chi and J at its magnitude."""
     return chain.omega_m + JOINT_SHIFT_MHZ * MHZ - chain.omega_q
 
 
@@ -281,8 +282,8 @@ def cmd_cqad(cfg: RunConfig) -> tuple[dict, tuple]:
     chain = _cqad_config(cfg, spec)
     eff = adiabatic_elimination(chain)
     delta = _dispersive_detuning(chain)
-    chi = dispersive_shift(chain.g, spec.eta, delta)
-    j_degenerate = bus_coupling(chain.g, chain.g, delta, delta)
+    chi = dispersive_shift(chain.g, spec.eta, abs(delta))
+    j_degenerate = bus_coupling(chain.g, chain.g, abs(delta), abs(delta))
     grid = np.linspace(cfg.si["cqad.probe_min_mhz"],
                        cfg.si["cqad.probe_max_mhz"],
                        cfg.si["cqad.probe_points"])
@@ -404,6 +405,9 @@ def main(argv=None) -> int:
         return 2
     except AfqError as exc:
         print(f"afq: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:      # a count too large to allocate
+        print(f"afq: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 1
     if csv_payload is None:     # the CSV is one row of the non-list outputs
         header = [k for k, v in outputs.items() if not isinstance(v, list)]

@@ -197,13 +197,13 @@ def frequency_response(cfg: CqadConfig, omega_grid) -> ResponseSpectrum:
 def dispersive_shift(g: float, eta: float, delta_qc: float) -> float:
     """Closed-form dispersive shift chi = -g^2 eta / (Delta (Delta + eta)).
 
-    ``delta_qc`` is the qubit-cavity detuning. The two poles (Delta = 0
-    and Delta = -eta) straddle resonance and are rejected. Note the sign
-    convention is inherited from the transmon literature, where the
-    anharmonicity is softening; for a hardening oscillator the
-    level-repulsion calculation (see
-    :func:`afq.oracle.jc_dispersive_oracle`) gives the opposite sign
-    with the same magnitude.
+    ``delta_qc`` is Delta: ``afq cqad`` and ``afq oracle`` both pass the
+    magnitude of the joint-shifted readout-mode minus qubit frequency. The
+    poles Delta = 0 and Delta = -eta straddle resonance and are rejected.
+    The sign convention is that of the transmon literature, where the
+    anharmonicity is softening; for a hardening oscillator the level-repulsion
+    calculation (:func:`afq.oracle.jc_dispersive_oracle`) gives the opposite
+    sign with the same magnitude.
     """
     if delta_qc == 0.0 or delta_qc + eta == 0.0:
         raise SingularModelError(

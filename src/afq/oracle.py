@@ -114,9 +114,9 @@ def _stencil(v_q, m_eff, lo, hi, points):
     return diag, t
 
 
-def _stencil_eigenvalues(v_q, m_eff, lo, hi, points, n_levels, abstol=0.0):
-    """Lowest ``n_levels`` stencil eigenvalues by Sturm bisection (``dstebz``),
-    each to within ``abstol`` (J); 0 bisects to machine precision.
+def _stencil_eigenvalues(diag, t, n_levels, abstol=0.0):
+    """Lowest ``n_levels`` eigenvalues of a :func:`_stencil` by Sturm bisection
+    (``dstebz``), each to within ``abstol`` (J); 0 bisects to machine precision.
 
     The lowest three levels are bisected apart from any above them: where
     a bisection stops depends on the interval it starts from, which spans
@@ -124,8 +124,7 @@ def _stencil_eigenvalues(v_q, m_eff, lo, hi, points, n_levels, abstol=0.0):
     do not depend on ``n_levels``.
     """
     from scipy.linalg.lapack import dstebz
-    diag, t = _stencil(v_q, m_eff, lo, hi, points)
-    off = np.full(points - 3, -t)
+    off = np.full(diag.size - 1, -t)
     levels = []
     for first, last in ((1, min(n_levels, 3)), (4, n_levels)):
         if first <= last:
@@ -211,14 +210,15 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
         raise DomainError(f"n_levels must be in 1..10, got {n_levels}")
     lo, hi = grid.domain(x_zpf, gap)
     n_solve = max(n_levels, 3)
-    levels = _stencil_eigenvalues(v_q, m_eff, lo, hi,
-                                  (grid.points - 1) // 4 + 1, n_solve,
-                                  SEED_TOL * hbar**2 / (2.0 * m_eff * x_zpf**2))
+    levels = _stencil_eigenvalues(
+        *_stencil(v_q, m_eff, lo, hi, (grid.points - 1) // 4 + 1), n_solve,
+        SEED_TOL * hbar**2 / (2.0 * m_eff * x_zpf**2))
     raw = []
     for points in (grid.points, 2 * grid.points - 1):
-        levels = _refine(*_stencil(v_q, m_eff, lo, hi, points), levels)
+        diag, t = _stencil(v_q, m_eff, lo, hi, points)
+        levels = _refine(diag, t, levels)
         if levels is None:     # not certified: bisect this grid
-            levels = _stencil_eigenvalues(v_q, m_eff, lo, hi, points, n_solve)
+            levels = _stencil_eigenvalues(diag, t, n_solve)
         raw.append(levels)
     coarse, fine = raw
     span_c = coarse[2] - coarse[0]

@@ -78,11 +78,6 @@ class LennardJones:
         return 4.0 * self.epsilon * (-1.0) ** n * (c12 * s6 * s6 - c6 * s6) / x**n
 
     @property
-    def minimum(self) -> float:
-        """Distance of the potential minimum, 2^(1/6) sigma."""
-        return 2.0 ** (1.0 / 6.0) * self.sigma
-
-    @property
     def inflection(self) -> float:
         """Closed-form zero of the curvature, (26/7)^(1/6) sigma."""
         return (26.0 / 7.0) ** (1.0 / 6.0) * self.sigma

@@ -16,11 +16,11 @@ from afq.units import MHZ, cycles, hbar
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(args):
+def run_cli(args, program=("-m", "afq.cli")):
     # the child imports afq from this checkout, installed or not
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "afq.cli", *args],
+    return subprocess.run([sys.executable, *program, *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
 
@@ -92,6 +92,23 @@ def test_cqad_json_outputs(tmp_path):
     assert outputs["chi_khz"] == pytest.approx(-129.2, abs=0.5)
     assert outputs["j_degenerate_khz"] == pytest.approx(232.6, abs=0.5)
     assert outputs["max_abs_reflection"] <= 1 + 1e-9
+
+
+def test_cqad_chi_and_j_are_the_oracle_formulas_below_the_qubit(tmp_path):
+    # at L = 420 nm the qubit (79.8 MHz) lies above the shifted readout mode
+    # (64.3 MHz): cqad still reports the signed readout - qubit detuning,
+    # and evaluates chi and J at its magnitude, as the oracle does
+    cfg = _config_with(tmp_path, "cantilever.length_nm = 420")
+    outputs = {}
+    for command in ("cqad", "oracle"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", str(cfg), "--format", "json",
+                     "--out", str(out), "--quiet"]) == 0
+        outputs[command] = json.loads(out.read_text())["outputs"]
+    assert outputs["cqad"]["dispersive_delta_mhz"] < 0
+    assert outputs["cqad"]["chi_khz"] == outputs["oracle"]["chi_formula_khz"]
+    assert (outputs["cqad"]["j_degenerate_khz"]
+            == outputs["oracle"]["j_formula_khz"])
 
 
 def test_oracle_reports_disagreement(tmp_path):
@@ -405,3 +422,23 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"afq: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+# a count that fits int64 but can never be allocated, under a 2 GiB
+# address-space limit so that no attempt succeeds lazily
+@pytest.mark.parametrize("key, command", [
+    ("spectrum.n_max", "spectrum"), ("sweep.x_points", "sweep"),
+    ("cqad.probe_points", "cqad"), ("oracle.grid_points", "oracle")])
+def test_unallocatable_count_exits_1(tmp_path, key, command):
+    cfg = _config_with(tmp_path, f"{key} = {10**18 + 1}")
+    out = tmp_path / "out"
+    limit = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from afq.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = run_cli([command, "--config", str(cfg), "--out", str(out)],
+                   program=("-c", limit))
+    assert proc.returncode == 1
+    assert proc.stdout == "" and not out.exists()
+    assert proc.stderr.startswith(f"afq: {command}: out of memory: ")
+    assert proc.stderr.count("\n") == 1

@@ -60,11 +60,8 @@ def test_grid_translation_invariance():
     # same stencil on a domain translated with the potential
     spec = GridSpec()
     lo, hi = spec.domain(X_ZPF, GAP)
-    from afq.oracle import _stencil_eigenvalues
-    ev_t = (4 * _stencil_eigenvalues(shifted, M_EFF, lo + c, hi + c,
-                                     2 * spec.points - 1, 4)
-            - _stencil_eigenvalues(shifted, M_EFF, lo + c, hi + c,
-                                   spec.points, 4)) / 3
+    ev_t = (4 * BISECT(shifted, M_EFF, lo + c, hi + c, 2 * spec.points - 1, 4)
+            - BISECT(shifted, M_EFF, lo + c, hi + c, spec.points, 4)) / 3
     np.testing.assert_allclose(ev_t, base.eigenvalues, rtol=1e-8)
 
 
@@ -119,16 +116,21 @@ def test_grid_nonconvergence_raises():
 
 # --- seeded refinement against bisection -----------------------------------
 
-BISECT = oracle._stencil_eigenvalues
+STURM = oracle._stencil_eigenvalues
+
+
+def BISECT(v_q, m_eff, lo, hi, points, n_levels):
+    """The lowest stencil eigenvalues on ``points`` grid points, bisected."""
+    return STURM(*oracle._stencil(v_q, m_eff, lo, hi, points), n_levels)
 
 
 def bisected_grids(monkeypatch):
     """The grid sizes that grid_eigensolve bisects, in call order."""
     sizes = []
 
-    def counting(v_q, m_eff, lo, hi, points, n_levels, abstol=0.0):
-        sizes.append(points)
-        return BISECT(v_q, m_eff, lo, hi, points, n_levels, abstol)
+    def counting(diag, t, n_levels, abstol=0.0):
+        sizes.append(diag.size + 2)
+        return STURM(diag, t, n_levels, abstol)
 
     monkeypatch.setattr(oracle, "_stencil_eigenvalues", counting)
     return sizes
@@ -243,11 +245,20 @@ def test_unresolved_tunnelling_pair_falls_back_to_bisection(monkeypatch):
     def double_well(dx):
         return a * (dx**2 - b**2) ** 2
 
+    evaluated = []
+
+    def counted(dx):
+        evaluated.append(dx.size)
+        return double_well(dx)
+
     ref, _ = bisection_result(double_well, M_EFF, GridSpec(), 3, X_ZPF, GAP)
     bisected = bisected_grids(monkeypatch)
-    res = grid_eigensolve(double_well, M_EFF, GridSpec(), 3, x_zpf=X_ZPF,
+    res = grid_eigensolve(counted, M_EFF, GridSpec(), 3, x_zpf=X_ZPF,
                           gap=GAP)
     assert bisected == [1001, 4001, 8001]
+    # each grid's potential is evaluated once, for its refinement and its
+    # bisection alike: the seed, the requested and the doubled grid
+    assert evaluated == [999, 3999, 7999]
     np.testing.assert_array_equal(res.eigenvalues, ref)
 
 

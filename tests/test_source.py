@@ -1,6 +1,7 @@
 """Source hygiene: every parameter of every afq function is read in its body,
-every default some caller overrides, every private module-level name and
-every config key is read somewhere, every error class is raised somewhere,
+every default some caller overrides, every private module-level name, every
+public name and every config key is read somewhere, every error class is
+raised somewhere,
 ``afq.__all__`` matches what the package imports, and the brute-force
 oracle shares no code with what it checks."""
 
@@ -181,6 +182,75 @@ def test_unreferenced_private_name_is_found():
              "c.py": ast.parse("def _imported_only():\n    pass\n")}
     assert unreferenced_private_names(trees) == [
         ("a.py", "_recursive"), ("a.py", "_SPARE"), ("c.py", "_imported_only")]
+
+
+def public_definitions(tree):
+    """(qualified name, name) of each public module-level function, class
+    and assignment, and each public method, property and field of a
+    module-level class."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append((stmt.name, stmt.name))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(stmt, "targets", None) or [stmt.target]
+            found += [(node.id, node.id) for t in targets
+                      for node in ast.walk(t) if isinstance(node, ast.Name)]
+        if isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = member.name
+                elif (isinstance(member, ast.AnnAssign)
+                      and isinstance(member.target, ast.Name)):
+                    name = member.target.id
+                else:
+                    continue
+                found.append((f"{stmt.name}.{name}", name))
+    return [(qualified, name) for qualified, name in found
+            if not name.startswith("_")]
+
+
+def unloaded_public_names(definitions, callers):
+    """(module, qualified name) of each public definition of
+    ``definitions`` (module name -> AST) whose name no AST of ``callers``
+    loads, as a name or an attribute; importing it does not count."""
+    loaded = set()
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+    return [(module, qualified) for module, tree in definitions.items()
+            for qualified, name in public_definitions(tree)
+            if name not in loaded]
+
+
+def test_every_public_name_is_loaded():
+    # the __init__ re-exports and the tests are no callers
+    definitions = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES
+                   if p.name != "__init__.py"}
+    callers = [ast.parse(p.read_text(), str(p)) for p in CALLERS
+               if p.name != "__init__.py"]
+    assert unloaded_public_names(definitions, callers) == []
+
+
+def test_unloaded_public_name_is_found():
+    definitions = {"m.py": ast.parse(
+        "LIMIT = 1\nSPARE = 2\n_PRIVATE = 3\n"
+        "def used():\n    pass\ndef unused():\n    pass\n"
+        "class Record:\n    kept: int\n    dropped: int = 0\n    _hidden: int\n"
+        "    def method(self):\n        return self.kept\n"
+        "    @property\n    def spare(self):\n        return 1\n"
+        "    def __post_init__(self):\n        pass\n")}
+    callers = [ast.parse("from m import unused, SPARE\n"
+                         "r = Record()\nused(LIMIT)\nr.method()\n"
+                         "r.dropped = 1\n")] + list(definitions.values())
+    assert unloaded_public_names(definitions, callers) == [
+        ("m.py", "SPARE"), ("m.py", "unused"), ("m.py", "Record.dropped"),
+        ("m.py", "Record.spare")]
 
 
 def imported_paths(tree):
