@@ -34,8 +34,8 @@ from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    quality_factor_damping)
 from .errors import AfqError, ConfigError, DomainError
 from .explorer import SWEEP_COLUMNS, sweep
-from .oracle import (GRID_CONVERGENCE_TOL, GridSpec, grid_eigensolve,
-                     jc_dispersive_oracle, total_potential,
+from .oracle import (GRID_CONVERGENCE_TOL, GridSpec, _near_resonance,
+                     grid_eigensolve, jc_dispersive_oracle, total_potential,
                      two_qubit_bus_oracle)
 from .spectrum import relative_frequency_shift, thermal_occupancy
 from .units import ANGSTROM, MHZ, MK, NM, PM, cycles
@@ -282,6 +282,10 @@ def cmd_cqad(cfg: RunConfig) -> tuple[dict, tuple]:
     chain = _cqad_config(cfg, spec)
     eff = adiabatic_elimination(chain)
     delta = _dispersive_detuning(chain)
+    near = _near_resonance(delta, chain.g)
+    if near:
+        warnings.warn(f"{near}: chi and J diverge near resonance",
+                      stacklevel=2)
     chi = dispersive_shift(chain.g, spec.eta, abs(delta))
     j_degenerate = bus_coupling(chain.g, chain.g, abs(delta), abs(delta))
     grid = np.linspace(cfg.si["cqad.probe_min_mhz"],

@@ -286,6 +286,17 @@ def _require_finite(**values):
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _near_resonance(delta: float, g: float):
+    """``|Delta| = ... < 2g = ...`` when |Delta| < 2|g| (g != 0), else None.
+
+    There the dispersive closed forms diverge and the JC eigenstates cannot
+    be labeled: :func:`jc_dispersive_oracle` refuses and ``afq cqad`` warns.
+    """
+    if g != 0.0 and abs(delta) < 2.0 * abs(g):
+        return f"|Delta| = {abs(delta):.3e} < 2g = {2 * abs(g):.3e}"
+    return None
+
+
 def _max_overlap_labels(evecs, indices):
     labels = {}
     taken = set()
@@ -320,10 +331,9 @@ def jc_dispersive_oracle(qubit_levels, omega_cavity: float, g: float) -> float:
     _require_finite(qubit_levels=e_q, omega_cavity=omega_cavity, g=g)
     omega_10 = (e_q[1] - e_q[0]) / hbar
     delta = omega_10 - omega_cavity
-    if g != 0.0 and abs(delta) < 2.0 * abs(g):
-        raise LabelingError(
-            f"|Delta| = {abs(delta):.3e} < 2g = {2 * abs(g):.3e}: "
-            "labeling unreliable near resonance")
+    near = _near_resonance(delta, g)
+    if near:
+        raise LabelingError(f"{near}: labeling unreliable near resonance")
     if g != 0.0 and abs(g / delta) > DISPERSIVE_RATIO_WARN:
         warnings.warn(f"g/|Delta| = {abs(g / delta):.3f} > "
                       f"{DISPERSIVE_RATIO_WARN}: outside the dispersive regime",

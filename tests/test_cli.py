@@ -111,6 +111,31 @@ def test_cqad_chi_and_j_are_the_oracle_formulas_below_the_qubit(tmp_path):
             == outputs["oracle"]["j_formula_khz"])
 
 
+def _cqad_report(tmp_path, *config):
+    out = tmp_path / "cqad.json"
+    assert main(["cqad", *config, "--format", "json", "--out", str(out),
+                 "--quiet"]) == 0
+    return json.loads(out.read_text())
+
+
+def test_cqad_warns_near_resonance(tmp_path, capsys):
+    # a qubit at the shifted readout mode (64.3 MHz): |Delta| < 2g, where
+    # the oracle refuses; cqad keeps its figures and warns once, naming both
+    cfg = _config_with(tmp_path, "cqad.omega_q_mhz = 64.3")
+    report = _cqad_report(tmp_path, "--config", str(cfg))
+    delta = abs(report["outputs"]["dispersive_delta_mhz"]) * MHZ
+    [warning] = report["warnings"]
+    assert warning == (f"|Delta| = {delta:.3e} < 2g = {2 * MHZ:.3e}: "
+                       "chi and J diverge near resonance")
+    assert abs(report["outputs"]["chi_khz"]) > 1e15
+    assert main(["oracle", "--config", str(cfg), "--quiet"]) == 1
+    assert "< 2g" in capsys.readouterr().err
+
+
+def test_cqad_bundled_design_has_no_warnings(tmp_path):
+    assert _cqad_report(tmp_path)["warnings"] == []
+
+
 def test_oracle_reports_disagreement(tmp_path):
     out = tmp_path / "oracle.json"
     assert main(["oracle", "--out", str(out), "--quiet"]) == 0

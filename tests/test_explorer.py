@@ -1,5 +1,6 @@
 """Design-space sweep, feasibility filtering, length optimization."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,112 @@ def test_sweep_evaluates_each_stage_on_its_axis(monkeypatch):
     assert modal_sizes == [40]
 
 
+def _box_spec(l_nm, x_over_sigma, temperature=8e-3):
+    """A 20 x 20 sweep over the (L, x) box ``l_nm`` x ``x_over_sigma``."""
+    return replace(make_spec(temperature=temperature),
+                   lengths=tuple(np.linspace(*l_nm, 20) * 1e-9),
+                   gaps_over_sigma=tuple(np.linspace(*x_over_sigma, 20)))
+
+
+def _whole_grid_ladder(spec):
+    """omega_10, eta and n_thermal with the ladder and the occupancy run on
+    every grid point, snap-in NaN lanes included, then masked to NaN."""
+    length = np.asarray(spec.lengths)[:, None]
+    gap = np.asarray(spec.gaps_over_sigma)[None, :] * LJ.sigma
+    k, _, m_eff = explorer._modal_constants(length, spec.width,
+                                            spec.thickness, SILICON)
+    *_, omega_eff, x_zpf, flag = explorer._operating_state(k, m_eff, LJ, gap)
+    _, _, omega_10, eta = explorer._first_order_ladder(
+        omega_eff, x_zpf, explorer._taylor_term(LJ, gap, 4),
+        explorer._taylor_term(LJ, gap, 6))
+    valid = (flag == FLAG_OK) & ~(omega_10 <= 0)
+    omega_10, eta = np.where(valid, [omega_10, eta], np.nan)
+    n_th = np.where(valid, explorer.thermal_occupancy(omega_10,
+                                                      spec.temperature),
+                    np.nan)
+    return {"omega_10": omega_10.ravel(), "eta": eta.ravel(),
+            "n_thermal": n_th.ravel()}
+
+
+def test_ladder_and_occupancy_see_only_stable_rows(monkeypatch):
+    # the 200 x 200 default box mixes all three flags; the ladder runs on
+    # the stable rows (FLAG_OK or FLAG_BREAKDOWN), the occupancy on the
+    # FLAG_OK rows, and both give what they give on the whole grid
+    ladder_sizes, occupancy_sizes = [], []
+    ladder, occupancy = explorer._first_order_ladder, explorer.thermal_occupancy
+
+    def recording_ladder(*args):
+        ladder_sizes.append([np.size(a) for a in args])
+        return ladder(*args)
+
+    def recording_occupancy(omega, temperature):
+        occupancy_sizes.append(np.size(omega))
+        return occupancy(omega, temperature)
+
+    monkeypatch.setattr(explorer, "_first_order_ladder", recording_ladder)
+    monkeypatch.setattr(explorer, "thermal_occupancy", recording_occupancy)
+    spec = make_spec(200, 200)
+    result = sweep(spec)
+    counts = {f: np.count_nonzero(result.flag == f)
+              for f in (FLAG_OK, FLAG_SNAP_IN, FLAG_BREAKDOWN)}
+    assert counts == {FLAG_OK: 6888, FLAG_SNAP_IN: 33108, FLAG_BREAKDOWN: 4}
+    assert ladder_sizes == [[6888 + 4] * 4]
+    assert occupancy_sizes == [6888]
+    monkeypatch.undo()
+    for name, column in _whole_grid_ladder(spec).items():
+        np.testing.assert_array_equal(getattr(result, name), column, name)
+
+
+@pytest.mark.parametrize("temperature", [8e-3, 0.0, 0.3])
+def test_box_without_snap_in_matches_whole_grid(temperature):
+    # gaps below x0 = 1.2445 sigma stiffen the beam: no row snaps in
+    spec = _box_spec((200, 800), (1.15, 1.24), temperature)
+    result = sweep(spec)
+    assert np.all(result.flag == FLAG_OK)
+    for column in result.columns():
+        assert np.all(np.isfinite(column))
+    for name, column in _whole_grid_ladder(spec).items():
+        np.testing.assert_array_equal(getattr(result, name), column, name)
+
+
+def test_all_snap_in_box_has_nan_ladder_columns():
+    # soft long beams past x0: every row snaps in, and an empty ladder
+    # raises nothing and warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sweep(_box_spec((600, 800), (1.6, 2.0)))
+    assert np.all(result.flag == FLAG_SNAP_IN)
+    for name in ("omega_10", "eta_r", "eta", "delta_omega", "n_thermal",
+                 "x_zpf"):
+        assert np.all(np.isnan(getattr(result, name))), name
+    assert np.all(np.isfinite(result.k_eff) & (result.k_eff <= 0))
+
+
+def test_design_point_and_optimize_length_pinned_to_the_bit():
+    # every figure to the bit: running the ladder on the stable rows alone
+    # must move no value
+    assert design_point(495e-9, 10e-9, 12e-9, SILICON, LJ, 8e-3) == {
+        "length_m": 4.95e-07, "gap_m": 4.761285060554025e-10,
+        "gap_over_sigma": 1.244455060259808,
+        "omega_c_rad_s": 343345129.7568749,
+        "omega_10_rad_s": 377000397.80091596, "eta_r": 0.08943144665581262,
+        "eta_rad_s": 33715690.965152755, "delta_omega": 0.09802168467591943,
+        "n_thermal": 2.3080789335364558, "x_zpf_m": 2.138827247496344e-12,
+        "k_eff_n_m": 0.003957542984173094}
+    assert optimize_length(10e-9, 12e-9, SILICON, LJ, 8e-3,
+                           DesignConstraints(max_occupancy=2.3)) == (
+        4.94e-07, {
+            "length_m": 4.94e-07, "gap_m": 4.761285060554025e-10,
+            "gap_over_sigma": 1.244455060259808,
+            "omega_c_rad_s": 344736597.9555406,
+            "omega_10_rad_s": 378255900.89921343,
+            "eta_r": 0.08877418785730636, "eta_rad_s": 33579360.40456143,
+            "delta_omega": 0.09723163465225038,
+            "n_thermal": 2.2989569829498078,
+            "x_zpf_m": 2.1366657237026225e-12,
+            "k_eff_n_m": 0.00398162532998567})
+
+
 def test_headline_row():
     row = design_point(495e-9, 10e-9, 12e-9, SILICON, LJ, 8e-3)
     assert row["eta_r"] == pytest.approx(0.089, abs=0.003)
@@ -207,6 +314,42 @@ def test_feasible_designs_carries_every_column():
                                result.columns()):
         assert col.dtype == full.dtype, name
         np.testing.assert_array_equal(col, full[picked], err_msg=name)
+
+
+def test_feasible_designs_orders_like_lexsort_with_and_without_ties():
+    result = sweep(make_spec(20, 20))
+    constraints = DesignConstraints(max_occupancy=1.5)
+
+    def lexsorted(res):
+        with np.errstate(invalid="ignore"):
+            idx = np.nonzero((res.flag == FLAG_OK)
+                             & (res.n_thermal <= constraints.max_occupancy)
+                             & (res.eta_r >= 0.0))[0]
+        return idx[np.lexsort((res.gap[idx], res.length[idx],
+                               -res.eta_r[idx]))]
+
+    feas = feasible_designs(result, constraints)
+    assert np.unique(feas.eta_r).size == len(feas) > 0     # no ties
+    np.testing.assert_array_equal(feas.length,
+                                  result.length[lexsorted(result)])
+    # rows reversed out of (L, x) order and eta_r rounded into ties: only
+    # the (L, x) tie-break restores the lexsort order
+    rev = result.take(np.arange(len(result))[::-1])
+    tied = explorer.SweepResult(rev.spec, dict(
+        rev.arrays, eta_r=np.round(rev.eta_r, 3)))
+    feas = feasible_designs(tied, constraints)
+    assert np.unique(feas.eta_r).size < len(feas)
+    want = lexsorted(tied)
+    for name, col in feas.arrays.items():
+        np.testing.assert_array_equal(col, tied.arrays[name][want], err_msg=name)
+
+
+def test_take_accepts_a_boolean_mask():
+    result = sweep(make_spec(20, 20))
+    ok = result.flag == FLAG_OK
+    assert 0 < ok.sum() < len(result)
+    for name, col in result.take(ok).arrays.items():
+        np.testing.assert_array_equal(col, result.arrays[name][ok], err_msg=name)
 
 
 def test_feasible_designs_empty_on_impossible_bound():
