@@ -29,11 +29,6 @@ MODE_FREQ_COEFF = 1.015
 # gap below 1.1 sigma counts as contact for the Lennard-Jones model
 CONTACT_GUARD = 1.1
 
-# per-element regime of the operating state
-FLAG_OK = 0
-FLAG_SNAP_IN = 2       # 1 (contact) is refused before evaluation
-FLAG_BREAKDOWN = 3     # stable, but the first-order ladder gives omega_10 <= 0
-
 
 def _check_dimensions(*dims):
     """Reject beam dimensions that are not > 0: zero, negative or NaN."""
@@ -113,15 +108,16 @@ def _modal_constants(length, width, thickness, material):
 
 
 def _operating_state(k, m_eff, potential, gap):
-    """V''(x), k_eff, omega_eff, x_zpf and a flag per element of k + V''(x);
-    snap-in elements (k_eff <= 0) carry NaN omega_eff and x_zpf. Callers
-    refuse contact gaps first."""
+    """V'', k_eff = k + V'', ``stable`` = ~(k_eff <= 0), and omega_eff and
+    x_zpf of the stable elements in C order: a snap-in element never enters
+    float arithmetic past k + V''. Callers refuse contact gaps first."""
     v2 = potential.derivative(gap, 2)
     k_eff = k + v2
-    flag = np.where(k_eff <= 0, FLAG_SNAP_IN, FLAG_OK)
-    omega_eff = np.sqrt(np.where(flag == FLAG_OK, k_eff, np.nan) / m_eff)
+    stable = ~(k_eff <= 0)
+    m_eff = np.broadcast_to(m_eff, stable.shape)[stable]
+    omega_eff = np.sqrt(k_eff[stable] / m_eff)
     x_zpf = np.sqrt(hbar / (2.0 * m_eff * omega_eff))
-    return v2, k_eff, omega_eff, x_zpf, flag
+    return v2, k_eff, stable, omega_eff, x_zpf
 
 
 def modal_params(geometry: CantileverGeometry,
@@ -152,18 +148,17 @@ def bias_state(modal: CantileverModal, potential: SurfacePotential,
             f"gap {x:.4e} m inside contact region (<= 1.1 sigma "
             f"= {CONTACT_GUARD * potential.sigma:.4e} m)")
     k = modal.spring_constant
-    v2, k_eff, omega_eff, x_zpf, flag = (
-        np.asarray(a).item() for a in _operating_state(
-            k, modal.effective_mass, potential, np.array([x], dtype=float)))
-    if flag == FLAG_SNAP_IN:
+    v2, k_eff, stable, omega_eff, x_zpf = _operating_state(
+        k, modal.effective_mass, potential, np.array([x], dtype=float))
+    if not stable[0]:
         raise SnapInError(
-            f"k_eff = {k_eff:.4e} N/m <= 0 at gap {x:.4e} m (snap-in: "
+            f"k_eff = {k_eff.item():.4e} N/m <= 0 at gap {x:.4e} m (snap-in: "
             "attractive gradient exceeds spring constant)")
     force = -potential.derivative(x, 1)          # surface force on the cantilever
     x_c = -force / k                             # k x_c + F = 0
-    return BiasState(gap=x, equilibrium_offset=x_c, lj_stiffness=v2,
-                     effective_stiffness=k_eff, omega_eff=omega_eff,
-                     x_zpf=x_zpf)
+    return BiasState(gap=x, equilibrium_offset=x_c, lj_stiffness=v2.item(),
+                     effective_stiffness=k_eff.item(),
+                     omega_eff=omega_eff.item(), x_zpf=x_zpf.item())
 
 
 def snap_in_threshold(modal: CantileverModal, potential: SurfacePotential,

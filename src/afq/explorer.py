@@ -12,12 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantilever import (CONTACT_GUARD, FLAG_BREAKDOWN,  # noqa: F401
-                         FLAG_OK, FLAG_SNAP_IN, MaterialParams,
-                         _check_dimensions, _modal_constants, _operating_state)
+from .cantilever import (CONTACT_GUARD, MaterialParams, _check_dimensions,
+                         _modal_constants, _operating_state)
 from .errors import DomainError
 from .potential import LennardJones, _taylor_term
 from .spectrum import _first_order_ladder, thermal_occupancy
+
+FLAG_OK = 0            # regime of a sweep row, written in _figures
+FLAG_SNAP_IN = 2       # k + V'' <= 0; 1 (contact) is refused before evaluation
+FLAG_BREAKDOWN = 3     # stable, but the first-order ladder gives omega_10 <= 0
 
 # (CSV header, SweepResult column) in CSV order; a new column is one entry
 # plus its line in _figures. gap_over_sigma (None) is derived, not stored.
@@ -56,6 +59,9 @@ class SweepSpec:
     def __post_init__(self):
         ls = np.asarray(self.lengths, dtype=float)
         gs = np.asarray(self.gaps_over_sigma, dtype=float)
+        for name, axis in (("lengths", ls), ("gaps_over_sigma", gs)):
+            if not np.all(np.isfinite(axis)):
+                raise DomainError(f"sweep {name} must be finite")
         if ls.size == 0 or gs.size == 0:
             raise DomainError("sweep grids must be non-empty")
         if np.any(np.diff(ls) <= 0) or np.any(np.diff(gs) <= 0):
@@ -128,27 +134,26 @@ def _figures(lengths, gaps, width, thickness, material, potential, temperature):
     first-order omega_10 <= 0 is FLAG_BREAKDOWN, with NaN ladder figures;
     one whose omega_10 overflows to NaN stays FLAG_OK and carries it.
 
-    The ladder and the occupancy run on the stable rows only, compressed
-    out of the grid, and are scattered back into NaN-filled columns:
-    snap-in rows carry NaN x_zpf, and NaN lanes take a slow per-lane path
-    in numpy's vectorized ``pow`` and ``expm1``. Each element's value is
-    the same either way.
+    Stability is one mask, decided at k + V'': a snap-in row never enters
+    float arithmetic past it. The ladder and occupancy run on stable rows
+    only, are scattered back (NaN elsewhere) and freed, so every full-grid
+    array is an output column plus at most one transient.
     """
     length, gap = lengths[:, None], gaps[None, :]
     k, omega_c, m_eff = _modal_constants(length, width, thickness, material)
-    _, k_eff, omega_eff, x_zpf, flag = _operating_state(k, m_eff, potential,
-                                                        gap)
-    stable = flag == FLAG_OK
-    _, _, omega_10, eta = _first_order_ladder(
-        omega_eff[stable], x_zpf[stable],
-        *(np.broadcast_to(_taylor_term(potential, gap, n), flag.shape)[stable]
-          for n in (4, 6)))
+    _, k_eff, stable, omega_eff, x_zpf = _operating_state(k, m_eff, potential,
+                                                          gap)
+    flag = np.full(stable.shape, FLAG_SNAP_IN)
+    omega_10, eta = _first_order_ladder(omega_eff, x_zpf, *(
+        np.broadcast_to(_taylor_term(potential, gap, n), stable.shape)[stable]
+        for n in (4, 6)))[2:]
+    del omega_eff                  # freed before the full-grid columns
     broken = omega_10 <= 0
     flag[stable] = np.where(broken, FLAG_BREAKDOWN, FLAG_OK)
     omega_10[broken] = eta[broken] = np.nan
-    n_th = np.full_like(omega_10, np.nan)
-    n_th[~broken] = thermal_occupancy(omega_10[~broken], temperature)
-    omega_10, eta, n_th = (_scatter(stable, a) for a in (omega_10, eta, n_th))
+    n_th = _scatter(~broken, thermal_occupancy(omega_10[~broken], temperature))
+    omega_10, eta = _scatter(stable, omega_10), _scatter(stable, eta)
+    n_th, x_zpf = _scatter(stable, n_th), _scatter(stable, x_zpf)
     eta_r = eta / omega_10
     delta_omega = np.abs(1.0 - omega_10 / omega_c)
     length, gap, omega_c, _ = np.broadcast_arrays(length, gap, omega_c, flag)

@@ -33,8 +33,8 @@ from .config import default_config
 from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    dispersive_shift, frequency_response, response_linewidth)
 from .explorer import SWEEP_COLUMNS, FLAG_OK, sweep
-from .oracle import (GridSpec, fock_matrix_element, grid_eigensolve,
-                     jc_dispersive_oracle, total_potential,
+from .oracle import (GRID_CONVERGENCE_TOL, GridSpec, fock_matrix_element,
+                     grid_eigensolve, jc_dispersive_oracle, total_potential,
                      two_qubit_bus_oracle)
 from .potential import find_bias_point
 from .spectrum import thermal_occupancy
@@ -142,8 +142,8 @@ def check_grid_oracle_agreement() -> Check:
     dev_w = abs(w10 / spec.omega_10 - 1.0)
     dev_e = abs(eta / spec.eta - 1.0)
     elapsed = time.perf_counter() - start
-    ok = (dev_w <= 0.01 and dev_e <= 0.03
-          and result.convergence_estimate <= 1e-4 and elapsed < 10.0)
+    ok = (dev_w <= 0.01 and dev_e <= 0.03 and elapsed < 10.0
+          and result.convergence_estimate <= GRID_CONVERGENCE_TOL)
     return Check("grid_oracle_agreement", ok,
                  f"f_10: grid {cycles(w10) / 1e6:.3f} vs perturbative "
                  f"{cycles(spec.omega_10) / 1e6:.3f} MHz (dev {dev_w:.2e}, "

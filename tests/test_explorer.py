@@ -1,5 +1,6 @@
 """Design-space sweep, feasibility filtering, length optimization."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from afq.errors import DomainError, SnapInError
 from afq import explorer
 from afq.explorer import (CONTACT_GUARD, FLAG_BREAKDOWN, FLAG_OK, FLAG_SNAP_IN,
                           SWEEP_COLUMNS, _figures)
-from afq.units import MEV, ANGSTROM, cycles
+from afq.units import MEV, ANGSTROM, cycles, hbar
 
 SILICON = MaterialParams(young_modulus=160e9, density=2329.0)
 LJ = LennardJones(epsilon=17.4 * MEV, sigma=3.826 * ANGSTROM)
@@ -169,17 +170,60 @@ def _whole_grid_ladder(spec):
     gap = np.asarray(spec.gaps_over_sigma)[None, :] * LJ.sigma
     k, _, m_eff = explorer._modal_constants(length, spec.width,
                                             spec.thickness, SILICON)
-    *_, omega_eff, x_zpf, flag = explorer._operating_state(k, m_eff, LJ, gap)
+    k_eff = k + LJ.derivative(gap, 2)
+    stable = ~(k_eff <= 0)
+    omega_eff = np.sqrt(np.where(stable, k_eff, np.nan) / m_eff)
+    x_zpf = np.sqrt(hbar / (2.0 * m_eff * omega_eff))
     _, _, omega_10, eta = explorer._first_order_ladder(
         omega_eff, x_zpf, explorer._taylor_term(LJ, gap, 4),
         explorer._taylor_term(LJ, gap, 6))
-    valid = (flag == FLAG_OK) & ~(omega_10 <= 0)
+    valid = stable & ~(omega_10 <= 0)
     omega_10, eta = np.where(valid, [omega_10, eta], np.nan)
     n_th = np.where(valid, explorer.thermal_occupancy(omega_10,
                                                       spec.temperature),
                     np.nan)
     return {"omega_10": omega_10.ravel(), "eta": eta.ravel(),
             "n_thermal": n_th.ravel()}
+
+
+def test_operating_state_returns_stable_elements_only():
+    # the 200 x 200 default box mixes snap-in and stable rows; omega_eff and
+    # x_zpf come back for the stable elements alone, in C order
+    spec = make_spec(200, 200)
+    length = np.asarray(spec.lengths)[:, None]
+    gap = np.asarray(spec.gaps_over_sigma)[None, :] * LJ.sigma
+    k, _, m_eff = explorer._modal_constants(length, spec.width,
+                                            spec.thickness, SILICON)
+    _, k_eff, stable, omega_eff, x_zpf = explorer._operating_state(
+        k, m_eff, LJ, gap)
+    assert stable.shape == k_eff.shape == (200, 200)
+    assert 0 < stable.sum() < stable.size
+    np.testing.assert_array_equal(stable, k_eff > 0)
+    assert omega_eff.shape == x_zpf.shape == (stable.sum(),)
+    assert np.all(np.isfinite(omega_eff)) and np.all(np.isfinite(x_zpf))
+
+
+@pytest.mark.parametrize("box", [
+    ((200, 800), (1.15, 1.24)),     # every row stable
+    ((200, 800), (1.15, 2.0)),      # 83 % snap-in
+])
+def test_sweep_transient_memory_is_at_most_one_grid_array(box):
+    # every full-grid array of the kernel is an output column plus at most
+    # one transient: peak allocation past the result, in grid float64 arrays
+    # (a kernel that keeps a whole-grid omega_eff or x_zpf exceeds it)
+    l_nm, x_over_sigma = box
+    spec = replace(make_spec(), lengths=tuple(np.linspace(*l_nm, 300) * 1e-9),
+                   gaps_over_sigma=tuple(np.linspace(*x_over_sigma, 300)))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in result.arrays.values())
+    assert (peak - before - kept) / (len(result) * 8) <= 1.0
 
 
 def test_ladder_and_occupancy_see_only_stable_rows(monkeypatch):
@@ -451,6 +495,17 @@ def test_spec_validation():
         SweepSpec(lengths=(2e-7,), gaps_over_sigma=(1.0, 1.5), width=1e-8,
                   thickness=1e-8, material=SILICON, potential=LJ,
                   temperature=8e-3)
+    # NaN, inf or -inf anywhere in either axis, named in the message
+    for bad in (np.nan, np.inf, -np.inf):
+        for name, axes in (("lengths", ((2e-7, bad), (1.3, 1.6))),
+                           ("lengths", ((bad, 2e-7), (1.3, 1.6))),
+                           ("gaps_over_sigma", ((2e-7,), (1.3, bad))),
+                           ("gaps_over_sigma", ((2e-7,), (bad, 1.3)))):
+            with pytest.raises(DomainError,
+                               match=f"^sweep {name} must be finite$"):
+                SweepSpec(lengths=axes[0], gaps_over_sigma=axes[1],
+                          width=1e-8, thickness=1e-8, material=SILICON,
+                          potential=LJ, temperature=8e-3)
     # non-positive beam dimensions, as CantileverGeometry rejects them
     for lengths, width, thickness in [((0.0, 1e-7), 1e-8, 1e-8),
                                       ((-1e-7, 1e-7), 1e-8, 1e-8),
