@@ -19,12 +19,18 @@ closed-form results they check:
   Jaynes-Cummings model, the one-excitation sector of two qubits on a bus.
 
 The grid solver uses scipy's tridiagonal LAPACK routines (``dstebz``
-bisection and counts, ``dgtsv`` solves), imported on the first grid
-solve, so importing afq needs only numpy.
+bisection and counts, ``dgtsv`` solves), loaded on the first grid solve
+from its LAPACK extension without the ``scipy.linalg`` package import
+(``scipy.linalg.lapack`` is the fallback), so importing afq needs only numpy.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -114,6 +120,29 @@ def _stencil(v_q, m_eff, lo, hi, points):
     return diag, t
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension (``dstebz``, ``dgtsv``), loaded once from its
+    file under its scipy name, which a later ``import scipy.linalg`` reuses,
+    without that package import; else it is ``scipy.linalg.lapack``."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec("scipy")
+    spec = package and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(path, "linalg")
+               for path in package.submodule_search_locations])
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except (ImportError, OSError):
+            pass
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack
+
+
 def _stencil_eigenvalues(diag, t, n_levels, abstol=0.0):
     """Lowest ``n_levels`` eigenvalues of a :func:`_stencil` by Sturm bisection
     (``dstebz``), each to within ``abstol`` (J); 0 bisects to machine precision.
@@ -123,7 +152,7 @@ def _stencil_eigenvalues(diag, t, n_levels, abstol=0.0):
     every level asked for. So the three levels that give omega_10 and eta
     do not depend on ``n_levels``.
     """
-    from scipy.linalg.lapack import dstebz
+    dstebz = _lapack().dstebz
     off = np.full(diag.size - 1, -t)
     levels = []
     for first, last in ((1, min(n_levels, 3)), (4, n_levels)):
@@ -152,7 +181,7 @@ def _refine(diag, t, seeds):
     ``len(seeds)`` eigenvalues at or below the top level + margin, which
     makes them the lowest ones.
     """
-    from scipy.linalg.lapack import dgtsv, dstebz
+    dgtsv, dstebz = _lapack().dgtsv, _lapack().dstebz
     off = np.full(diag.size - 1, -t)
     start = np.random.default_rng(0).random(diag.size)
     margin = 1e-8 * (seeds[-1] - seeds[0])

@@ -1,5 +1,7 @@
 """Brute-force validators: grid eigensolver, Fock machinery, JC and bus models."""
 
+import importlib.util
+import sys
 import warnings
 
 import numpy as np
@@ -236,15 +238,15 @@ def test_smallest_grid_seeds_on_51_points(monkeypatch, n_levels,
                                atol=1e-10 * span)
 
 
-def test_unresolved_tunnelling_pair_falls_back_to_bisection(monkeypatch):
-    # symmetric double well, barrier 20 hbar omega: the ground pair is
-    # split by ~6e-10 of E_2 - E_0, inside the 1e-8 certificate margin
+def double_well(dx):
+    """Symmetric, barrier 20 hbar omega: the ground pair is split by ~6e-10
+    of E_2 - E_0, inside the 1e-8 certificate margin."""
     b = 4 * X_ZPF
     a = 20 * hbar * OMEGA / b**4
+    return a * (dx**2 - b**2) ** 2
 
-    def double_well(dx):
-        return a * (dx**2 - b**2) ** 2
 
+def test_unresolved_tunnelling_pair_falls_back_to_bisection(monkeypatch):
     evaluated = []
 
     def counted(dx):
@@ -260,6 +262,54 @@ def test_unresolved_tunnelling_pair_falls_back_to_bisection(monkeypatch):
     # bisection alike: the seed, the requested and the doubled grid
     assert evaluated == [999, 3999, 7999]
     np.testing.assert_array_equal(res.eigenvalues, ref)
+
+
+def lapack_route_cases():
+    """The audit designs and the tunnelling double well, whose grids are
+    bisected to full precision, as (v_q, m_eff, x_zpf, gap)."""
+    yield from audit_designs()
+    yield double_well, M_EFF, X_ZPF, GAP
+
+
+def solve_route_cases():
+    return [grid_eigensolve(v_q, m_eff, GridSpec(), 5, x_zpf=x_zpf, gap=gap,
+                            check_convergence=False)
+            for v_q, m_eff, x_zpf, gap in lapack_route_cases()]
+
+
+def assert_same_results(results, reference):
+    for res, ref in zip(results, reference, strict=True):
+        np.testing.assert_array_equal(res.eigenvalues, ref.eigenvalues)
+        assert res.convergence_estimate == ref.convergence_estimate
+
+
+def test_lapack_extension_matches_scipy_linalg_lapack_bit_for_bit(
+        monkeypatch):
+    fast = solve_route_cases()
+    import scipy.linalg.lapack
+    monkeypatch.setattr(oracle, "_lapack", lambda: scipy.linalg.lapack)
+    assert_same_results(fast, solve_route_cases())
+
+
+def _unloadable(spec):
+    raise ImportError(f"cannot load {spec.name}")
+
+
+@pytest.mark.parametrize("step, broken", [
+    ("find_spec", lambda name, package=None: None),     # no scipy found
+    ("module_from_spec", _unloadable)])                 # no extension loads
+def test_lapack_falls_back_to_scipy_linalg_lapack(monkeypatch, step, broken):
+    import scipy.linalg.lapack
+    fast = solve_route_cases()
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, step, broken)
+    oracle._lapack.cache_clear()
+    try:
+        assert oracle._lapack() is scipy.linalg.lapack
+        fallback = solve_route_cases()
+    finally:
+        oracle._lapack.cache_clear()
+    assert_same_results(fallback, fast)
 
 
 @pytest.mark.parametrize("picks", [(0, 0, 2), (0, 2, 3)])
