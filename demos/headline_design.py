@@ -53,7 +53,8 @@ print(f"f_10              : {cycles(spectrum.omega_10) / 1e6:.3f} MHz")
 print(f"f_21              : {cycles(spectrum.omega_21) / 1e6:.3f} MHz")
 print(f"anharmonicity     : {cycles(spectrum.eta) / 1e6:.3f} MHz")
 print(f"relative          : {spectrum.eta_r * 100:.2f} %")
-print(f"frequency pull    : {relative_frequency_shift(spectrum, modal):.4f}")
+pull = relative_frequency_shift(spectrum.omega_10, modal.omega_c)
+print(f"frequency pull    : {pull:.4f}")
 # the paper's closed form, from q4 = lam4 xz^4 and q6 = lam6 xz^6
 q4 = taylor.lam(4) * state.x_zpf**4
 q6 = taylor.lam(6) * state.x_zpf**6

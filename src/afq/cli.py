@@ -29,19 +29,16 @@ from . import __version__
 from .cantilever import snap_in_threshold
 from .config import (PAPER_CONFIG, RunConfig, default_config,  # noqa: F401
                      load_config)
-from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
-                   dispersive_shift, frequency_response,
-                   quality_factor_damping)
+# JOINT_SHIFT_MHZ: re-exported because the benchmark reads cli.JOINT_SHIFT_MHZ
+from .cqad import (JOINT_SHIFT_MHZ, adiabatic_elimination,  # noqa: F401
+                   dispersive_figures, frequency_response)
 from .errors import AfqError, ConfigError, DomainError
 from .explorer import SWEEP_COLUMNS, sweep
 from .oracle import (GRID_CONVERGENCE_TOL, GridSpec, _near_resonance,
                      grid_eigensolve, jc_dispersive_oracle, total_potential,
                      two_qubit_bus_oracle)
 from .spectrum import relative_frequency_shift, thermal_occupancy
-from .units import ANGSTROM, MHZ, MK, NM, PM, cycles
-
-# readout-mode frequency shift from the hybridization joint (design input)
-JOINT_SHIFT_MHZ = -2.7
+from .units import ANGSTROM, MK, NM, PM, cycles
 
 
 class CsvTable:
@@ -227,7 +224,8 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[dict, tuple | None]:
         "eta_mhz": cycles(spec.eta) / 1e6,
         "eta_rad_s": spec.eta,
         "eta_r": spec.eta_r,
-        "delta_omega": relative_frequency_shift(spec, modal),
+        "delta_omega": relative_frequency_shift(spec.omega_10,
+                                                modal.omega_c),
         "x_zpf_pm": state.x_zpf / PM,
         "x_zpf_m": state.x_zpf,
         "n_thermal": thermal_occupancy(spec.omega_10, temp),
@@ -247,47 +245,19 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, tuple]:
     return outputs, (list(SWEEP_COLUMNS), CsvTable(result.columns()))
 
 
-def _cqad_config(cfg: RunConfig, spec) -> CqadConfig:
-    si = cfg.si
-    omega_q = si["cqad.omega_q_mhz"]
-    if omega_q is None:
-        omega_q = spec.omega_10
-    omega_m = si["cqad.omega_m_mhz"]
-    omega_d = si["cqad.omega_d_ghz"]
-    if omega_d is None:
-        omega_d = si["cqad.omega_r_ghz"] - omega_m  # red-detuned, delta = 0
-    return CqadConfig(
-        omega_q=omega_q, omega_m=omega_m, omega_r=si["cqad.omega_r_ghz"],
-        omega_d=omega_d, g=si["cqad.g_mhz"],
-        qubit_damping=quality_factor_damping(omega_q, si["cqad.qubit_quality"]),
-        mech_damping=quality_factor_damping(omega_m, si["cqad.mech_quality"]),
-        kappa_i=si["cqad.kappa_i_mhz"], kappa_e=si["cqad.kappa_e_mhz"],
-        n_d=si["cqad.drive_photons"], participation=si["cqad.participation"],
-        gap=si["cqad.gap_nm"], readout_x_zpf=si["cqad.readout_x_zpf_fm"])
-
-
-def _dispersive_detuning(chain: CqadConfig) -> float:
-    """Readout-mode minus qubit frequency (rad/s), the readout mode shifted by
-    the hybridization joint (``JOINT_SHIFT_MHZ``). ``afq cqad`` reports it
-    signed; it and ``afq oracle`` evaluate chi and J at its magnitude."""
-    return chain.omega_m + JOINT_SHIFT_MHZ * MHZ - chain.omega_q
-
-
 RESPONSE_COLUMNS = ("omega_over_2pi_hz", "re_reflection", "im_reflection",
                     "abs_reflection", "qubit_susc", "mech_susc", "mw_susc")
 
 
 def cmd_cqad(cfg: RunConfig) -> tuple[dict, tuple]:
     *_, spec = cfg.design()
-    chain = _cqad_config(cfg, spec)
+    chain = cfg.readout_chain(spec.omega_10)
     eff = adiabatic_elimination(chain)
-    delta = _dispersive_detuning(chain)
+    delta, chi, j_degenerate = dispersive_figures(chain, spec.eta)
     near = _near_resonance(delta, chain.g)
     if near:
         warnings.warn(f"{near}: chi and J diverge near resonance",
                       stacklevel=2)
-    chi = dispersive_shift(chain.g, spec.eta, abs(delta))
-    j_degenerate = bus_coupling(chain.g, chain.g, abs(delta), abs(delta))
     grid = np.linspace(cfg.si["cqad.probe_min_mhz"],
                        cfg.si["cqad.probe_max_mhz"],
                        cfg.si["cqad.probe_points"])
@@ -328,14 +298,13 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, tuple | None]:
                       f"{GRID_CONVERGENCE_TOL:g}): the grid levels have not "
                       "converged; raise oracle.grid_points", stacklevel=2)
     # dispersive cross-checks at the design's eta
-    chain = _cqad_config(cfg, spec)
-    delta = abs(_dispersive_detuning(chain))
-    chi_oracle = jc_dispersive_oracle(spec.energies[:3], spec.omega_10 - delta,
-                                      chain.g)
-    chi_formula = dispersive_shift(chain.g, spec.eta, delta)
+    chain = cfg.readout_chain(spec.omega_10)
+    delta, chi_formula, j_formula = dispersive_figures(chain, spec.eta)
+    chi_oracle = jc_dispersive_oracle(spec.energies[:3],
+                                      spec.omega_10 - abs(delta), chain.g)
     j_oracle = two_qubit_bus_oracle(spec.omega_10, spec.omega_10,
-                                    spec.omega_10 + delta, chain.g, chain.g)
-    j_formula = bus_coupling(chain.g, chain.g, delta, delta)
+                                    spec.omega_10 + abs(delta), chain.g,
+                                    chain.g)
     outputs = {
         "grid_points": grid.points,
         "grid_convergence_estimate": result.convergence_estimate,

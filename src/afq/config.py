@@ -19,6 +19,7 @@ import numpy as np
 
 from .cantilever import (CantileverGeometry, MaterialParams, bias_state,
                          modal_params)
+from .cqad import CqadConfig, quality_factor_damping
 from .errors import ConfigError
 from .explorer import SweepSpec
 from .potential import LennardJones, find_bias_point, taylor_coefficients
@@ -144,6 +145,29 @@ class RunConfig:
             thickness=si["cantilever.thickness_nm"],
             material=self.material(), potential=self.potential(),
             temperature=si["sweep.temperature_mk"])
+
+    def readout_chain(self, omega_10: float) -> CqadConfig:
+        """The ``cqad.*`` chain: the qubit at ``omega_10`` unless
+        ``cqad.omega_q_mhz`` is set, the drive on the red sideband omega_r -
+        omega_m unless ``cqad.omega_d_ghz`` is set, each damping omega/Q."""
+        si = self.si
+        omega_q = si["cqad.omega_q_mhz"]
+        if omega_q is None:
+            omega_q = omega_10
+        omega_m, omega_r = si["cqad.omega_m_mhz"], si["cqad.omega_r_ghz"]
+        omega_d = si["cqad.omega_d_ghz"]
+        if omega_d is None:
+            omega_d = omega_r - omega_m         # red-detuned, delta = 0
+        return CqadConfig(
+            omega_q=omega_q, omega_m=omega_m, omega_r=omega_r, omega_d=omega_d,
+            g=si["cqad.g_mhz"], n_d=si["cqad.drive_photons"],
+            qubit_damping=quality_factor_damping(omega_q,
+                                                 si["cqad.qubit_quality"]),
+            mech_damping=quality_factor_damping(omega_m,
+                                                si["cqad.mech_quality"]),
+            kappa_i=si["cqad.kappa_i_mhz"], kappa_e=si["cqad.kappa_e_mhz"],
+            participation=si["cqad.participation"], gap=si["cqad.gap_nm"],
+            readout_x_zpf=si["cqad.readout_x_zpf_fm"])
 
 
 def _parse_value(key: str, field: _Field, text: str, where: str):

@@ -7,9 +7,9 @@ Delta_r = omega_r - omega_d (parametric coupling G_EM = g_EM sqrt(n_d)).
 The module provides the frequency-domain linear response of the full
 3-mode chain, the adiabatic elimination of the microwave mode onto an
 effective Purcell-damped mechanical resonator, and the dispersive-regime
-closed forms (chi, J). The qubit enters the linear response as an
-oscillator; its nonlinearity shows up only through the dispersive
-formulas and the diagonalization oracles.
+closed forms (chi, J; :func:`dispersive_figures`). The qubit enters the
+linear response as an oscillator; its nonlinearity shows up only
+through the dispersive formulas and the diagonalization oracles.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularModelError
+from .units import MHZ
+
+# readout-mode frequency shift from the hybridization joint (design input)
+JOINT_SHIFT_MHZ = -2.7
 
 
 @dataclass(frozen=True)
@@ -197,9 +201,9 @@ def frequency_response(cfg: CqadConfig, omega_grid) -> ResponseSpectrum:
 def dispersive_shift(g: float, eta: float, delta_qc: float) -> float:
     """Closed-form dispersive shift chi = -g^2 eta / (Delta (Delta + eta)).
 
-    ``delta_qc`` is Delta: ``afq cqad`` and ``afq oracle`` both pass the
-    magnitude of the joint-shifted readout-mode minus qubit frequency. The
-    poles Delta = 0 and Delta = -eta straddle resonance and are rejected.
+    ``delta_qc`` is Delta: :func:`dispersive_figures` passes the magnitude of
+    the joint-shifted readout-mode minus qubit frequency. The poles
+    Delta = 0 and Delta = -eta straddle resonance and are rejected.
     The sign convention is that of the transmon literature, where the
     anharmonicity is softening; for a hardening oscillator the level-repulsion
     calculation (:func:`afq.oracle.jc_dispersive_oracle`) gives the opposite
@@ -219,6 +223,15 @@ def bus_coupling(g1: float, g2: float, delta1: float, delta2: float) -> float:
     if delta1 == 0.0 or delta2 == 0.0:
         raise SingularModelError("bus coupling undefined at zero detuning")
     return 0.5 * g1 * g2 * (1.0 / delta1 + 1.0 / delta2)
+
+
+def dispersive_figures(chain: CqadConfig, eta: float):
+    """(Delta, chi, J) of ``afq cqad`` and ``afq oracle``: Delta is the readout
+    mode, shifted by ``JOINT_SHIFT_MHZ``, minus the qubit (rad/s, signed);
+    chi and the degenerate-pair J are taken at |Delta|."""
+    delta = chain.omega_m + JOINT_SHIFT_MHZ * MHZ - chain.omega_q
+    return (delta, dispersive_shift(chain.g, eta, abs(delta)),
+            bus_coupling(chain.g, chain.g, abs(delta), abs(delta)))
 
 
 def cooling_estimate(n_th: float, mech_damping: float,

@@ -16,7 +16,8 @@ from .cantilever import (CONTACT_GUARD, MaterialParams, _check_dimensions,
                          _modal_constants, _operating_state)
 from .errors import DomainError
 from .potential import LennardJones, _taylor_term
-from .spectrum import _first_order_ladder, thermal_occupancy
+from .spectrum import (_first_order_ladder, relative_frequency_shift,
+                       thermal_occupancy)
 
 FLAG_OK = 0            # regime of a sweep row, written in _figures
 FLAG_SNAP_IN = 2       # k + V'' <= 0; 1 (contact) is refused before evaluation
@@ -155,7 +156,7 @@ def _figures(lengths, gaps, width, thickness, material, potential, temperature):
     omega_10, eta = _scatter(stable, omega_10), _scatter(stable, eta)
     n_th, x_zpf = _scatter(stable, n_th), _scatter(stable, x_zpf)
     eta_r = eta / omega_10
-    delta_omega = np.abs(1.0 - omega_10 / omega_c)
+    delta_omega = relative_frequency_shift(omega_10, omega_c)
     length, gap, omega_c, _ = np.broadcast_arrays(length, gap, omega_c, flag)
     return {name: a.ravel() for name, a in {
         "length": length, "gap": gap, "omega_c": omega_c,

@@ -326,20 +326,6 @@ def _near_resonance(delta: float, g: float):
     return None
 
 
-def _max_overlap_labels(evecs, indices):
-    labels = {}
-    taken = set()
-    for key, row in indices.items():
-        order = np.argsort(-np.abs(evecs[row, :]))
-        pick = next((int(i) for i in order if int(i) not in taken), None)
-        if pick is None or np.abs(evecs[row, pick]) ** 2 < 0.5:
-            raise LabelingError(
-                f"eigenstate labeling ambiguous for product state {key}")
-        taken.add(pick)
-        labels[key] = pick
-    return labels
-
-
 def jc_dispersive_oracle(qubit_levels, omega_cavity: float, g: float) -> float:
     """Dispersive shift from exact diagonalization of the 3-level JC model.
 
@@ -351,8 +337,11 @@ def jc_dispersive_oracle(qubit_levels, omega_cavity: float, g: float) -> float:
 
         chi = [(E_e1 - E_e0) - (E_g1 - E_g0)] / (2 hbar)
 
-    with eigenstates labeled by maximum overlap against the uncoupled
-    product states.
+    with each product state labeling the eigenstate of its block that holds
+    the largest share of it: one argmax per block. |Delta| >= 2g (refused
+    below that) puts at least cos^2(pi/8) = 0.854 of |1,0> in one
+    eigenstate, so only |1,1>, which mixes with |2,0> near Delta = -eta,
+    can be ambiguous.
     """
     e_q = np.asarray(qubit_levels, dtype=float)
     if e_q.shape != (3,):
@@ -376,10 +365,13 @@ def jc_dispersive_oracle(qubit_levels, omega_cavity: float, g: float) -> float:
     e_two, v_two = np.linalg.eigh([[e_q[1] + hw, hg2, hg2],  # |1,1>
                                    [hg2, e_q[0] + 2 * hw, 0.0],  # |0,2>
                                    [hg2, 0.0, e_q[2]]])      # |2,0>
-    one = _max_overlap_labels(v_one, {(0, 1): 1, (1, 0): 0})
-    two = _max_overlap_labels(v_two, {(1, 1): 0})
-    return 0.5 * ((e_two[two[(1, 1)]] - e_one[one[(1, 0)]])
-                  - (e_one[one[(0, 1)]] - e_q[0])) / hbar
+    i10 = int(np.argmax(v_one[0] ** 2))     # |0,1> is the other eigenstate
+    i11 = int(np.argmax(v_two[0] ** 2))
+    if v_two[0, i11] ** 2 < 0.5:
+        raise LabelingError(
+            "eigenstate labeling ambiguous for product state (1, 1)")
+    return 0.5 * ((e_two[i11] - e_one[i10])
+                  - (e_one[1 - i10] - e_q[0])) / hbar
 
 
 def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantilever import BiasState, CantileverModal
+from .cantilever import BiasState
 from .errors import DomainError, OrderMismatchError
 from .potential import TaylorCoefficients
 from .units import hbar, k_B
@@ -89,12 +89,11 @@ def perturbative_energies(bias: BiasState, taylor: TaylorCoefficients,
                          eta_r=eta / omega_10)
 
 
-def relative_frequency_shift(spectrum: QubitSpectrum,
-                             modal: CantileverModal) -> float:
-    """|1 - omega_10 / omega_c|, the surface-induced frequency pull."""
-    if modal.omega_c <= 0:
+def relative_frequency_shift(omega_10, omega_c):
+    """|1 - omega_10 / omega_c|, the surface-induced pull; floats or arrays."""
+    if np.any(np.asarray(omega_c) <= 0):
         raise DomainError("omega_c must be > 0")
-    return abs(1.0 - spectrum.omega_10 / modal.omega_c)
+    return np.abs(1.0 - omega_10 / omega_c)
 
 
 def thermal_occupancy(omega, temperature):

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from afq import __version__, cli, jc_dispersive_oracle
-from afq.cli import JOINT_SHIFT_MHZ, PAPER_CONFIG, main
+from afq.cli import PAPER_CONFIG, main
 from afq.config import SCHEMA, default_config
+from afq.cqad import JOINT_SHIFT_MHZ
 from afq.units import MHZ, cycles, hbar
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -8,9 +8,8 @@ import pytest
 from afq import (CqadConfig, adiabatic_elimination, bus_coupling,
                  cooling_estimate, dispersive_shift, electromech_coupling,
                  frequency_response, parametric_coupling, response_linewidth)
-from afq.cli import _cqad_config
-from afq.config import default_config
-from afq.cqad import quality_factor_damping
+from afq.config import PAPER_CONFIG, default_config, parse_config_text
+from afq.cqad import dispersive_figures, quality_factor_damping
 from afq.errors import DomainError, SingularModelError
 from afq.units import GHZ, MHZ, NM, FM, cycles
 
@@ -198,7 +197,7 @@ def bundled_chain():
     grid = np.linspace(run.si["cqad.probe_min_mhz"],
                        run.si["cqad.probe_max_mhz"],
                        run.si["cqad.probe_points"])
-    return _cqad_config(run, spec), grid
+    return run.readout_chain(spec.omega_10), grid
 
 
 def assert_matches_batched_inverse(cfg, grid):
@@ -300,6 +299,26 @@ def test_bus_coupling_values():
     assert cycles(j2) / 1e6 == pytest.approx(0.225, abs=1e-3)
     with pytest.raises(SingularModelError):
         bus_coupling(1.0, 1.0, 0.0, 5.0)
+
+
+@pytest.mark.parametrize("length_nm, delta_mhz", [(495, 4.30), (420, None)])
+def test_dispersive_figures_on_the_configured_chain(length_nm, delta_mhz):
+    # the joint-shifted readout mode (67 - 2.7 MHz) lies above the bundled
+    # qubit (60.0 MHz) and below the stiffer 420 nm one
+    run = parse_config_text(PAPER_CONFIG.replace(
+        "cantilever.length_nm = 495", f"cantilever.length_nm = {length_nm}"))
+    *_, spec = run.design()
+    chain = run.readout_chain(spec.omega_10)
+    assert run.si["cqad.omega_q_mhz"] is run.si["cqad.omega_d_ghz"] is None
+    assert chain.omega_q == spec.omega_10
+    assert chain.omega_d == chain.omega_r - chain.omega_m     # red sideband
+    delta, chi, j = dispersive_figures(chain, spec.eta)
+    if delta_mhz is None:
+        assert delta < 0
+    else:
+        assert cycles(delta) / 1e6 == pytest.approx(delta_mhz, abs=0.005)
+    assert chi == dispersive_shift(chain.g, spec.eta, abs(delta))
+    assert j == bus_coupling(chain.g, chain.g, abs(delta), abs(delta))
 
 
 def test_cooling_estimate():

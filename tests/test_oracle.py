@@ -498,9 +498,13 @@ def dense_jc_chi(qubit_levels, omega_cavity, g, n_ph=20):
             h[idx(j + 1, n), idx(j, n + 1)] += amp
             h[idx(j, n + 1), idx(j + 1, n)] += amp
     evals, evecs = np.linalg.eigh(h)
-    lab = oracle._max_overlap_labels(
-        evecs, {key: idx(*key) for key in [(0, 0), (0, 1), (1, 0), (1, 1)]})
-    e = {key: evals[pick] for key, pick in lab.items()}
+    e = {}
+    for key in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        weights = evecs[idx(*key)] ** 2     # each eigenstate's share of key
+        if weights.max() < 0.5:
+            raise LabelingError(
+                f"eigenstate labeling ambiguous for product state {key}")
+        e[key] = evals[np.argmax(weights)]
     return 0.5 * ((e[(1, 1)] - e[(1, 0)]) - (e[(0, 1)] - e[(0, 0)])) / hbar
 
 
@@ -530,6 +534,30 @@ def test_jc_blocks_match_dense_reference():
         else:
             assert blocks == pytest.approx(dense, rel=1e-9, abs=0)
     assert 0 < refused < 150
+
+
+def test_jc_one_excitation_labels_are_never_close():
+    # from |Delta| = 2g upward, tan 2 theta = 2g/|Delta| <= 1: |1,0> keeps
+    # at least cos^2(pi/8) of one eigenstate, so an argmax labels the block
+    # and only the |1,1> weight check can refuse
+    rng = np.random.default_rng(27)
+    bound = np.cos(np.pi / 8) ** 2 - 1e-12
+    for draw in range(200):
+        eta = rng.choice([-1, 1]) * rng.uniform(0.5, 10) * MHZ
+        omega_cavity = W_Q - rng.choice([-1, 1]) * rng.uniform(1, 20) * MHZ
+        levels = (0.0, hbar * W_Q, hbar * (2 * W_Q + eta))
+        # the detuning as the oracle computes it, so |Delta| = 2g is exact
+        delta = (levels[1] - levels[0]) / hbar - omega_cavity
+        g = abs(delta) / (2.0 if draw < 20 else rng.uniform(2, 20))
+        hw, hg = hbar * omega_cavity, hbar * g      # the oracle's block
+        _, v_one = np.linalg.eigh([[levels[1], hg], [hg, levels[0] + hw]])
+        assert (v_one[0] ** 2).max() >= bound, (delta, eta, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                jc_dispersive_oracle(levels, omega_cavity, g)
+            except LabelingError as exc:
+                assert "product state (1, 1)" in str(exc), (delta, eta, g)
 
 
 @pytest.mark.parametrize("levels, omega_cavity, g, name", [

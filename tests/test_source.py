@@ -287,6 +287,31 @@ def test_oracle_import_is_found(source):
     assert "afq.oracle" in imported_paths(ast.parse(source))
 
 
+CLOSED_FORMS = ("afq.spectrum", "afq.cqad")
+
+
+def closed_form_imports(tree):
+    """Paths an AST imports from the closed-form modules the oracle checks."""
+    return sorted(path for path in imported_paths(tree)
+                  if any(path == m or path.startswith(m + ".")
+                         for m in CLOSED_FORMS))
+
+
+def test_oracle_imports_no_closed_form():
+    path = ROOT / "src" / "afq" / "oracle.py"
+    assert closed_form_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f():\n    from .cqad import bus_coupling\n",
+     ["afq.cqad", "afq.cqad.bus_coupling"]),
+    ("from . import spectrum\n", ["afq.spectrum"]),
+    ("import afq.cqad\n", ["afq.cqad"]),
+    ("from .cantilever import bias_state\nfrom .spectrums import x\n", [])])
+def test_closed_form_import_is_found(source, found):
+    assert closed_form_imports(ast.parse(source)) == found
+
+
 def config_reads(tree):
     """String keys an AST reads as ``si[...]`` or ``display[...]``."""
     return {node.slice.value for node in ast.walk(tree)
