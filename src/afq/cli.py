@@ -11,8 +11,14 @@ Outputs are deterministic: identical (config, command) pairs produce
 byte-identical files. A float CSV cell is exactly ``f"{x:.12e}"``: 13
 significant digits (the 12th-power terms make lower precision lossy on
 round-trip), ``nan``, ``inf`` or ``-inf``. Integer and flag cells and
-the ``True``/``None`` cells of single-row reports are ``str()``. The
-writer formats whole columns with numpy (:func:`emit_csv`).
+the ``True``/``None`` cells of single-row reports are ``str()``.
+
+The writer (:func:`emit_csv`) formats whole columns with numpy, block by
+block, and computes digits only for the cells that print them: finite
+non-zero floats, four digits per table lookup. NaN, the infinities and
+the zeros are constant cells, an integer column of 0..9 (the sweep flag)
+is a lookup, and the four sweep columns that follow one grid axis
+(:func:`sweep_table`) are formatted once per distinct value.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .config import (PAPER_CONFIG, RunConfig, default_config,  # noqa: F401
 from .cqad import (JOINT_SHIFT_MHZ, adiabatic_elimination,  # noqa: F401
                    dispersive_figures, frequency_response)
 from .errors import AfqError, ConfigError, DomainError
-from .explorer import SWEEP_COLUMNS, sweep
+from .explorer import _SWEEP_TABLE, SWEEP_COLUMNS, sweep
 from .oracle import (GRID_CONVERGENCE_TOL, GridSpec, _near_resonance,
                      grid_eigensolve, jc_dispersive_oracle, total_potential,
                      two_qubit_bus_oracle)
@@ -41,110 +47,269 @@ from .spectrum import relative_frequency_shift, thermal_occupancy
 from .units import ANGSTROM, MK, NM, PM, cycles
 
 
+class AxisColumn:
+    """A column given by its distinct values: row ``i`` of ``rows`` holds
+    ``values[(i // stride) % len(values)]``. :func:`emit_csv` formats each
+    value once and gathers the cells of every block."""
+
+    def __init__(self, values, stride: int, rows: int):
+        self.values, self.stride, self.rows = np.asarray(values), stride, rows
+
+    def __len__(self):
+        return self.rows
+
+
 class CsvTable:
     """A CSV body held column by column; ``len()`` counts its data rows.
 
-    Each column goes through ``np.asarray``, so one column holds one type:
-    float64 columns print as ``f"{x:.12e}"``, any other with ``str()``.
+    A column is an :class:`AxisColumn` or goes through ``np.asarray``, so
+    one column holds one type: float64 columns print as ``f"{x:.12e}"``,
+    any other with ``str()``.
     """
 
     def __init__(self, columns):
-        self.columns = [np.asarray(c) for c in columns]
+        self.columns = [c if isinstance(c, AxisColumn) else np.asarray(c)
+                        for c in columns]
 
     def __len__(self):
         return len(self.columns[0])
 
 
+def sweep_table(result) -> CsvTable:
+    """The ``afq sweep`` CSV body of ``result``, the full grid of a
+    :func:`~afq.explorer.sweep`, in ``SWEEP_COLUMNS`` order.
+
+    Rows run lexicographically in (L, x), so ``length_m`` and
+    ``omega_c_rad_s`` take one value per length (stride ``n_x``) and
+    ``gap_m`` and ``gap_over_sigma`` one per gap (stride 1): those four
+    are :class:`AxisColumn` of their distinct values.
+    """
+    n_x = len(result.spec.gaps_over_sigma)
+    rows = len(result)
+    if rows != len(result.spec.lengths) * n_x:
+        raise ValueError("sweep_table needs the full grid of a sweep")
+    gaps = result.gap[:n_x]
+    axes = {"length_m": AxisColumn(result.length[::n_x], n_x, rows),
+            "gap_m": AxisColumn(gaps, 1, rows),
+            "gap_over_sigma": AxisColumn(gaps / result.spec.potential.sigma,
+                                         1, rows),
+            "omega_c_rad_s": AxisColumn(result.omega_c[::n_x], n_x, rows)}
+    return CsvTable([axes[header] if header in axes else result.arrays[name]
+                     for header, name in _SWEEP_TABLE])
+
+
 # _POW10[k + 89] == 10**k, correctly rounded (float() of the literal)
 _POW10 = np.array([float(f"1e{k}") for k in range(-89, 114)])
+# bound on the relative error of m = |v| * _POW10[k + 89], by the same
+# index: one rounding where 10**k is exact (0 <= k <= 22), else two
+_MANTISSA_ERR = np.where(np.abs(np.arange(-89, 114) - 11) <= 11,
+                         1.2e-16, 2.4e-16)
 
 
 def _decimal_parts(x: np.ndarray):
     """13-digit mantissa, exponent and fallback mask of ``f"{v:.12e}"``.
 
     A finite normal ``v`` with ``10**e <= |v| < 10**(e+1)`` prints the
-    mantissa ``round(m)``, ``m = |v| * 10**(12-e)``. With ``10**(12-e)``
-    correctly rounded, the computed ``m`` is within ~2 ulp of the exact
-    product: 2.2e-16 relative, at most 2.2e-3 absolute below 1e13. So
-    ``rint(m)`` is the correctly rounded mantissa wherever ``m`` is more
-    than a 1e-2 margin away from a half-integer, and the same bound covers
-    ``e`` being one off at a decade edge. The mask marks what is left to
-    Python's own formatter: those near-ties, 3-digit exponents and
-    subnormals. Zeros, NaN and infinities get mantissa 0, exponent 0.
+    mantissa ``round(m)``, ``m = |v| * 10**(12-e)``. Where ``10**(12-e)``
+    is exact, the computed ``m`` is the exact product rounded once, within
+    ``m * 2**-53 (1 + 2**-53) < m * 1.2e-16`` of it; elsewhere the power is
+    rounded too, and the bound is ``m * 2.4e-16``. ``m - rint(m)`` is
+    exact, so ``rint(m)`` is the correctly rounded mantissa wherever
+    ``m`` is further than that bound (plus 1e-9 for the test's own
+    rounding) from a half-integer: at most 2.4e-3 below 1e13. A wrong
+    ``e`` at a decade edge moves ``m`` across 1e12 or 1e13 only within the
+    same bound, where both exponents print the same cell. The mask marks
+    what is left to Python's own formatter: those near-ties, 3-digit
+    exponents and subnormals. The mantissa is a float64 integer, 0 in the
+    fallback cells; zeros, NaN and infinities get mantissa 0, exponent 0.
     """
     a = np.abs(x)
     normal = (a >= np.finfo(np.float64).tiny) & (a < np.inf)
-    a = np.where(normal, a, 1.0)
-    e = np.clip(np.floor(np.log10(a)), -100, 100).astype(np.int64)
-    m = a * _POW10[101 - e]                    # _POW10[101 - e] == 10**(12-e)
-    for step in (-1, 1):           # log10 can miss by one next to 10**e
-        wrong = m < 1e12 if step < 0 else m >= 1e13
-        e[wrong] += step
-        m[wrong] = a[wrong] * _POW10[101 - e[wrong]]
+    every = normal.all()
+    if not every:
+        a = np.where(normal, a, 1.0)
+    # _POW10[k] == 10**(12-e)
+    k = 101 - np.clip(np.floor(np.log10(a)), -100, 100).astype(np.intp)
+    m = a * _POW10[k]
+    for step in (1, -1):           # log10 can miss by one next to 10**e
+        wrong = m < 1e12 if step > 0 else m >= 1e13
+        if wrong.any():
+            k[wrong] += step
+            m[wrong] = a[wrong] * _POW10[k[wrong]]
     digits = np.rint(m)
-    near_tie = np.abs(m - digits) > 0.5 - 1e-2
+    near_tie = np.abs(m - digits) + m * _MANTISSA_ERR[k] > 0.5 - 1e-9
+    e = 101 - k
     carry = digits == 1e13                     # 9.99...97 rounds up a decade
-    e[carry] += 1
-    digits[carry] = 1e12
-    fallback = (near_tie | (np.abs(e) > 99)) & normal
+    if carry.any():
+        e[carry] += 1
+        digits[carry] = 1e12
+    fallback = near_tie | (np.abs(e) > 99)
+    if every:
+        if fallback.any():
+            digits[fallback] = 0.0
+        return digits, e, fallback
+    fallback &= normal
     fallback |= ~normal & (x != 0) & np.isfinite(x)          # subnormals
     keep = normal & ~fallback
-    return (np.where(keep, digits, 0.0).astype(np.int64),
-            np.where(keep, e, 0), fallback)
+    return np.where(keep, digits, 0.0), np.where(keep, e, 0), fallback
+
+
+def _word(b0, b1, b2, b3):
+    """Little-endian uint32 of four bytes (ints or int arrays)."""
+    return (np.asarray(b0, np.uint32) | np.asarray(b1, np.uint32) << 8
+            | np.asarray(b2, np.uint32) << 16
+            | np.asarray(b3, np.uint32) << 24).astype("<u4")
+
+
+# A digit cell is five little-endian uint32 words, right-aligned in 20
+# bytes: [NUL, sign or NUL, d, "."] [dddd] [dddd] [dddd] ["e", sign, dd].
+_DIGITS4 = _word(*np.ix_(*[np.arange(48, 58)] * 4)).reshape(
+    -1)                                        # _DIGITS4[k] spells f"{k:04d}"
+_EXPONENT = _word(ord("e"), np.repeat([ord("-"), ord("+")], [99, 100]),
+                  *(np.abs(np.arange(-99, 100)) // p % 10 + 48
+                    for p in (10, 1)))         # _EXPONENT[e + 99]
+# the last word of a NaN cell, and the cells of the other values printed
+# without digits: _CONSTANT_CELLS[signbit + 2 isinf] is 0.0, -0.0, inf, -inf
+_NAN_WORD = _word(0, *b"nan")
+_CONSTANT_CELLS = np.frombuffer(b"".join(
+    text.encode().rjust(20, b"\0") for text in (
+        f"{0.0:.12e}", f"{-0.0:.12e}", "inf", "-inf")), np.uint8).reshape(4, 20)
+
+
+def _digit_cells(x: np.ndarray) -> np.ndarray:
+    """Cells of finite non-zero ``x``: mantissa read from ``_DIGITS4`` in
+    4-digit groups; the fallback cells of :func:`_decimal_parts` are
+    Python's own ``f"{v:.12e}"``."""
+    digits, e, fallback = _decimal_parts(x)
+    words = np.empty((x.size, 5), "<u4")
+    high = np.floor(digits / 1e8)              # d dddd: exact in float64
+    digits -= high * 1e8                       # dddd dddd
+    lead = np.floor(high / 1e4)
+    high -= lead * 1e4
+    words[:, 1] = _DIGITS4[high.astype(np.intp)]
+    high = np.floor(digits / 1e4)
+    digits -= high * 1e4
+    words[:, 2] = _DIGITS4[high.astype(np.intp)]
+    words[:, 3] = _DIGITS4[digits.astype(np.intp)]
+    # [NUL, sign, d, "."], with "-" (0x2D00) in the sign byte where x < 0
+    words[:, 0] = lead * 65536 + np.signbit(x) * 11520.0 + 0x2E300000
+    words[:, 4] = np.take(_EXPONENT, e + 99, mode="clip")
+    if fallback.any():
+        i = np.flatnonzero(fallback)
+        words.view("S20")[i, 0] = [
+            f"{v:.12e}".encode().rjust(20, b"\0") for v in x[i].tolist()]
+    return words.view(np.uint8)
 
 
 def _sci_cells(x: np.ndarray) -> np.ndarray:
-    """``f"{v:.12e}"`` of each float64 in 1-D ``x``: (n, 20) uint8, NUL-padded.
+    """``f"{v:.12e}"`` of each float64 in 1-D ``x``: (n, 20) uint8,
+    right-aligned and NUL-padded.
 
-    NaN and the infinities are spelled as Python spells them (``-nan``
-    prints ``nan``); the cells :func:`_decimal_parts` cannot prove are
-    formatted by Python.
+    Only finite non-zero values get digits (:func:`_digit_cells`): all of
+    ``x`` at once when every value does, else compressed and scattered
+    back. NaN, the infinities and the zeros are constant cells, spelled as
+    Python spells them (``-nan`` prints ``nan``).
     """
-    mantissa, e, fallback = _decimal_parts(x)
-    # layout: sign, d, '.', 12 digits, 'e', sign, 2 digits, NUL
-    out = np.zeros((x.size, 20), np.uint8)
-    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    for pos in (14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 1):
-        quotient = mantissa // 10
-        out[:, pos] = mantissa - 10 * quotient + ord("0")
-        mantissa = quotient
-    out[:, 2] = ord(".")
-    out[:, 15] = ord("e")
-    out[:, 16] = np.where(e < 0, ord("-"), ord("+"))
-    out[:, 17] = np.abs(e) // 10 + ord("0")
-    out[:, 18] = np.abs(e) % 10 + ord("0")
-
-    cells = out.view("S20").reshape(-1)
-    cells[np.isnan(x)] = b"nan"
-    cells[x == np.inf] = b"inf"
-    cells[x == -np.inf] = b"-inf"
-    cells[fallback] = [f"{v:.12e}".encode() for v in x[fallback].tolist()]
-    return out
+    digits = np.isfinite(x) & (x != 0)
+    if digits.all():
+        return _digit_cells(x)
+    words = np.zeros((x.size, 5), "<u4")
+    words[:, 4] = _NAN_WORD
+    cells = words.view(np.uint8)
+    rest = np.flatnonzero(~digits & ~np.isnan(x))    # zeros and infinities
+    if rest.size:
+        cells[rest] = _CONSTANT_CELLS[np.signbit(x[rest])
+                                      + 2 * np.isinf(x[rest])]
+    i = np.flatnonzero(digits)
+    if i.size:
+        words.view("V20")[i, 0] = _digit_cells(x[i]).view("V20")[:, 0]
+    return cells
 
 
-def _csv_rows(columns) -> str:
-    """CSV lines of equal-length columns.
+def _column_cells(values: np.ndarray) -> np.ndarray:
+    """(n, width) uint8 cells of a 1-D column: :func:`_sci_cells` for
+    float64, else ``str()`` of each value (``astype("S")``), NUL-padded."""
+    if values.dtype == np.float64:
+        return _sci_cells(values)
+    cells = values.astype("S")
+    return cells.view(np.uint8).reshape(cells.size, cells.itemsize)
 
-    Every cell gets a NUL-padded slot in one (rows, columns, width + 1)
-    byte grid, its last byte the separator; dropping the NULs leaves the
-    lines. All float64 columns go through :func:`_sci_cells` at once; any
-    other column is ``str()`` of each cell (``astype("S")``).
+
+def _first_used(cells: np.ndarray):
+    """Index of the first byte that is not NUL in some cell of ``cells``:
+    (rows, width), or (rows, columns, width) for one index per column."""
+    return (np.bitwise_or.reduce(cells, axis=0) != 0).argmax(axis=-1)
+
+
+def _lookup(cells: np.ndarray, index):
+    """A lookup column: row ``i`` of a block is ``cells[index(start,
+    stop)[i]]``, copied item by item into its slot."""
+    cells = np.ascontiguousarray(cells[:, _first_used(cells):])
+    return "lookup", cells.view(f"V{cells.shape[1]}")[:, 0], index
+
+
+# str() of 0..9 by value: the cells of a small-integer column (flag)
+_SMALL_INTS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)[:, None]
+
+
+def _cell_source(column):
+    """How :func:`_csv_rows` makes a column's cells: ``(kind, data, index)``.
+
+    ``("float", column, None)``: formatted with every float64 column of
+    the block at once. ``("lookup", cells, index)``: an
+    :class:`AxisColumn`, its values formatted here, once, or an integer
+    column of 0..9 that reads ``_SMALL_INTS``. ``("text", column, None)``:
+    ``str()`` of each cell.
     """
-    rows = len(columns[0])
-    floats = [j for j, col in enumerate(columns) if col.dtype == np.float64]
-    texts = {j: col.astype("S") for j, col in enumerate(columns)
-             if j not in floats}
-    width = max([20] + [cells.itemsize for cells in texts.values()])
-    grid = np.zeros((rows, len(columns), width + 1), np.uint8)
+    if isinstance(column, AxisColumn):
+        stride, count = column.stride, len(column.values)
+        return _lookup(_column_cells(column.values), lambda start, stop:
+                       np.arange(start, stop) // stride % count)
+    if (column.dtype.kind in "iu" and column.size
+            and 0 <= column.min() and column.max() <= 9):
+        return _lookup(_SMALL_INTS, lambda start, stop: column[start:stop])
+    return "float" if column.dtype == np.float64 else "text", column, None
+
+
+def _csv_rows(sources, start: int, stop: int) -> str:
+    """CSV lines of rows ``start:stop`` of the columns behind ``sources``
+    (:func:`_cell_source`).
+
+    The float64 columns go through :func:`_sci_cells` at once. Each column
+    gets a slot in one (rows, line width) byte grid, as wide as its widest
+    cell in the block, then a separator. Cells are right-aligned in their
+    slot with NUL padding, or left-aligned for text, and dropping the NULs
+    leaves the lines.
+    """
+    rows = stop - start
+    floats = [j for j, (kind, *_) in enumerate(sources) if kind == "float"]
+    cells = {}
     if floats:
-        x = np.stack([columns[j] for j in floats], axis=1).reshape(-1)
-        grid[:, floats, :20] = _sci_cells(x).reshape(rows, len(floats), 20)
-    for j, cells in texts.items():
-        grid[:, j, :cells.itemsize] = cells.view(np.uint8).reshape(
-            rows, cells.itemsize)
-    grid[:, :, width] = ord(",")
-    grid[:, -1, width] = ord("\n")
-    return grid.tobytes().translate(None, b"\0").decode()
+        x = np.stack([sources[j][1][start:stop] for j in floats], axis=1)
+        block = _sci_cells(x.reshape(-1)).reshape(rows, len(floats), 20)
+        for c, (j, first) in enumerate(zip(floats, _first_used(block))):
+            cells[j] = block[:, c, first:]
+    widths = []
+    for j, (kind, data, _) in enumerate(sources):
+        if kind == "text":
+            cells[j] = _column_cells(data[start:stop])
+        widths.append(data.itemsize if kind == "lookup" else cells[j].shape[1])
+    ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)
+    lines = bytearray(rows * ends[-1])
+    grid = np.frombuffer(lines, np.uint8).reshape(rows, ends[-1])
+    for j, ((kind, data, index), end, width) in enumerate(
+            zip(sources, ends, widths)):
+        slot = grid[:, end - 1 - width:end - 1]
+        if kind == "lookup":
+            slot.view(data.dtype)[:, 0] = data[index(start, stop)]
+        else:
+            slot[...] = cells[j]
+    grid[:, ends - 1] = ord(",")
+    grid[:, -1] = ord("\n")
+    # bytearray.replace pays per NUL, translate per byte: about 16 bytes a NUL
+    if 16 * (grid.size - np.count_nonzero(grid)) < grid.size:
+        return lines.replace(b"\0", b"").decode()
+    return lines.translate(None, b"\0").decode()
 
 
 # Cells per block of rows: each numpy temporary stays near 128 KiB, which
@@ -161,10 +326,10 @@ def emit_csv(header, table: CsvTable, stream) -> None:
     quote or newline.
     """
     step = max(1, _BLOCK_CELLS // len(table.columns))
+    sources = [_cell_source(column) for column in table.columns]
     stream.write(",".join(header) + "\n")
     for start in range(0, len(table), step):
-        stream.write(_csv_rows([col[start:start + step]
-                                for col in table.columns]))
+        stream.write(_csv_rows(sources, start, min(start + step, len(table))))
 
 
 def emit(report: dict, fmt: str, out_path, quiet: bool,
@@ -242,7 +407,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, tuple]:
     outputs = {"rows": len(result), "flagged_rows": flagged,
                "length_points": si["sweep.length_points"],
                "x_points": si["sweep.x_points"]}
-    return outputs, (list(SWEEP_COLUMNS), CsvTable(result.columns()))
+    return outputs, (list(SWEEP_COLUMNS), sweep_table(result))
 
 
 RESPONSE_COLUMNS = ("omega_over_2pi_hz", "re_reflection", "im_reflection",

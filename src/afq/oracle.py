@@ -166,6 +166,22 @@ def _stencil_eigenvalues(diag, t, n_levels, abstol=0.0):
     return np.concatenate(levels)
 
 
+def _generic_vector(n: int) -> np.ndarray:
+    """``n`` fixed values in [0, 1): SplitMix64 of the counters 1..n.
+
+    Inverse iteration needs a start vector with a component along each
+    eigenvector it converges to. A hashed counter is as generic as a
+    random draw, with no regular pattern to line up with the stencil's
+    modes, and is integer arithmetic in uint64 (wrapping): no
+    random-number module is imported.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
 def _refine(diag, t, seeds):
     """The stencil eigenvalues next to ``seeds`` (ascending), or None when
     they cannot be certified as the lowest ``len(seeds)``.
@@ -183,7 +199,7 @@ def _refine(diag, t, seeds):
     """
     dgtsv, dstebz = _lapack().dgtsv, _lapack().dstebz
     off = np.full(diag.size - 1, -t)
-    start = np.random.default_rng(0).random(diag.size)
+    start = _generic_vector(diag.size)
     margin = 1e-8 * (seeds[-1] - seeds[0])
     levels = []
     for sigma in seeds:

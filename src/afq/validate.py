@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantilever import CantileverGeometry, snap_in_threshold
-from .cli import CsvTable, emit_csv
+from .cli import emit_csv, sweep_table
 from .config import default_config
 from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    dispersive_shift, frequency_response, response_linewidth)
@@ -250,7 +250,7 @@ def check_design_sweep() -> Check:
     bad = np.nonzero(argmax != nearest)[0]
     col = eta_r[:, nearest]
     monotone = bool(np.all(np.diff(col) > 0))
-    table = CsvTable(result.columns())
+    table = sweep_table(result)
     bufs = []
     for _ in range(2):
         buf = io.StringIO()

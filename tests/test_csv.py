@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from afq import LennardJones, MaterialParams, cli
 from afq.config import PAPER_CONFIG, default_config, parse_config_text
-from afq.explorer import SWEEP_COLUMNS, _figures, sweep
+from afq.explorer import SWEEP_COLUMNS, SweepSpec, _figures, sweep
 from afq.units import ANGSTROM, MEV
 
 SILICON = MaterialParams(young_modulus=160e9, density=2329.0)
@@ -204,3 +204,105 @@ def test_cqad_csv_matches_reference(tmp_path):
     text, _, (header, table) = _run_csv(tmp_path, "cqad")
     assert len(table) == 2001
     assert text == reference_csv(header, zip(*table.columns))
+
+
+# -- cells that need no digits, and axis columns formatted once ----------
+
+def test_fallback_is_rare_on_random_normal_floats():
+    # the per-cell tie margin leaves about 0.2 % of cells to Python
+    rng = np.random.default_rng(28)
+    n = 100_000
+    values = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n)
+              * 10.0 ** rng.integers(-99, 99, n))
+    _, _, fallback = cli._decimal_parts(values)
+    assert np.count_nonzero(fallback) <= 0.005 * n
+    assert_matches_python(values)
+
+
+def assert_same_text(got, want):
+    """``got == want``, naming the first line that differs: pytest's own
+    diff of two texts of a megabyte takes minutes."""
+    pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    first = next(((i, g, w) for i, (g, w) in enumerate(pairs) if g != w),
+                 "none; the line counts differ")
+    same = got == want
+    assert same, f"first differing line (index, got, want): {first}"
+
+
+def sweep_box(lengths_nm, gaps_over_sigma):
+    return sweep(SweepSpec(
+        lengths=tuple(np.asarray(lengths_nm, dtype=float) * 1e-9),
+        gaps_over_sigma=tuple(gaps_over_sigma), width=10e-9,
+        thickness=12e-9, material=SILICON, potential=LJ, temperature=8e-3))
+
+
+def assert_sweep_table_matches_reference(result):
+    assert_same_text(emitted(list(SWEEP_COLUMNS),
+                             cli.sweep_table(result).columns),
+                     reference_csv(SWEEP_COLUMNS, zip(*result.columns())))
+
+
+@pytest.mark.parametrize("lengths_nm, gaps, flags", [
+    (np.linspace(700, 800, 30), np.linspace(1.5, 2.0, 40), {2}),
+    (np.linspace(100, 150, 30), np.linspace(1.5, 2.0, 40), {0}),
+    (np.linspace(200, 800, 30), np.linspace(1.15, 2.0, 40), {0, 2}),
+    ([495.0], np.linspace(1.15, 2.0, 300), {0, 2}),            # n_l = 1
+    (np.linspace(200, 800, 300), [1.2], {0}),                  # n_x = 1
+], ids=["all-snap-in", "all-stable", "mixed", "one-length", "one-gap"])
+def test_sweep_table_matches_reference(lengths_nm, gaps, flags):
+    result = sweep_box(lengths_nm, gaps)
+    assert set(result.flag.tolist()) == flags
+    assert_sweep_table_matches_reference(result)
+
+
+def test_length_runs_straddle_block_edges():
+    result = sweep_box(np.linspace(200, 800, 300), np.linspace(1.15, 2.0, 11))
+    step = cli._BLOCK_CELLS // len(SWEEP_COLUMNS)      # rows per block
+    assert len(result) > 2 * step and step % 11
+    assert_sweep_table_matches_reference(result)
+
+
+def test_sweep_table_refuses_a_subset():
+    result = sweep_box(np.linspace(200, 800, 5), np.linspace(1.15, 2.0, 4))
+    with pytest.raises(ValueError, match="full grid"):
+        cli.sweep_table(result.take([0, 1, 2]))
+
+
+def test_axis_columns_match_their_rows():
+    rows = 3 * cli._BLOCK_CELLS // 4 + 5               # crosses block edges
+    values = np.array([1.5, -2.25, np.nan, 0.0, 7e-300, np.inf, 3.0])
+    columns = [cli.AxisColumn(values, 1, rows), cli.AxisColumn(values, 5, rows),
+               cli.AxisColumn(np.array([3, -40, 500]), 2, rows),
+               np.arange(rows) % 7 * 0.5]
+    i = np.arange(rows)
+    expanded = [values[i % 7], values[i // 5 % 7],
+                np.array([3, -40, 500])[i // 2 % 3], columns[3]]
+    header = ["a", "b", "n", "x"]
+    assert_same_text(emitted(header, columns),
+                     reference_csv(header, zip(*expanded)))
+
+
+def test_integer_columns_match_reference():
+    rows = cli._BLOCK_CELLS // 3 + 7
+    rng = np.random.default_rng(3)
+    columns = [rng.integers(0, 10, rows),                   # the lookup: 0..9
+               rng.integers(0, 10, rows).astype(np.uint8),
+               rng.integers(-20, 20, rows),                  # negative and >= 10
+               rng.integers(0, 10, rows) + 10,
+               rng.integers(0, 11, rows), rng.integers(-1, 10, rows)]
+    header = ["flag", "u8", "signed", "wide", "to_10", "from_-1"]
+    assert_same_text(emitted(header, columns),
+                     reference_csv(header, zip(*columns)))
+
+
+def test_constant_cells_match_reference():
+    # a column of NaN only, one of digits only, one with every constant
+    rows = cli._BLOCK_CELLS // 2 + 3
+    rng = np.random.default_rng(4)
+    digits = rng.normal(size=rows) * 10.0 ** rng.integers(-30, 30, rows)
+    mixed = rng.choice([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324,
+                        1e100, 1.25, -3.5], rows)
+    columns = [np.full(rows, np.nan), digits, mixed]
+    header = ["nan", "digits", "mixed"]
+    assert_same_text(emitted(header, columns),
+                     reference_csv(header, zip(*columns)))

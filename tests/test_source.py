@@ -2,8 +2,8 @@
 every default some caller overrides, every private module-level name, every
 public name and every config key is read somewhere, every error class is
 raised somewhere,
-``afq.__all__`` matches what the package imports, and the brute-force
-oracle shares no code with what it checks."""
+``afq.__all__`` matches what the package imports, the brute-force
+oracle shares no code with what it checks, and nothing uses numpy.random."""
 
 import ast
 from pathlib import Path
@@ -285,6 +285,37 @@ def test_only_front_ends_import_the_oracle(path):
     "from afq import oracle\n"])
 def test_oracle_import_is_found(source):
     assert "afq.oracle" in imported_paths(ast.parse(source))
+
+
+def numpy_random_references(tree):
+    """``np.random`` and ``numpy.random`` attributes of an AST, and the
+    paths it imports from numpy.random."""
+    attributes = {f"{node.value.id}.random" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "random"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in ("np", "numpy")}
+    imports = {path for path in imported_paths(tree)
+               if path == "numpy.random" or path.startswith("numpy.random.")}
+    return sorted(attributes | imports)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_random(path):
+    # importing numpy.random costs each cold afq process tens of ms
+    assert numpy_random_references(ast.parse(path.read_text(),
+                                             str(path))) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("x = np.random.default_rng(0).random(3)\n", ["np.random"]),
+    ("import numpy\nnumpy.random.seed(1)\n", ["numpy.random"]),
+    ("def f():\n    from numpy.random import default_rng\n",
+     ["numpy.random", "numpy.random.default_rng"]),
+    ("from numpy import random\n", ["numpy.random"]),
+    ("import numpy.random as npr\n", ["numpy.random"]),
+    ("import random\nx = rng.random(3)\ny = np.linalg.norm(x)\n", [])])
+def test_numpy_random_reference_is_found(source, found):
+    assert numpy_random_references(ast.parse(source)) == found
 
 
 CLOSED_FORMS = ("afq.spectrum", "afq.cqad")

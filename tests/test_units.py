@@ -1,4 +1,5 @@
-"""Units: exact SI constants and a scipy-free import of the package."""
+"""Units: exact SI constants, and what a fresh process imports: no scipy
+but the oracle's LAPACK extension, and no numpy.random."""
 
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.constants
 
 from afq.units import MEV, hbar, k_B
@@ -91,3 +93,16 @@ def test_oracle_loads_only_the_lapack_extension(tmp_path):
     assert alone["levels"] == after["levels"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle",
                                                            "validate"]
+
+
+@pytest.mark.parametrize("command", ["oracle", "validate"])
+def test_command_imports_no_numpy_random(tmp_path, command):
+    # the oracle's start vector is integer arithmetic: importing
+    # numpy.random would cost every cold afq oracle and afq validate
+    script = ("import sys, afq.cli\n"
+              "code = afq.cli.main([sys.argv[2], '--quiet', '--out', "
+              "f'{sys.argv[1]}/out'])\n"
+              "print(code, 'numpy.random' in sys.modules)")
+    code, loaded = run_afq_python(script, tmp_path, command).split()
+    assert code in ("0", "1")        # validate fails criteria 3 and 8
+    assert loaded == "False"
