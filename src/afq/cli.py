@@ -241,11 +241,17 @@ def _first_used(cells: np.ndarray):
     return (np.bitwise_or.reduce(cells, axis=0) != 0).argmax(axis=-1)
 
 
+def _items(cells: np.ndarray) -> np.ndarray:
+    """(rows, width) uint8 cells, each row one opaque item: numpy copies
+    an item at once, where it would loop over the bytes of a row."""
+    return cells.view(f"V{cells.shape[1]}")[:, 0]
+
+
 def _lookup(cells: np.ndarray, index):
     """A lookup column: row ``i`` of a block is ``cells[index(start,
-    stop)[i]]``, copied item by item into its slot."""
-    cells = np.ascontiguousarray(cells[:, _first_used(cells):])
-    return "lookup", cells.view(f"V{cells.shape[1]}")[:, 0], index
+    stop)[i]]``."""
+    return "lookup", _items(np.ascontiguousarray(
+        cells[:, _first_used(cells):])), index
 
 
 # str() of 0..9 by value: the cells of a small-integer column (flag)
@@ -256,7 +262,7 @@ def _cell_source(column):
     """How :func:`_csv_rows` makes a column's cells: ``(kind, data, index)``.
 
     ``("float", column, None)``: formatted with every float64 column of
-    the block at once. ``("lookup", cells, index)``: an
+    the block at once. ``("lookup", items, index)`` (:func:`_lookup`): an
     :class:`AxisColumn`, its values formatted here, once, or an integer
     column of 0..9 that reads ``_SMALL_INTS``. ``("text", column, None)``:
     ``str()`` of each cell.
@@ -283,27 +289,23 @@ def _csv_rows(sources, start: int, stop: int) -> str:
     """
     rows = stop - start
     floats = [j for j, (kind, *_) in enumerate(sources) if kind == "float"]
-    cells = {}
+    items = {}
     if floats:
         x = np.stack([sources[j][1][start:stop] for j in floats], axis=1)
         block = _sci_cells(x.reshape(-1)).reshape(rows, len(floats), 20)
         for c, (j, first) in enumerate(zip(floats, _first_used(block))):
-            cells[j] = block[:, c, first:]
-    widths = []
-    for j, (kind, data, _) in enumerate(sources):
+            items[j] = _items(block[:, c, first:])
+    for j, (kind, data, index) in enumerate(sources):
         if kind == "text":
-            cells[j] = _column_cells(data[start:stop])
-        widths.append(data.itemsize if kind == "lookup" else cells[j].shape[1])
+            items[j] = _items(_column_cells(data[start:stop]))
+        elif kind == "lookup":
+            items[j] = data[index(start, stop)]
+    widths = [items[j].itemsize for j in range(len(sources))]
     ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)
     lines = bytearray(rows * ends[-1])
     grid = np.frombuffer(lines, np.uint8).reshape(rows, ends[-1])
-    for j, ((kind, data, index), end, width) in enumerate(
-            zip(sources, ends, widths)):
-        slot = grid[:, end - 1 - width:end - 1]
-        if kind == "lookup":
-            slot.view(data.dtype)[:, 0] = data[index(start, stop)]
-        else:
-            slot[...] = cells[j]
+    for j, (end, width) in enumerate(zip(ends, widths)):
+        _items(grid[:, end - 1 - width:end - 1])[:] = items[j]
     grid[:, ends - 1] = ord(",")
     grid[:, -1] = ord("\n")
     # bytearray.replace pays per NUL, translate per byte: about 16 bytes a NUL
