@@ -39,7 +39,7 @@ from .config import (PAPER_CONFIG, RunConfig, default_config,  # noqa: F401
 from .cqad import (JOINT_SHIFT_MHZ, adiabatic_elimination,  # noqa: F401
                    dispersive_figures, frequency_response)
 from .errors import AfqError, ConfigError, DomainError
-from .explorer import _SWEEP_TABLE, SWEEP_COLUMNS, sweep
+from .explorer import SWEEP_COLUMNS, sweep
 from .oracle import (GRID_CONVERGENCE_TOL, GridSpec, _near_resonance,
                      grid_eigensolve, jc_dispersive_oracle, total_potential,
                      two_qubit_bus_oracle)
@@ -77,25 +77,12 @@ class CsvTable:
 
 def sweep_table(result) -> CsvTable:
     """The ``afq sweep`` CSV body of ``result``, the full grid of a
-    :func:`~afq.explorer.sweep`, in ``SWEEP_COLUMNS`` order.
-
-    Rows run lexicographically in (L, x), so ``length_m`` and
-    ``omega_c_rad_s`` take one value per length (stride ``n_x``) and
-    ``gap_m`` and ``gap_over_sigma`` one per gap (stride 1): those four
-    are :class:`AxisColumn` of their distinct values.
-    """
-    n_x = len(result.spec.gaps_over_sigma)
+    :func:`~afq.explorer.sweep`, in ``SWEEP_COLUMNS`` order: the columns
+    that follow one grid axis (:meth:`~afq.explorer.SweepResult.axis_columns`)
+    are :class:`AxisColumn` of their distinct values."""
     rows = len(result)
-    if rows != len(result.spec.lengths) * n_x:
-        raise ValueError("sweep_table needs the full grid of a sweep")
-    gaps = result.gap[:n_x]
-    axes = {"length_m": AxisColumn(result.length[::n_x], n_x, rows),
-            "gap_m": AxisColumn(gaps, 1, rows),
-            "gap_over_sigma": AxisColumn(gaps / result.spec.potential.sigma,
-                                         1, rows),
-            "omega_c_rad_s": AxisColumn(result.omega_c[::n_x], n_x, rows)}
-    return CsvTable([axes[header] if header in axes else result.arrays[name]
-                     for header, name in _SWEEP_TABLE])
+    return CsvTable([AxisColumn(*column, rows) if isinstance(column, tuple)
+                     else column for column in result.axis_columns()])
 
 
 # _POW10[k + 89] == 10**k, correctly rounded (float() of the literal)
@@ -120,38 +107,31 @@ def _decimal_parts(x: np.ndarray):
     ``e`` at a decade edge moves ``m`` across 1e12 or 1e13 only within the
     same bound, where both exponents print the same cell. The mask marks
     what is left to Python's own formatter: those near-ties, 3-digit
-    exponents and subnormals. The mantissa is a float64 integer, 0 in the
-    fallback cells; zeros, NaN and infinities get mantissa 0, exponent 0.
+    exponents and subnormals. The mantissa is a float64 integer; mantissa
+    and exponent are 0 in the fallback cells and for zeros, NaN and
+    infinities.
     """
     a = np.abs(x)
-    normal = (a >= np.finfo(np.float64).tiny) & (a < np.inf)
-    every = normal.all()
-    if not every:
-        a = np.where(normal, a, 1.0)
+    odd = np.flatnonzero(~((a >= np.finfo(np.float64).tiny) & (a < np.inf)))
+    a[odd] = 1.0                   # zeros, subnormals, NaN, infinities
     # _POW10[k] == 10**(12-e)
     k = 101 - np.clip(np.floor(np.log10(a)), -100, 100).astype(np.intp)
     m = a * _POW10[k]
     for step in (1, -1):           # log10 can miss by one next to 10**e
         wrong = m < 1e12 if step > 0 else m >= 1e13
-        if wrong.any():
-            k[wrong] += step
-            m[wrong] = a[wrong] * _POW10[k[wrong]]
+        k[wrong] += step
+        m[wrong] = a[wrong] * _POW10[k[wrong]]
     digits = np.rint(m)
-    near_tie = np.abs(m - digits) + m * _MANTISSA_ERR[k] > 0.5 - 1e-9
+    fallback = np.abs(m - digits) + m * _MANTISSA_ERR[k] > 0.5 - 1e-9
     e = 101 - k
     carry = digits == 1e13                     # 9.99...97 rounds up a decade
-    if carry.any():
-        e[carry] += 1
-        digits[carry] = 1e12
-    fallback = near_tie | (np.abs(e) > 99)
-    if every:
-        if fallback.any():
-            digits[fallback] = 0.0
-        return digits, e, fallback
-    fallback &= normal
-    fallback |= ~normal & (x != 0) & np.isfinite(x)          # subnormals
-    keep = normal & ~fallback
-    return np.where(keep, digits, 0.0), np.where(keep, e, 0), fallback
+    e[carry] += 1
+    digits[carry] = 1e12
+    fallback |= np.abs(e) > 99
+    fallback[odd] = np.isfinite(x[odd]) & (x[odd] != 0)      # subnormals
+    for unprinted in (fallback, odd):
+        digits[unprinted] = e[unprinted] = 0
+    return digits, e, fallback
 
 
 def _word(b0, b1, b2, b3):
@@ -308,9 +288,6 @@ def _csv_rows(sources, start: int, stop: int) -> str:
         _items(grid[:, end - 1 - width:end - 1])[:] = items[j]
     grid[:, ends - 1] = ord(",")
     grid[:, -1] = ord("\n")
-    # bytearray.replace pays per NUL, translate per byte: about 16 bytes a NUL
-    if 16 * (grid.size - np.count_nonzero(grid)) < grid.size:
-        return lines.replace(b"\0", b"").decode()
     return lines.translate(None, b"\0").decode()
 
 

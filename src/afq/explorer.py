@@ -32,6 +32,10 @@ _SWEEP_TABLE = (
     ("n_thermal", "n_thermal"), ("x_zpf_m", "x_zpf"), ("k_eff_n_m", "k_eff"),
     ("flag", "flag"))
 SWEEP_COLUMNS = tuple(header for header, _ in _SWEEP_TABLE)
+# SWEEP_COLUMNS that follow one grid axis: 0 for L, 1 for x
+_GRID_AXIS = {"length_m": 0, "gap_m": 1, "gap_over_sigma": 1,
+              "omega_c_rad_s": 0}
+
 
 def _named_columns(arrays, sigma):
     """(CSV header, array) pairs in _SWEEP_TABLE order."""
@@ -99,6 +103,33 @@ class SweepResult:
         """Column arrays in SWEEP_COLUMNS order."""
         return tuple(a for _, a in _named_columns(self.arrays,
                                                   self.spec.potential.sigma))
+
+    def axis_columns(self):
+        """The columns of the full grid in SWEEP_COLUMNS order: an array,
+        or ``(values, stride)`` for a column that follows one grid axis,
+        where row ``i`` holds ``values[(i // stride) % len(values)]``.
+
+        Rows run lexicographically in (L, x): an L column takes one value
+        per length, held by ``n_x`` consecutive rows, and an x column one
+        value per gap, repeating every ``n_x`` rows.
+        """
+        n_x = len(self.spec.gaps_over_sigma)
+        if len(self) != len(self.spec.lengths) * n_x:
+            raise ValueError("axis_columns needs the full grid of a sweep")
+        sigma = self.spec.potential.sigma
+        # the rows of the first gap (one per length), of the first length
+        axes = [(dict(_named_columns({name: a[rows] for name, a
+                                      in self.arrays.items()}, sigma)), stride)
+                for rows, stride in ((slice(None, None, n_x), n_x),
+                                     (slice(n_x), 1))]
+        columns = []
+        for header, name in _SWEEP_TABLE:
+            if header in _GRID_AXIS:
+                values, stride = axes[_GRID_AXIS[header]]
+                columns.append((values[header], stride))
+            else:
+                columns.append(self.arrays[name])
+        return tuple(columns)
 
     def take(self, indices) -> "SweepResult":
         """The rows at ``indices`` (integers or a boolean mask), in order."""

@@ -360,6 +360,20 @@ def test_feasible_designs_carries_every_column():
         np.testing.assert_array_equal(col, full[picked], err_msg=name)
 
 
+@pytest.mark.parametrize("n_l, n_x", [(7, 5), (1, 9), (9, 1)])
+def test_axis_columns_expand_to_the_columns(n_l, n_x):
+    result = sweep(make_spec(n_l, n_x))
+    rows = np.arange(len(result))
+    for name, col, full in zip(SWEEP_COLUMNS, result.axis_columns(),
+                               result.columns()):
+        if isinstance(col, tuple):
+            values, stride = col
+            col = values[rows // stride % len(values)]
+        np.testing.assert_array_equal(col, full, err_msg=name)
+    with pytest.raises(ValueError, match="full grid"):
+        result.take(rows[1:]).axis_columns()
+
+
 def test_feasible_designs_orders_like_lexsort_with_and_without_ties():
     result = sweep(make_spec(20, 20))
     constraints = DesignConstraints(max_occupancy=1.5)
