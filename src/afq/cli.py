@@ -13,12 +13,13 @@ significant digits (the 12th-power terms make lower precision lossy on
 round-trip), ``nan``, ``inf`` or ``-inf``. Integer and flag cells and
 the ``True``/``None`` cells of single-row reports are ``str()``.
 
-The writer (:func:`emit_csv`) formats whole columns with numpy, block by
-block, and computes digits only for the cells that print them: finite
-non-zero floats, four digits per table lookup. NaN, the infinities and
-the zeros are constant cells, an integer column of 0..9 (the sweep flag)
-is a lookup, and the four sweep columns that follow one grid axis
-(:func:`sweep_table`) are formatted once per distinct value.
+The writer (:func:`emit_csv`) knows two kinds of column (:class:`CsvTable`).
+A float64 column is formatted with numpy, block by block, and only its
+finite non-zero cells get digits, four per table lookup; NaN, the
+infinities and the zeros are constant cells. A lookup column formats its
+distinct values once and gathers their cells per block: the four sweep
+columns that follow one grid axis, the sweep flag and every cell of a
+single-row report.
 """
 
 from __future__ import annotations
@@ -47,42 +48,22 @@ from .spectrum import relative_frequency_shift, thermal_occupancy
 from .units import ANGSTROM, MK, NM, PM, cycles
 
 
-class AxisColumn:
-    """A column given by its distinct values: row ``i`` of ``rows`` holds
-    ``values[(i // stride) % len(values)]``. :func:`emit_csv` formats each
-    value once and gathers the cells of every block."""
+class CsvTable:
+    """A CSV body of ``rows`` data rows held column by column; ``len()``
+    counts the rows.
 
-    def __init__(self, values, stride: int, rows: int):
-        self.values, self.stride, self.rows = np.asarray(values), stride, rows
+    A column is a lookup ``(values, stride)``, whose row ``i`` holds
+    ``values[(i // stride) % len(values)]`` (as in
+    :meth:`~afq.explorer.SweepResult.axis_columns`), or an array of
+    ``rows`` values: integers, or anything else as float64. Float64
+    values print as ``f"{x:.12e}"``, any other with ``str()``.
+    """
+
+    def __init__(self, columns, rows: int):
+        self.columns, self.rows = columns, rows
 
     def __len__(self):
         return self.rows
-
-
-class CsvTable:
-    """A CSV body held column by column; ``len()`` counts its data rows.
-
-    A column is an :class:`AxisColumn` or goes through ``np.asarray``, so
-    one column holds one type: float64 columns print as ``f"{x:.12e}"``,
-    any other with ``str()``.
-    """
-
-    def __init__(self, columns):
-        self.columns = [c if isinstance(c, AxisColumn) else np.asarray(c)
-                        for c in columns]
-
-    def __len__(self):
-        return len(self.columns[0])
-
-
-def sweep_table(result) -> CsvTable:
-    """The ``afq sweep`` CSV body of ``result``, the full grid of a
-    :func:`~afq.explorer.sweep`, in ``SWEEP_COLUMNS`` order: the columns
-    that follow one grid axis (:meth:`~afq.explorer.SweepResult.axis_columns`)
-    are :class:`AxisColumn` of their distinct values."""
-    rows = len(result)
-    return CsvTable([AxisColumn(*column, rows) if isinstance(column, tuple)
-                     else column for column in result.axis_columns()])
 
 
 # _POW10[k + 89] == 10**k, correctly rounded (float() of the literal)
@@ -94,11 +75,12 @@ _MANTISSA_ERR = np.where(np.abs(np.arange(-89, 114) - 11) <= 11,
 
 
 def _decimal_parts(x: np.ndarray):
-    """13-digit mantissa, exponent and fallback mask of ``f"{v:.12e}"``.
+    """13-digit mantissa, exponent and fallback mask of ``f"{v:.12e}"``
+    for each finite non-zero ``v`` of ``x``.
 
-    A finite normal ``v`` with ``10**e <= |v| < 10**(e+1)`` prints the
-    mantissa ``round(m)``, ``m = |v| * 10**(12-e)``. Where ``10**(12-e)``
-    is exact, the computed ``m`` is the exact product rounded once, within
+    A ``v`` with ``10**e <= |v| < 10**(e+1)`` prints the mantissa
+    ``round(m)``, ``m = |v| * 10**(12-e)``. Where ``10**(12-e)`` is
+    exact, the computed ``m`` is the exact product rounded once, within
     ``m * 2**-53 (1 + 2**-53) < m * 1.2e-16`` of it; elsewhere the power is
     rounded too, and the bound is ``m * 2.4e-16``. ``m - rint(m)`` is
     exact, so ``rint(m)`` is the correctly rounded mantissa wherever
@@ -106,14 +88,12 @@ def _decimal_parts(x: np.ndarray):
     rounding) from a half-integer: at most 2.4e-3 below 1e13. A wrong
     ``e`` at a decade edge moves ``m`` across 1e12 or 1e13 only within the
     same bound, where both exponents print the same cell. The mask marks
-    what is left to Python's own formatter: those near-ties, 3-digit
-    exponents and subnormals. The mantissa is a float64 integer; mantissa
-    and exponent are 0 in the fallback cells and for zeros, NaN and
-    infinities.
+    what is left to Python's own formatter: those near-ties and 3-digit
+    exponents, which take in the subnormals (``e`` is clipped to
+    -101..101 there). The mantissa is a float64 integer; mantissa and
+    exponent are 0 in the fallback cells.
     """
     a = np.abs(x)
-    odd = np.flatnonzero(~((a >= np.finfo(np.float64).tiny) & (a < np.inf)))
-    a[odd] = 1.0                   # zeros, subnormals, NaN, infinities
     # _POW10[k] == 10**(12-e)
     k = 101 - np.clip(np.floor(np.log10(a)), -100, 100).astype(np.intp)
     m = a * _POW10[k]
@@ -128,9 +108,7 @@ def _decimal_parts(x: np.ndarray):
     e[carry] += 1
     digits[carry] = 1e12
     fallback |= np.abs(e) > 99
-    fallback[odd] = np.isfinite(x[odd]) & (x[odd] != 0)      # subnormals
-    for unprinted in (fallback, odd):
-        digits[unprinted] = e[unprinted] = 0
+    digits[fallback] = e[fallback] = 0
     return digits, e, fallback
 
 
@@ -206,15 +184,6 @@ def _sci_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _column_cells(values: np.ndarray) -> np.ndarray:
-    """(n, width) uint8 cells of a 1-D column: :func:`_sci_cells` for
-    float64, else ``str()`` of each value (``astype("S")``), NUL-padded."""
-    if values.dtype == np.float64:
-        return _sci_cells(values)
-    cells = values.astype("S")
-    return cells.view(np.uint8).reshape(cells.size, cells.itemsize)
-
-
 def _first_used(cells: np.ndarray):
     """Index of the first byte that is not NUL in some cell of ``cells``:
     (rows, width), or (rows, columns, width) for one index per column."""
@@ -227,34 +196,40 @@ def _items(cells: np.ndarray) -> np.ndarray:
     return cells.view(f"V{cells.shape[1]}")[:, 0]
 
 
-def _lookup(cells: np.ndarray, index):
-    """A lookup column: row ``i`` of a block is ``cells[index(start,
-    stop)[i]]``."""
+def _lookup(values, index):
+    """A lookup column: ``values`` formatted here, once (:func:`_sci_cells`
+    for float64, else ``str()`` of each, NUL-padded to the longest), and
+    row ``i`` of a block is the cell of ``values[index(start, stop)[i]]``."""
+    values = np.asarray(values)
+    if values.dtype == np.float64:
+        cells = _sci_cells(values)
+    else:
+        cells = np.array([str(v).encode() for v in values.tolist()], "S")
+        cells = cells.view(np.uint8).reshape(cells.size, cells.itemsize)
     return "lookup", _items(np.ascontiguousarray(
         cells[:, _first_used(cells):])), index
-
-
-# str() of 0..9 by value: the cells of a small-integer column (flag)
-_SMALL_INTS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)[:, None]
 
 
 def _cell_source(column):
     """How :func:`_csv_rows` makes a column's cells: ``(kind, data, index)``.
 
-    ``("float", column, None)``: formatted with every float64 column of
-    the block at once. ``("lookup", items, index)`` (:func:`_lookup`): an
-    :class:`AxisColumn`, its values formatted here, once, or an integer
-    column of 0..9 that reads ``_SMALL_INTS``. ``("text", column, None)``:
-    ``str()`` of each cell.
+    ``("float", column, None)``: a float64 array, formatted with every
+    float64 column of the block at once. ``("lookup", items, index)``
+    (:func:`_lookup`): a ``(values, stride)`` column, or an integer array
+    (the sweep flag), which indexes the values ``lo..hi`` of its range.
     """
-    if isinstance(column, AxisColumn):
-        stride, count = column.stride, len(column.values)
-        return _lookup(_column_cells(column.values), lambda start, stop:
+    if isinstance(column, tuple):
+        values, stride = column
+        count = len(values)
+        return _lookup(values, lambda start, stop:
                        np.arange(start, stop) // stride % count)
-    if (column.dtype.kind in "iu" and column.size
-            and 0 <= column.min() and column.max() <= 9):
-        return _lookup(_SMALL_INTS, lambda start, stop: column[start:stop])
-    return "float" if column.dtype == np.float64 else "text", column, None
+    column = np.asarray(column)
+    if column.dtype.kind in "iu":
+        lo, hi = ((int(column.min()), int(column.max())) if column.size
+                  else (0, -1))
+        return _lookup(np.arange(lo, hi + 1), lambda start, stop:
+                       np.subtract(column[start:stop], lo, dtype=np.intp))
+    return "float", column.astype(np.float64, copy=False), None
 
 
 def _csv_rows(sources, start: int, stop: int) -> str:
@@ -263,9 +238,8 @@ def _csv_rows(sources, start: int, stop: int) -> str:
 
     The float64 columns go through :func:`_sci_cells` at once. Each column
     gets a slot in one (rows, line width) byte grid, as wide as its widest
-    cell in the block, then a separator. Cells are right-aligned in their
-    slot with NUL padding, or left-aligned for text, and dropping the NULs
-    leaves the lines.
+    cell in the block, then a separator. Cells fill their slot with NUL
+    padding, and dropping the NULs leaves the lines.
     """
     rows = stop - start
     floats = [j for j, (kind, *_) in enumerate(sources) if kind == "float"]
@@ -276,9 +250,7 @@ def _csv_rows(sources, start: int, stop: int) -> str:
         for c, (j, first) in enumerate(zip(floats, _first_used(block))):
             items[j] = _items(block[:, c, first:])
     for j, (kind, data, index) in enumerate(sources):
-        if kind == "text":
-            items[j] = _items(_column_cells(data[start:stop]))
-        elif kind == "lookup":
+        if kind == "lookup":
             items[j] = data[index(start, stop)]
     widths = [items[j].itemsize for j in range(len(sources))]
     ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)
@@ -301,8 +273,8 @@ def emit_csv(header, table: CsvTable, stream) -> None:
     """Write ``header`` and the columns of ``table`` to ``stream`` as CSV.
 
     Rows are formatted column-wise in blocks of about ``_BLOCK_CELLS``
-    cells. Nothing is quoted: header names and text cells hold no comma,
-    quote or newline.
+    cells. Nothing is quoted: header names and ``str()`` cells hold no
+    comma, quote or newline.
     """
     step = max(1, _BLOCK_CELLS // len(table.columns))
     sources = [_cell_source(column) for column in table.columns]
@@ -319,7 +291,7 @@ def emit(report: dict, fmt: str, out_path, quiet: bool,
         header, table = csv_payload
         write = lambda stream: emit_csv(header, table, stream)
     else:
-        text = json.dumps(report, indent=2, default=_json_default) + "\n"
+        text = json.dumps(report, indent=2) + "\n"
         write = lambda stream: stream.write(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -328,12 +300,6 @@ def emit(report: dict, fmt: str, out_path, quiet: bool,
             print(out_path)
     elif not quiet:
         write(sys.stdout)
-
-
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def cmd_bias(cfg: RunConfig) -> tuple[dict, tuple | None]:
@@ -386,7 +352,8 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, tuple]:
     outputs = {"rows": len(result), "flagged_rows": flagged,
                "length_points": si["sweep.length_points"],
                "x_points": si["sweep.x_points"]}
-    return outputs, (list(SWEEP_COLUMNS), sweep_table(result))
+    return outputs, (list(SWEEP_COLUMNS),
+                     CsvTable(result.axis_columns(), len(result)))
 
 
 RESPONSE_COLUMNS = ("omega_over_2pi_hz", "re_reflection", "im_reflection",
@@ -422,7 +389,8 @@ def cmd_cqad(cfg: RunConfig) -> tuple[dict, tuple]:
     table = CsvTable((cycles(resp.frequencies),
                       resp.reflection.real, resp.reflection.imag,
                       np.abs(resp.reflection), resp.qubit_susceptibility,
-                      resp.mech_susceptibility, resp.mw_susceptibility))
+                      resp.mech_susceptibility, resp.mw_susceptibility),
+                     grid.size)
     return outputs, (list(RESPONSE_COLUMNS), table)
 
 
@@ -528,7 +496,7 @@ def main(argv=None) -> int:
         return 1
     if csv_payload is None:     # the CSV is one row of the non-list outputs
         header = [k for k, v in outputs.items() if not isinstance(v, list)]
-        csv_payload = header, CsvTable([outputs[k]] for k in header)
+        csv_payload = header, CsvTable([([outputs[k]], 1) for k in header], 1)
     report = {"command": args.command, "version": __version__,
               "config": cfg.display, "outputs": outputs,
               "warnings": sorted(str(w.message) for w in caught),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantilever import CantileverGeometry, snap_in_threshold
-from .cli import emit_csv, sweep_table
+from .cli import CsvTable, emit_csv
 from .config import default_config
 from .cqad import (CqadConfig, adiabatic_elimination, bus_coupling,
                    dispersive_shift, frequency_response, response_linewidth)
@@ -50,6 +50,9 @@ class Check:
     name: str
     passed: bool
     detail: str
+
+    def __post_init__(self):    # numpy comparisons give numpy.bool
+        object.__setattr__(self, "passed", bool(self.passed))
 
 
 def check_bias_point() -> Check:
@@ -250,7 +253,7 @@ def check_design_sweep() -> Check:
     bad = np.nonzero(argmax != nearest)[0]
     col = eta_r[:, nearest]
     monotone = bool(np.all(np.diff(col) > 0))
-    table = sweep_table(result)
+    table = CsvTable(result.axis_columns(), len(result))
     bufs = []
     for _ in range(2):
         buf = io.StringIO()

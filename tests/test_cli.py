@@ -4,15 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from afq import __version__, cli, jc_dispersive_oracle
 from afq.cli import PAPER_CONFIG, main
-from afq.config import SCHEMA, default_config
+from afq.config import SCHEMA, default_config, parse_config_text
 from afq.cqad import JOINT_SHIFT_MHZ
 from afq.units import MHZ, cycles, hbar
+from afq.validate import run_validation_suite
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -397,6 +399,25 @@ def test_report_json_round_trip(tmp_path):
     assert outputs["temperature_mk"] == 8.0
     assert isinstance(outputs["energies_j"], list)
     assert len(outputs["energies_j"]) == 6
+
+
+def test_validation_report_is_json_without_a_hook():
+    # json.dumps with no default= hook: every check passes a plain bool
+    report = run_validation_suite(quiet=True)
+    assert all(type(c["passed"]) is bool for c in report["checks"])
+    json.dumps(report)
+
+
+@pytest.mark.parametrize("length_nm", [495, 100, 345])
+def test_command_outputs_are_json_without_a_hook(length_nm):
+    # no output holds a numpy scalar other than float64, which is a float
+    cfg = parse_config_text(PAPER_CONFIG.replace(
+        "length_nm = 495", f"length_nm = {length_nm}"))
+    for run in cli.COMMANDS.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            outputs, _ = run(cfg)
+        json.dumps(outputs)
 
 
 def _oracle_outputs(tmp_path, n_levels):

@@ -3,7 +3,9 @@ CSV against the row-by-row ``csv.writer`` writer it replaced."""
 
 import csv
 import hashlib
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,19 +77,26 @@ def test_exponent_estimate_one_off_is_repaired(monkeypatch):
 
 TIES = [(k + 0.5) * 10.0 ** (e - 12)
         for k in (10**12, 1234567890123, 10**13 - 1) for e in (-7, 0, 9)]
+TINY = float(np.finfo(np.float64).tiny)
+# the extremes of the float64 range: 3-digit exponents and subnormals
+EXTREMES = [TINY, -TINY, float(np.nextafter(TINY, 0.0)), 5e-324, -5e-324,
+            1.7976931348623157e308]
 FALLBACK = [9.9999999999995, -9.9999999999995, 1e100, -1e100, 1e-100,
-            5e-324, -5e-324, 1.7976931348623157e308, *TIES]
-KERNEL = [0.0, -0.0, 1e99, -1e99, 1e-99, 9.9999999999997, 1.0, 123.456]
+            *EXTREMES, *TIES]
+KERNEL = [1e99, -1e99, 1e-99, 9.9999999999997, 1.0, 123.456]
 
 
-@pytest.mark.parametrize("value", FALLBACK + KERNEL + [9.99999999999949])
+@pytest.mark.parametrize("value",
+                         FALLBACK + KERNEL + [9.99999999999949, 0.0, -0.0])
 def test_kernel_edge_cases(value):
     assert_matches_python([value])
 
 
 def test_fallback_fires_on_ties_wide_exponents_and_subnormals():
-    _, _, fallback = cli._decimal_parts(np.array(FALLBACK + KERNEL))
+    # _decimal_parts sees only finite non-zero values (_sci_cells)
+    digits, e, fallback = cli._decimal_parts(np.array(FALLBACK + KERNEL))
     assert fallback.tolist() == [True] * len(FALLBACK) + [False] * len(KERNEL)
+    assert not digits[fallback].any() and not e[fallback].any()
 
 
 def test_specials_spelled_as_python():
@@ -110,15 +119,24 @@ def reference_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def emitted(header, columns) -> str:
+def emitted(header, columns, rows) -> str:
     buf = io.StringIO()
-    cli.emit_csv(header, cli.CsvTable(columns), buf)
+    cli.emit_csv(header, cli.CsvTable(columns, rows), buf)
     return buf.getvalue()
+
+
+def expanded(column, rows):
+    """The ``rows`` values of a CSV column: a lookup ``(values, stride)``
+    or an array."""
+    if not isinstance(column, tuple):
+        return column
+    values, stride = column
+    return [values[i // stride % len(values)] for i in range(rows)]
 
 
 def test_default_sweep_csv_matches_reference():
     columns = sweep(default_config().sweep_spec()).columns()
-    text = emitted(list(SWEEP_COLUMNS), columns)
+    text = emitted(list(SWEEP_COLUMNS), columns, len(columns[0]))
     assert text == reference_csv(SWEEP_COLUMNS, zip(*columns))
     assert len(text.encode()) == 1_379_112
     # pins the column order and every cell, which the reference shares
@@ -138,19 +156,23 @@ def test_snap_in_and_ok_rows_match_reference():
                figures["omega_c"], figures["omega_10"], figures["eta_r"],
                figures["eta"], figures["delta_omega"], figures["n_thermal"],
                figures["x_zpf"], figures["k_eff"], figures["flag"])
-    assert emitted(list(SWEEP_COLUMNS), columns) == reference_csv(
+    assert emitted(list(SWEEP_COLUMNS), columns, i.size) == reference_csv(
         SWEEP_COLUMNS, zip(*columns))
 
 
 def test_mixed_columns_match_reference():
+    # float and integer arrays, and lookups of floats, bools, None and str
     columns = ([1.5, -2.0, np.nan], np.array([0, 1, 2], np.int8),
-               [True, False, True], [None, None, "text"], [3, 40, -500])
-    header = ["x", "flag", "ok", "note", "n"]
-    assert emitted(header, columns) == reference_csv(header, zip(*columns))
+               ([True, False], 1), ([None, None, "text"], 1), [3, 40, -500],
+               ([2.5, -0.0, np.inf], 2), ([7], 3))
+    header = ["x", "flag", "ok", "note", "n", "axis", "one"]
+    assert emitted(header, columns, 3) == reference_csv(
+        header, zip(*(expanded(c, 3) for c in columns)))
 
 
 def test_empty_table():
-    assert emitted(["a", "b"], ([], [])) == "a,b\n"
+    columns = ([], np.array([], np.int8), ([1.0, 2.0], 1))
+    assert emitted(["a", "flag", "axis"], columns, 0) == "a,flag,axis\n"
 
 
 # what `afq oracle` warns on the bundled design: both dispersive oracles
@@ -206,6 +228,44 @@ def test_cqad_csv_matches_reference(tmp_path):
     assert text == reference_csv(header, zip(*table.columns))
 
 
+def test_sweep_command_csv_is_pinned(tmp_path):
+    # the command's own path: axis columns and the flag as lookups
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--out", str(out), "--quiet"]) == 0
+    data = out.read_bytes()
+    assert len(data) == 1_379_112
+    assert hashlib.sha256(data).hexdigest() == (
+        "546b6239fb4910cabdc1de5c7ada38ae9fa36db4a2f7c804ac23c349b8294b94")
+
+
+def load_bench_tracing():
+    """The benchmark's ``bench/tracing.py``, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("command", ["sweep", "cqad"])
+def test_benchmark_tracer_counts_each_csv(tmp_path, command):
+    # the benchmark's cli.emit_csv_* metrics read these span attributes:
+    # emit_csv(header, table, stream) with len(table) its data rows
+    tracer = load_bench_tracing().Tracer()
+    tracer.install()
+    out = tmp_path / f"{command}.csv"
+    try:
+        tracer.recording = True
+        assert cli.main([command, "--out", str(out), "--quiet"]) == 0
+    finally:
+        tracer.recording = False
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s["name"] == "cli.emit_csv"]
+    data = out.read_bytes()
+    assert [s["attrs"] for s in spans] == [
+        {"rows": data.count(b"\n") - 1, "bytes": len(data)}]
+
+
 # -- cells that need no digits, and axis columns formatted once ----------
 
 def test_fallback_is_rare_on_random_normal_floats():
@@ -236,9 +296,9 @@ def sweep_box(lengths_nm, gaps_over_sigma):
         thickness=12e-9, material=SILICON, potential=LJ, temperature=8e-3))
 
 
-def assert_sweep_table_matches_reference(result):
-    assert_same_text(emitted(list(SWEEP_COLUMNS),
-                             cli.sweep_table(result).columns),
+def assert_sweep_csv_matches_reference(result):
+    assert_same_text(emitted(list(SWEEP_COLUMNS), result.axis_columns(),
+                             len(result)),
                      reference_csv(SWEEP_COLUMNS, zip(*result.columns())))
 
 
@@ -252,46 +312,37 @@ def assert_sweep_table_matches_reference(result):
 def test_sweep_table_matches_reference(lengths_nm, gaps, flags):
     result = sweep_box(lengths_nm, gaps)
     assert set(result.flag.tolist()) == flags
-    assert_sweep_table_matches_reference(result)
+    assert_sweep_csv_matches_reference(result)
 
 
 def test_length_runs_straddle_block_edges():
     result = sweep_box(np.linspace(200, 800, 300), np.linspace(1.15, 2.0, 11))
     step = cli._BLOCK_CELLS // len(SWEEP_COLUMNS)      # rows per block
     assert len(result) > 2 * step and step % 11
-    assert_sweep_table_matches_reference(result)
-
-
-def test_sweep_table_refuses_a_subset():
-    result = sweep_box(np.linspace(200, 800, 5), np.linspace(1.15, 2.0, 4))
-    with pytest.raises(ValueError, match="full grid"):
-        cli.sweep_table(result.take([0, 1, 2]))
+    assert_sweep_csv_matches_reference(result)
 
 
 def test_axis_columns_match_their_rows():
     rows = 3 * cli._BLOCK_CELLS // 4 + 5               # crosses block edges
     values = np.array([1.5, -2.25, np.nan, 0.0, 7e-300, np.inf, 3.0])
-    columns = [cli.AxisColumn(values, 1, rows), cli.AxisColumn(values, 5, rows),
-               cli.AxisColumn(np.array([3, -40, 500]), 2, rows),
+    columns = [(values, 1), (values, 5), (np.array([3, -40, 500]), 2),
                np.arange(rows) % 7 * 0.5]
-    i = np.arange(rows)
-    expanded = [values[i % 7], values[i // 5 % 7],
-                np.array([3, -40, 500])[i // 2 % 3], columns[3]]
     header = ["a", "b", "n", "x"]
-    assert_same_text(emitted(header, columns),
-                     reference_csv(header, zip(*expanded)))
+    assert_same_text(emitted(header, columns, rows), reference_csv(
+        header, zip(*(expanded(c, rows) for c in columns))))
 
 
 def test_integer_columns_match_reference():
     rows = cli._BLOCK_CELLS // 3 + 7
     rng = np.random.default_rng(3)
-    columns = [rng.integers(0, 10, rows),                   # the lookup: 0..9
-               rng.integers(0, 10, rows).astype(np.uint8),
-               rng.integers(-20, 20, rows),                  # negative and >= 10
-               rng.integers(0, 10, rows) + 10,
-               rng.integers(0, 11, rows), rng.integers(-1, 10, rows)]
-    header = ["flag", "u8", "signed", "wide", "to_10", "from_-1"]
-    assert_same_text(emitted(header, columns),
+    # each a lookup of its range lo..hi; int8 spans past its own range
+    columns = [rng.integers(0, 4, rows).astype(np.int8),    # the sweep flag
+               rng.integers(0, 256, rows).astype(np.uint8),
+               rng.integers(-128, 128, rows).astype(np.int8),
+               rng.integers(-20, 20, rows), rng.integers(0, 10, rows) + 10,
+               np.full(rows, -7)]
+    header = ["flag", "u8", "i8", "signed", "wide", "one"]
+    assert_same_text(emitted(header, columns, rows),
                      reference_csv(header, zip(*columns)))
 
 
@@ -304,5 +355,5 @@ def test_constant_cells_match_reference():
                         1e100, 1.25, -3.5], rows)
     columns = [np.full(rows, np.nan), digits, mixed]
     header = ["nan", "digits", "mixed"]
-    assert_same_text(emitted(header, columns),
+    assert_same_text(emitted(header, columns, rows),
                      reference_csv(header, zip(*columns)))
