@@ -283,23 +283,30 @@ def emit_csv(header, table: CsvTable, stream) -> None:
         stream.write(_csv_rows(sources, start, min(start + step, len(table))))
 
 
-def emit(report: dict, fmt: str, out_path, quiet: bool,
-         csv_payload=None) -> None:
+def emit(report: dict, fmt: str, out_path, quiet: bool, csv_payload,
+         code: int) -> int:
     """Write the run report, or the CSV payload when the format asks for it,
-    straight to ``out_path`` or stdout."""
+    straight to ``out_path`` or stdout; returns ``code``, or 2 (usage
+    error) when the output cannot be written."""
     if fmt == "csv" and csv_payload is not None:
         header, table = csv_payload
         write = lambda stream: emit_csv(header, table, stream)
     else:
         text = json.dumps(report, indent=2) + "\n"
         write = lambda stream: stream.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-        if not quiet:
-            print(out_path)
-    elif not quiet:
-        write(sys.stdout)
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+            if not quiet:
+                print(out_path)
+        elif not quiet:
+            write(sys.stdout)
+    except OSError as exc:
+        print(f"afq: cannot write {out_path or '<stdout>'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def cmd_bias(cfg: RunConfig) -> tuple[dict, tuple | None]:
@@ -433,7 +440,8 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, tuple | None]:
     return outputs, None
 
 
-# each returns (outputs, (CSV header, CsvTable) or None for one CSV row)
+# each returns (outputs, (CSV header, CsvTable) or None for one CSV row);
+# the table is what a command writes by default, else its JSON report
 COMMANDS = {"bias": cmd_bias, "spectrum": cmd_spectrum, "sweep": cmd_sweep,
             "cqad": cmd_cqad, "oracle": cmd_oracle}
 
@@ -471,10 +479,9 @@ def main(argv=None) -> int:
         from .validate import run_validation_suite
         report = run_validation_suite(quiet=args.quiet)
         report["command"] = "validate"
-        return _write(report, "json", args.out, True, None,
-                      0 if report["failed"] == 0 else 1)
+        return emit(report, "json", args.out, True, None,
+                    0 if report["failed"] == 0 else 1)
 
-    fmt = args.format or ("csv" if args.command in ("sweep", "cqad") else "json")
     try:
         cfg = load_config(args.config) if args.config else default_config()
         with warnings.catch_warnings(record=True) as caught:
@@ -494,6 +501,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:      # a count too large to allocate
         print(f"afq: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 1
+    fmt = args.format or ("json" if csv_payload is None else "csv")
     if csv_payload is None:     # the CSV is one row of the non-list outputs
         header = [k for k, v in outputs.items() if not isinstance(v, list)]
         csv_payload = header, CsvTable([([outputs[k]], 1) for k in header], 1)
@@ -501,19 +509,7 @@ def main(argv=None) -> int:
               "config": cfg.display, "outputs": outputs,
               "warnings": sorted(str(w.message) for w in caught),
               "status": "ok"}
-    return _write(report, fmt, args.out, args.quiet, csv_payload, 0)
-
-
-def _write(report, fmt, out_path, quiet, csv_payload, code) -> int:
-    """:func:`emit`, then ``code``; 2 (usage error) when the output cannot
-    be written."""
-    try:
-        emit(report, fmt, out_path, quiet, csv_payload=csv_payload)
-    except OSError as exc:
-        print(f"afq: cannot write {out_path or '<stdout>'}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        return 2
-    return code
+    return emit(report, fmt, args.out, args.quiet, csv_payload, 0)
 
 
 if __name__ == "__main__":

@@ -175,7 +175,8 @@ def _parse_value(key: str, field: _Field, text: str, where: str):
     try:
         value = int(text) if field.kind == "int" else float(text)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {key}: not a number: {text!r}") from exc
+        kind = "an integer" if field.kind == "int" else "a number"
+        raise ConfigError(f"{where}: {key}: not {kind}: {text!r}") from exc
     if field.kind == "int":     # every int key is a count
         if value < 0:
             raise ConfigError(f"{where}: {key}: count must be >= 0: {text}")
@@ -242,9 +243,10 @@ def default_config() -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Parse a ``section.key = value`` config file into a RunConfig."""
+    """Parse a UTF-8 ``section.key = value`` config file into a RunConfig;
+    a leading byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -23,30 +23,32 @@ FLAG_OK = 0            # regime of a sweep row, written in _figures
 FLAG_SNAP_IN = 2       # k + V'' <= 0; 1 (contact) is refused before evaluation
 FLAG_BREAKDOWN = 3     # stable, but the first-order ladder gives omega_10 <= 0
 
-# (CSV header, SweepResult column) in CSV order; a new column is one entry
-# plus its line in _figures. gap_over_sigma (None) is derived, not stored.
+# (CSV header, SweepResult column, grid axis) in CSV order; a new column is
+# one entry plus its line in _figures. The axis is 0 for a column that
+# follows L, 1 for one that follows x, else None. gap_over_sigma (column
+# None) is derived from gap, not stored.
 _SWEEP_TABLE = (
-    ("length_m", "length"), ("gap_m", "gap"), ("gap_over_sigma", None),
-    ("omega_c_rad_s", "omega_c"), ("omega_10_rad_s", "omega_10"),
-    ("eta_r", "eta_r"), ("eta_rad_s", "eta"), ("delta_omega", "delta_omega"),
-    ("n_thermal", "n_thermal"), ("x_zpf_m", "x_zpf"), ("k_eff_n_m", "k_eff"),
-    ("flag", "flag"))
-SWEEP_COLUMNS = tuple(header for header, _ in _SWEEP_TABLE)
-# SWEEP_COLUMNS that follow one grid axis: 0 for L, 1 for x
-_GRID_AXIS = {"length_m": 0, "gap_m": 1, "gap_over_sigma": 1,
-              "omega_c_rad_s": 0}
+    ("length_m", "length", 0), ("gap_m", "gap", 1),
+    ("gap_over_sigma", None, 1), ("omega_c_rad_s", "omega_c", 0),
+    ("omega_10_rad_s", "omega_10", None), ("eta_r", "eta_r", None),
+    ("eta_rad_s", "eta", None), ("delta_omega", "delta_omega", None),
+    ("n_thermal", "n_thermal", None), ("x_zpf_m", "x_zpf", None),
+    ("k_eff_n_m", "k_eff", None), ("flag", "flag", None))
+SWEEP_COLUMNS = tuple(header for header, *_ in _SWEEP_TABLE)
 
 
-def _named_columns(arrays, sigma):
-    """(CSV header, array) pairs in _SWEEP_TABLE order."""
-    return [(header, arrays["gap"] / sigma if name is None else arrays[name])
-            for header, name in _SWEEP_TABLE]
+def _column(arrays, name, sigma, rows):
+    """The ``rows`` of the _SWEEP_TABLE column ``name`` of ``arrays``;
+    gap_over_sigma (None) is derived from the same rows of gap."""
+    if name is None:
+        return arrays["gap"][rows] / sigma
+    return arrays[name][rows]
 
 
 def _row(arrays, i, sigma):
     """Row ``i`` as Python floats by SWEEP_COLUMNS header, without the flag."""
-    return {header: a[i].item() for header, a in _named_columns(arrays, sigma)
-            if header != "flag"}
+    return {header: _column(arrays, name, sigma, i).item()
+            for header, name, _ in _SWEEP_TABLE if header != "flag"}
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,9 @@ class SweepResult:
 
     def columns(self):
         """Column arrays in SWEEP_COLUMNS order."""
-        return tuple(a for _, a in _named_columns(self.arrays,
-                                                  self.spec.potential.sigma))
+        sigma = self.spec.potential.sigma
+        return tuple(_column(self.arrays, name, sigma, slice(None))
+                     for _, name, _ in _SWEEP_TABLE)
 
     def axis_columns(self):
         """The columns of the full grid in SWEEP_COLUMNS order: an array,
@@ -117,25 +120,17 @@ class SweepResult:
         if len(self) != len(self.spec.lengths) * n_x:
             raise ValueError("axis_columns needs the full grid of a sweep")
         sigma = self.spec.potential.sigma
-        # the rows of the first gap (one per length), of the first length
-        axes = [(dict(_named_columns({name: a[rows] for name, a
-                                      in self.arrays.items()}, sigma)), stride)
-                for rows, stride in ((slice(None, None, n_x), n_x),
-                                     (slice(n_x), 1))]
-        columns = []
-        for header, name in _SWEEP_TABLE:
-            if header in _GRID_AXIS:
-                values, stride = axes[_GRID_AXIS[header]]
-                columns.append((values[header], stride))
-            else:
-                columns.append(self.arrays[name])
-        return tuple(columns)
+        # by axis: the rows of the first gap (one per length), and of the
+        # first length (one per gap), with their strides
+        axes = ((slice(None, None, n_x), n_x), (slice(n_x), 1))
+        return tuple(
+            _column(self.arrays, name, sigma, slice(None)) if axis is None
+            else (_column(self.arrays, name, sigma, axes[axis][0]),
+                  axes[axis][1])
+            for _, name, axis in _SWEEP_TABLE)
 
     def take(self, indices) -> "SweepResult":
-        """The rows at ``indices`` (integers or a boolean mask), in order."""
-        indices = np.asarray(indices)
-        if indices.dtype == bool:
-            indices = np.flatnonzero(indices)
+        """The rows at the integer ``indices``, in order."""
         return SweepResult(self.spec, {name: np.take(a, indices)
                                        for name, a in self.arrays.items()})
 
@@ -178,7 +173,7 @@ def _figures(lengths, gaps, width, thickness, material, potential, temperature):
     flag = np.full(stable.shape, FLAG_SNAP_IN)
     omega_10, eta = _first_order_ladder(omega_eff, x_zpf, *(
         np.broadcast_to(_taylor_term(potential, gap, n), stable.shape)[stable]
-        for n in (4, 6)))[2:]
+        for n in (4, 6)))[1:]
     del omega_eff                  # freed before the full-grid columns
     broken = omega_10 <= 0
     flag[stable] = np.where(broken, FLAG_BREAKDOWN, FLAG_OK)

@@ -44,7 +44,7 @@ class QubitSpectrum:
 
 
 def _first_order_ladder(omega_eff, x_zpf, lam4, lam6):
-    """q4 = lam4 xz^4, q6 = lam6 xz^6, omega_10 and eta (rad/s); arrays in.
+    """q6 = lam6 xz^6, omega_10 and eta (rad/s); arrays in.
 
     The closed forms of the module docstring, shared by the sweep and
     :func:`perturbative_energies`, which builds its levels from them.
@@ -54,7 +54,7 @@ def _first_order_ladder(omega_eff, x_zpf, lam4, lam6):
     quartic = 12.0 * q4                 # first-order quartic part of both
     omega_10 = omega_eff + (quartic + 90.0 * q6) / hbar
     eta = (quartic + 180.0 * q6) / hbar
-    return q4, q6, omega_10, eta
+    return q6, omega_10, eta
 
 
 def perturbative_energies(bias: BiasState, taylor: TaylorCoefficients,
@@ -75,7 +75,7 @@ def perturbative_energies(bias: BiasState, taylor: TaylorCoefficients,
         raise OrderMismatchError(
             f"need Taylor coefficients to order 6, have {taylor.max_order}")
 
-    _, q6, omega_10, eta = (a.item() for a in _first_order_ladder(
+    q6, omega_10, eta = (a.item() for a in _first_order_ladder(
         *np.atleast_1d(bias.omega_eff, bias.x_zpf, taylor.lam(4),
                        taylor.lam(6))))
     if omega_10 <= 0:

@@ -242,14 +242,12 @@ def check_design_sweep() -> Check:
     spec = default_config().sweep_spec()
     result = sweep(spec)
     elapsed = time.perf_counter() - start
-    pot = spec.potential
-    x0 = pot.inflection
-    gaps = np.asarray(spec.gaps_over_sigma) * pot.sigma
-    nearest = int(np.argmin(np.abs(gaps - x0)))
-    eta_r = result.eta_r.reshape(100, 100)
+    n_l = len(spec.lengths)      # the (L, x) grid, one length per row
+    gap, eta_r, flag = (a.reshape(n_l, -1)
+                        for a in (result.gap, result.eta_r, result.flag))
+    nearest = int(np.argmin(np.abs(gap[0] - spec.potential.inflection)))
     with np.errstate(invalid="ignore"):
-        argmax = np.nanargmax(np.where(result.flag.reshape(100, 100) == FLAG_OK,
-                                       eta_r, np.nan), axis=1)
+        argmax = np.nanargmax(np.where(flag == FLAG_OK, eta_r, np.nan), axis=1)
     bad = np.nonzero(argmax != nearest)[0]
     col = eta_r[:, nearest]
     monotone = bool(np.all(np.diff(col) > 0))
@@ -263,7 +261,7 @@ def check_design_sweep() -> Check:
     ok = (elapsed < 30.0 and bad.size == 0 and monotone and identical
           and len(result) == 10000)
     detail = (f"{len(result)} rows in {elapsed:.2f} s (< 30 s); per-L argmax "
-              f"at nearest-x0 column violated for {bad.size}/100 lengths")
+              f"at nearest-x0 column violated for {bad.size}/{n_l} lengths")
     if bad.size:
         ls = np.asarray(spec.lengths)[bad] * 1e9
         detail += (f" (L = {ls.min():.0f}..{ls.max():.0f} nm: ridge rides "

@@ -25,6 +25,7 @@ import pytest
 
 from afq import validate
 from afq.cli import main
+from afq.config import PAPER_CONFIG, parse_config_text
 
 
 def _run(check_fn, criterion):
@@ -69,6 +70,17 @@ def test_criterion_8_design_sweep():
     # Fails on the per-length-argmax clause for L < ~280 nm; the timing,
     # monotonicity and byte-determinism clauses hold.
     _run(validate.check_design_sweep, 8)
+
+
+def test_criterion_8_reads_its_own_grid(monkeypatch):
+    # the per-length argmax runs on whatever grid the bundled config gives
+    cfg = parse_config_text(PAPER_CONFIG + "sweep.length_points = 40\n"
+                            "sweep.x_points = 30\n")
+    monkeypatch.setattr(validate, "default_config", lambda: cfg)
+    check = validate.check_design_sweep()
+    assert check.detail.startswith("1200 rows in ")
+    assert "/40 lengths" in check.detail
+    assert not check.passed           # criterion 8 asks for 10^4 rows
 
 
 def test_criterion_9_matrix_elements():

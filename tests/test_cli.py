@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -469,6 +471,19 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"afq: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_unwritable_stdout_is_usage_error(monkeypatch, capsys, command):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main([command]) == 2
+    assert capsys.readouterr().err == ("afq: cannot write <stdout>: "
+                                       "Broken pipe\n")
 
 
 # a count that fits int64 but can never be allocated, under a 2 GiB

@@ -115,7 +115,9 @@ def test_largest_int64_count_parses(key):
 @pytest.mark.parametrize("line, message", [
     ("spectrum.temperature_mk = cold", "not a number: 'cold'"),
     ("spectrum.temperature_mk = nan", "not a finite number: 'nan'"),
-    ("spectrum.n_max = -1", "count must be >= 0: -1")])
+    ("spectrum.n_max = -1", "count must be >= 0: -1"),
+    ("sweep.x_points = 50.0", "not an integer: '50.0'"),
+    ("spectrum.n_max = 1e3", "not an integer: '1e3'")])
 def test_value_errors_name_their_source(line, message):
     key = line.split(" = ")[0]
     with pytest.raises(ConfigError) as info:
@@ -158,3 +160,10 @@ def test_load_config_file(tmp_path):
     path.write_text(MINIMAL)
     cfg = load_config(path)
     assert cfg.si["material.density_kg_m3"] == 2329.0
+
+
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "design.cfg"
+    path.write_text("# saved with a BOM\n" + MINIMAL, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf# saved")
+    assert load_config(path) == parse_config_text(MINIMAL)

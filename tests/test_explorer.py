@@ -174,7 +174,7 @@ def _whole_grid_ladder(spec):
     stable = ~(k_eff <= 0)
     omega_eff = np.sqrt(np.where(stable, k_eff, np.nan) / m_eff)
     x_zpf = np.sqrt(hbar / (2.0 * m_eff * omega_eff))
-    _, _, omega_10, eta = explorer._first_order_ladder(
+    _, omega_10, eta = explorer._first_order_ladder(
         omega_eff, x_zpf, explorer._taylor_term(LJ, gap, 4),
         explorer._taylor_term(LJ, gap, 6))
     valid = stable & ~(omega_10 <= 0)
@@ -400,14 +400,6 @@ def test_feasible_designs_orders_like_lexsort_with_and_without_ties():
     want = lexsorted(tied)
     for name, col in feas.arrays.items():
         np.testing.assert_array_equal(col, tied.arrays[name][want], err_msg=name)
-
-
-def test_take_accepts_a_boolean_mask():
-    result = sweep(make_spec(20, 20))
-    ok = result.flag == FLAG_OK
-    assert 0 < ok.sum() < len(result)
-    for name, col in result.take(ok).arrays.items():
-        np.testing.assert_array_equal(col, result.arrays[name][ok], err_msg=name)
 
 
 def test_feasible_designs_empty_on_impossible_bound():
