@@ -20,26 +20,28 @@ headline design:
 Run:  python demos/exact_vs_perturbative.py
 """
 
+import math
+
 import numpy as np
 
-from afq import (GridSpec, bias_state, fock_eigensolve, grid_eigensolve,
-                 modal_params, perturbative_energies, taylor_coefficients,
-                 total_potential)
+from afq import GridSpec, fock_eigensolve, grid_eigensolve, total_potential
 from afq.config import default_config
 from afq.units import PM, cycles, hbar
 
 design = default_config()          # the bundled paper.cfg
-lj = design.potential()
-modal = modal_params(design.geometry(), design.material())
-x0 = lj.inflection
-state = bias_state(modal, lj, x0)
-taylor = taylor_coefficients(lj, x0, max_order=6)
-spectrum = perturbative_energies(state, taylor, n_max=3)
+# biased at the curvature-free gap x0, with the first-order spectrum there
+lj, modal, x0, state, spectrum = design.design()
 hw = hbar * state.omega_eff
+
+
+def lam(n):
+    """Taylor coefficient lam_n = V^(n)(x0) / n! of the surface potential."""
+    return lj.derivative(x0, n) / math.factorial(n)
+
 
 print("== Taylor anatomy at the bias point (units of hbar w_eff) ==")
 for n in range(3, 7):
-    term = taylor.lam(n) * state.x_zpf**n / hw
+    term = lam(n) * state.x_zpf**n / hw
     print(f"lam_{n} x_zpf^{n}: {term:+.3e}")
 print("(the cubic dominates; only even orders enter the perturbative ladder)")
 
@@ -67,7 +69,7 @@ print("the exact ladder bears no relation to the perturbative one")
 
 print("\n== even-order truncation (the potential perturbation theory expands) ==")
 even_poly = {2: 0.5 * state.effective_stiffness,
-             4: taylor.lam(4), 6: taylor.lam(6)}
+             4: lam(4), 6: lam(6)}
 ev_even = fock_eigensolve(modal.effective_mass, state.omega_eff, even_poly,
                           dim=120, n_levels=3)
 f10_even = cycles((ev_even[1] - ev_even[0]) / hbar) / 1e6

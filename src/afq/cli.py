@@ -4,7 +4,8 @@ Subcommands: ``bias``, ``spectrum``, ``sweep``, ``cqad``, ``oracle``,
 ``validate``. All take ``--config PATH`` (omitted: the bundled headline
 design), ``--out PATH``, ``--format csv|json`` and ``--quiet``;
 ``validate`` ignores ``--config`` and ``--format``, checks the bundled
-design and writes JSON to ``--out``. Exit codes: 0 success, 1
+design and writes a line per check to stdout and JSON to ``--out``.
+Every command writes through :func:`emit`. Exit codes: 0 success, 1
 physics/validation failure, 2 usage or config error.
 
 Outputs are deterministic: identical (config, command) pairs produce
@@ -283,16 +284,16 @@ def emit_csv(header, table: CsvTable, stream) -> None:
         stream.write(_csv_rows(sources, start, min(start + step, len(table))))
 
 
-def emit(report: dict, fmt: str, out_path, quiet: bool, csv_payload,
+def emit(report: dict | str, fmt: str, out_path, quiet: bool, csv_payload,
          code: int) -> int:
-    """Write the run report, or the CSV payload when the format asks for it,
-    straight to ``out_path`` or stdout; returns ``code``, or 2 (usage
-    error) when the output cannot be written."""
+    """Write the run report (JSON, or as is in the ``"text"`` format) or the
+    CSV payload when the format asks for it, straight to ``out_path`` or
+    stdout; returns ``code``, or 2 (usage error) if it cannot be written."""
     if fmt == "csv" and csv_payload is not None:
         header, table = csv_payload
         write = lambda stream: emit_csv(header, table, stream)
     else:
-        text = json.dumps(report, indent=2) + "\n"
+        text = report if fmt == "text" else json.dumps(report, indent=2) + "\n"
         write = lambda stream: stream.write(text)
     try:
         if out_path:
@@ -477,10 +478,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "validate":     # checks the bundled design only
         from .validate import run_validation_suite
-        report = run_validation_suite(quiet=args.quiet)
+        report = run_validation_suite()
         report["command"] = "validate"
-        return emit(report, "json", args.out, True, None,
-                    0 if report["failed"] == 0 else 1)
+        checks = report["checks"]
+        text = "".join(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: "
+                       f"{c['detail']}\n" for c in checks)
+        text += (f"{report['passed']}/{len(checks)} checks passed in "
+                 f"{report['runtime_s']:.1f} s\n")
+        code = emit(text, "text", None, args.quiet, None,
+                    int(report["failed"] > 0))
+        return emit(report, "json", args.out, True, None, code)
 
     try:
         cfg = load_config(args.config) if args.config else default_config()

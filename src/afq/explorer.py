@@ -130,8 +130,9 @@ class SweepResult:
             for _, name, axis in _SWEEP_TABLE)
 
     def take(self, indices) -> "SweepResult":
-        """The rows at the integer ``indices``, in order."""
-        return SweepResult(self.spec, {name: np.take(a, indices)
+        """The rows at integer ``indices``, in order, or under a bool mask."""
+        indices = np.asarray(indices)
+        return SweepResult(self.spec, {name: a[indices]
                                        for name, a in self.arrays.items()})
 
 

@@ -1,7 +1,7 @@
 """Self-validation suite: every acceptance-grade check with its tolerance.
 
 Each check returns a :class:`Check` with the measured numbers in the
-detail string; the CLI ``validate`` subcommand prints one line per check
+detail string; the CLI ``validate`` subcommand writes one line per check
 and exits nonzero if any fail. The same functions back the acceptance
 test module, so the tolerances live in exactly one place.
 
@@ -292,21 +292,12 @@ ALL_CHECKS = (check_bias_point, check_potential_derivatives,
               check_design_sweep, check_snap_in_diagnostic)
 
 
-def run_validation_suite(quiet: bool = False) -> dict:
+def run_validation_suite() -> dict:
     """Run every named check; returns a report dict with per-check results."""
     start = time.perf_counter()
-    results = []
-    for fn in ALL_CHECKS:
-        check = fn()
-        results.append(check)
-        if not quiet:
-            print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: "
-                  f"{check.detail}")
+    results = [fn() for fn in ALL_CHECKS]
     runtime = time.perf_counter() - start
     failed = sum(1 for c in results if not c.passed)
-    if not quiet:
-        print(f"{len(results) - failed}/{len(results)} checks passed "
-              f"in {runtime:.1f} s")
     return {"checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                        for c in results],
             "passed": len(results) - failed, "failed": failed,

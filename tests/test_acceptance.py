@@ -103,7 +103,7 @@ def test_criterion_8_sweep_runtime_and_determinism(tmp_path):
 def test_full_suite_runtime_budget():
     # the complete validation sweep targets a laptop-scale budget
     start = time.perf_counter()
-    report = validate.run_validation_suite(quiet=True)
+    report = validate.run_validation_suite()
     elapsed = time.perf_counter() - start
     print(f"validation suite: {report['passed']}/{len(report['checks'])} "
           f"passed in {elapsed:.1f} s")

@@ -21,13 +21,16 @@ from afq.validate import run_validation_suite
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(args, program=("-m", "afq.cli")):
+def _child_env():
     # the child imports afq from this checkout, installed or not
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_cli(args, program=("-m", "afq.cli")):
     return subprocess.run([sys.executable, *program, *args],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_child_env())
 
 
 def test_no_arguments_usage_error():
@@ -403,9 +406,15 @@ def test_report_json_round_trip(tmp_path):
     assert len(outputs["energies_j"]) == 6
 
 
+def test_validation_suite_writes_nothing(capsys):
+    # the suite returns its report; only the CLI writes it
+    run_validation_suite()
+    assert capsys.readouterr() == ("", "")
+
+
 def test_validation_report_is_json_without_a_hook():
     # json.dumps with no default= hook: every check passes a plain bool
-    report = run_validation_suite(quiet=True)
+    report = run_validation_suite()
     assert all(type(c["passed"]) is bool for c in report["checks"])
     json.dumps(report)
 
@@ -478,12 +487,34 @@ class _ClosedStdout(io.StringIO):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
-@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "validate"])
 def test_unwritable_stdout_is_usage_error(monkeypatch, capsys, command):
     monkeypatch.setattr(sys, "stdout", _ClosedStdout())
     assert main([command]) == 2
     assert capsys.readouterr().err == ("afq: cannot write <stdout>: "
                                        "Broken pipe\n")
+
+
+def test_validate_writes_out_past_an_unwritable_stdout(tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("afq: cannot write <stdout>: "
+                                       "Broken pipe\n")
+    assert json.loads(out.read_text())["failed"] == 2
+
+
+def test_validate_into_a_pipe_closed_early():
+    # `afq validate | head -1`, each write sent to the pipe at once
+    env = {**_child_env(), "PYTHONUNBUFFERED": "1"}
+    with subprocess.Popen([sys.executable, "-m", "afq.cli", "validate"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as child:
+        assert child.stdout.readline().startswith(b"PASS ")
+        child.stdout.close()
+        assert child.wait(timeout=120) == 1
+        assert child.stderr.read() == b""
 
 
 # a count that fits int64 but can never be allocated, under a 2 GiB

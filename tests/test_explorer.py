@@ -374,6 +374,18 @@ def test_axis_columns_expand_to_the_columns(n_l, n_x):
         result.take(rows[1:]).axis_columns()
 
 
+def test_take_by_mask_is_take_by_indices():
+    result = sweep(make_spec(20, 20))
+    mask = np.zeros(len(result), bool)
+    mask[[17, 230]] = True
+    picked, want = result.take(mask), result.take([17, 230])
+    assert len(picked) == 2
+    for name, col in picked.arrays.items():
+        np.testing.assert_array_equal(col, want.arrays[name], err_msg=name)
+    with pytest.raises(IndexError):
+        result.take(mask[1:])
+
+
 def test_feasible_designs_orders_like_lexsort_with_and_without_ties():
     result = sweep(make_spec(20, 20))
     constraints = DesignConstraints(max_occupancy=1.5)

@@ -3,7 +3,8 @@ every default some caller overrides, every private module-level name, every
 public name and every config key is read somewhere, every error class is
 raised somewhere,
 ``afq.__all__`` matches what the package imports, the brute-force
-oracle shares no code with what it checks, and nothing uses numpy.random."""
+oracle shares no code with what it checks, nothing uses numpy.random, and
+only the CLI writes to the terminal."""
 
 import ast
 from pathlib import Path
@@ -285,6 +286,40 @@ def test_only_front_ends_import_the_oracle(path):
     "from afq import oracle\n"])
 def test_oracle_import_is_found(source):
     assert "afq.oracle" in imported_paths(ast.parse(source))
+
+
+def stream_writes(tree):
+    """(line, what) of each ``print`` call of an AST, and each place it
+    names ``sys.stdout`` or ``sys.stderr`` or imports them from sys."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"):
+            found.append((node.lineno, "print"))
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("stdout", "stderr")
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append((node.lineno, f"sys.{node.attr}"))
+    found += [(0, path) for path in sorted(imported_paths(tree))
+              if path in ("sys.stdout", "sys.stderr")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_writes_to_the_terminal(path):
+    # a library module returns what it found; cli.emit writes it
+    assert stream_writes(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(check):\n    print(check)\n", [(2, "print")]),
+    ("import sys\nsys.stdout.write('x')\n", [(2, "sys.stdout")]),
+    ("import sys\nwarn(file=sys.stderr)\n", [(2, "sys.stderr")]),
+    ("from sys import stderr\n", [(0, "sys.stderr")]),
+    ("import sys\nsys.exit(1)\nlog.print_stats()\n", [])])
+def test_terminal_write_is_found(source, found):
+    assert stream_writes(ast.parse(source)) == found
 
 
 def numpy_random_references(tree):
