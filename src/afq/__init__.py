@@ -24,15 +24,15 @@ from .oracle import (GridSpec, OracleResult, fock_eigensolve,
                      fock_matrix_element, grid_eigensolve,
                      jc_dispersive_oracle, total_potential,
                      two_qubit_bus_oracle)
-from .potential import (LennardJones, SurfacePotential, TaylorCoefficients,
-                        find_bias_point, taylor_coefficients)
+from .potential import (LennardJones, TaylorCoefficients, find_bias_point,
+                        taylor_coefficients)
 from .spectrum import (QubitSpectrum, perturbative_energies,
                        relative_frequency_shift, thermal_occupancy)
 
 __all__ = [
     "__version__", "AfqError",
-    "LennardJones", "SurfacePotential", "TaylorCoefficients",
-    "find_bias_point", "taylor_coefficients",
+    "LennardJones", "TaylorCoefficients", "find_bias_point",
+    "taylor_coefficients",
     "MaterialParams", "CantileverGeometry", "CantileverModal", "BiasState",
     "modal_params", "bias_state", "snap_in_threshold",
     "QubitSpectrum", "perturbative_energies", "relative_frequency_shift",

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContactRegimeError, DomainError, SnapInError
-from .potential import LennardJones, SurfacePotential, _rightmost_root
+from .potential import LennardJones, _rightmost_root
 from .units import hbar
 
 # fundamental lateral mode frequency prefactor, (beta_1 L)^2 / sqrt(12)
 MODE_FREQ_COEFF = 1.015
 
-# gap below 1.1 sigma counts as contact for the Lennard-Jones model
+# gap below 1.1 sigma counts as contact
 CONTACT_GUARD = 1.1
 
 
@@ -131,19 +131,19 @@ def modal_params(geometry: CantileverGeometry,
                            omega_c=omega_c.item())
 
 
-def bias_state(modal: CantileverModal, potential: SurfacePotential,
+def bias_state(modal: CantileverModal, potential: LennardJones,
                x: float) -> BiasState:
     """Operating state at gap ``x``: force balance, stiffness, zero-point motion.
 
     Raises
     ------
     ContactRegimeError
-        for a Lennard-Jones potential with x <= 1.1 sigma.
+        for x <= 1.1 sigma.
     SnapInError
         if the attractive force gradient exceeds the spring constant
         (k_eff <= 0), i.e. past the static pull-in instability.
     """
-    if isinstance(potential, LennardJones) and x <= CONTACT_GUARD * potential.sigma:
+    if x <= CONTACT_GUARD * potential.sigma:
         raise ContactRegimeError(
             f"gap {x:.4e} m inside contact region (<= 1.1 sigma "
             f"= {CONTACT_GUARD * potential.sigma:.4e} m)")
@@ -161,7 +161,7 @@ def bias_state(modal: CantileverModal, potential: SurfacePotential,
                      omega_eff=omega_eff.item(), x_zpf=x_zpf.item())
 
 
-def snap_in_threshold(modal: CantileverModal, potential: SurfacePotential,
+def snap_in_threshold(modal: CantileverModal, potential: LennardJones,
                       search):
     """Largest gap in ``search`` where k + V''(x) crosses zero, to the nearest float.
 

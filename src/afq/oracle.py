@@ -38,8 +38,8 @@ import numpy as np
 
 from .cantilever import CantileverModal, bias_state
 from .errors import ConvergenceError, DomainError, LabelingError
-from .potential import SurfacePotential
-from .units import hbar
+from .potential import LennardJones
+from .units import MHZ, hbar
 
 DISPERSIVE_RATIO_WARN = 0.2
 GRID_CONVERGENCE_TOL = 1e-4
@@ -88,7 +88,7 @@ class OracleResult:
     eta: float
 
 
-def total_potential(modal: CantileverModal, potential: SurfacePotential,
+def total_potential(modal: CantileverModal, potential: LennardJones,
                     x: float):
     """Effective oscillation potential V_q(dx) = k(x_c+dx)^2/2 + V(x-dx).
 
@@ -332,13 +332,15 @@ def _require_finite(**values):
 
 
 def _near_resonance(delta: float, g: float):
-    """``|Delta| = ... < 2g = ...`` when |Delta| < 2|g| (g != 0), else None.
+    """``|Delta|/2pi = ... MHz < 2g/2pi = ... MHz`` when |Delta| < 2|g|
+    (g != 0), else None.
 
     There the dispersive closed forms diverge and the JC eigenstates cannot
     be labeled: :func:`jc_dispersive_oracle` refuses and ``afq cqad`` warns.
     """
     if g != 0.0 and abs(delta) < 2.0 * abs(g):
-        return f"|Delta| = {abs(delta):.3e} < 2g = {2 * abs(g):.3e}"
+        return (f"|Delta|/2pi = {abs(delta) / MHZ:.3f} MHz < "
+                f"2g/2pi = {2 * abs(g) / MHZ:.3f} MHz")
     return None
 
 
@@ -407,9 +409,12 @@ def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
     """
     _require_finite(omega_q1=omega_q1, omega_q2=omega_q2, omega_bus=omega_bus,
                     g1=g1, g2=g2)
-    if max(abs(g1), abs(g2)) > DISPERSIVE_RATIO_WARN * min(
-            abs(omega_bus - omega_q1), abs(omega_bus - omega_q2)):
-        warnings.warn("g/|Delta| above the dispersive regime", stacklevel=2)
+    g_max = max(abs(g1), abs(g2))
+    delta_min = min(abs(omega_bus - omega_q1), abs(omega_bus - omega_q2))
+    if g_max > DISPERSIVE_RATIO_WARN * delta_min:
+        ratio = g_max / delta_min if delta_min else np.inf
+        warnings.warn(f"g/|Delta| = {ratio:.3f} > {DISPERSIVE_RATIO_WARN}: "
+                      "above the dispersive regime", stacklevel=2)
     span = max(8.0 * (abs(g1) + abs(g2)), 2.0 * abs(omega_q1 - omega_q2),
                1e-6 * abs(omega_q2))
     h = np.zeros((33, 3, 3))

@@ -1,33 +1,20 @@
-"""Tip-cantilever surface interaction potentials.
-
-The concrete model is the Lennard-Jones pair potential
+"""The tip-surface interaction: the Lennard-Jones pair potential
 
     V(x) = 4 eps [ (sigma/x)^12 - (sigma/x)^6 ],
 
-with closed-form derivatives of every order (finite differences are far
-too noisy against the 12th-power term; they appear only in tests). Any
-other interaction model can be plugged in by implementing the
-``SurfacePotential`` protocol with analytic derivatives up to the order
-the caller requests.
+afq's one surface model, with closed-form derivatives of every order
+(finite differences are far too noisy against the 12th-power term; they
+appear only in tests).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .errors import DomainError
-
-
-class SurfacePotential(Protocol):
-    """An interaction potential evaluable to arbitrary derivative order."""
-
-    def value(self, x): ...
-
-    def derivative(self, x, n: int): ...
 
 
 def _falling_power_coeff(p: int, n: int) -> float:
@@ -98,12 +85,12 @@ class TaylorCoefficients:
         return self.coefficients[n]
 
 
-def _taylor_term(potential: SurfacePotential, x, n: int):
+def _taylor_term(potential: LennardJones, x, n: int):
     """lambda_n = V^(n)(x) / n! at a scalar or array ``x``."""
     return potential.derivative(x, n) / math.factorial(n)
 
 
-def taylor_coefficients(potential: SurfacePotential, x: float,
+def taylor_coefficients(potential: LennardJones, x: float,
                         max_order: int = 6) -> TaylorCoefficients:
     """Taylor-expand a potential about ``x`` up to ``max_order``.
 

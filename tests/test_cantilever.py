@@ -18,6 +18,9 @@ LJ = LennardJones(epsilon=17.4 * MEV, sigma=3.826 * ANGSTROM)
 
 
 class _ZeroPotential:
+    # a contact scale well below the 5 angstrom gaps the tests bias at
+    sigma = 1.0 * ANGSTROM
+
     def value(self, x):
         return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
 
@@ -106,6 +109,15 @@ def test_contact_guard():
     modal = modal_params(PAPER_GEOMETRY, SILICON)
     with pytest.raises(ContactRegimeError):
         bias_state(modal, LJ, 1.05 * LJ.sigma)
+
+
+def test_contact_guard_holds_for_any_potential():
+    # the guard reads sigma alone: a stand-in potential with no force at
+    # all is still refused inside 1.1 sigma
+    modal = modal_params(PAPER_GEOMETRY, SILICON)
+    pot = _ZeroPotential()
+    with pytest.raises(ContactRegimeError, match="inside contact region"):
+        bias_state(modal, pot, 1.05 * pot.sigma)
 
 
 def test_snap_in_error_past_stability_edge():

@@ -131,13 +131,21 @@ def test_cqad_warns_near_resonance(tmp_path, capsys):
     # the oracle refuses; cqad keeps its figures and warns once, naming both
     cfg = _config_with(tmp_path, "cqad.omega_q_mhz = 64.3")
     report = _cqad_report(tmp_path, "--config", str(cfg))
-    delta = abs(report["outputs"]["dispersive_delta_mhz"]) * MHZ
+    delta = abs(report["outputs"]["dispersive_delta_mhz"])
     [warning] = report["warnings"]
-    assert warning == (f"|Delta| = {delta:.3e} < 2g = {2 * MHZ:.3e}: "
+    assert warning == (f"|Delta|/2pi = {delta:.3f} MHz < 2g/2pi = 2.000 MHz: "
                        "chi and J diverge near resonance")
     assert abs(report["outputs"]["chi_khz"]) > 1e15
     assert main(["oracle", "--config", str(cfg), "--quiet"]) == 1
     assert "< 2g" in capsys.readouterr().err
+
+
+def test_oracle_refusal_names_both_figures_in_mhz(tmp_path, capsys):
+    cfg = _config_with(tmp_path, "cqad.g_mhz = 5")
+    assert main(["oracle", "--config", str(cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "afq: |Delta|/2pi = 4.299 MHz < 2g/2pi = 10.000 MHz: "
+        "labeling unreliable near resonance\n")
 
 
 def test_cqad_bundled_design_has_no_warnings(tmp_path):

@@ -333,6 +333,8 @@ def test_ground_state_above_potential_minimum():
 
 def test_total_potential_zero_interaction_is_parabola():
     class _Zero:
+        sigma = 1.0 * ANGSTROM     # the 5 angstrom gap is outside contact
+
         def value(self, x):
             return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
 
@@ -645,7 +647,9 @@ def test_bus_zoom_scan_matches_dense_sweep():
 
 
 def test_bus_warns_at_exact_resonance():
-    with pytest.warns(UserWarning, match="above the dispersive regime"):
+    # the warning names its ratio and bound, as the JC oracle's does
+    with pytest.warns(UserWarning, match=r"^g/\|Delta\| = inf > 0\.2: "
+                      "above the dispersive regime$"):
         j = two_qubit_bus_oracle(W_Q, W_Q, W_Q, 1.0 * MHZ, 1.0 * MHZ)
     assert j > 0
 
@@ -654,7 +658,8 @@ def test_bus_warns_at_exact_resonance():
                          ids=["g2_off", "g1_off"])
 def test_bus_one_coupling_off_gives_zero(g1, g2):
     # qubit levels cross exactly, so the splitting closes to rounding
-    with pytest.warns(UserWarning, match="above the dispersive regime"):
+    with pytest.warns(UserWarning, match=r"^g/\|Delta\| = 0\.230 > 0\.2: "
+                      "above the dispersive regime$"):
         j = two_qubit_bus_oracle(W_Q, W_Q, W_Q + 4.35 * MHZ, g1, g2)
     span = 8.0 * (g1 + g2)
     assert 0.0 <= j <= 1e-9 * span

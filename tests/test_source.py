@@ -21,20 +21,12 @@ CALLERS = SOURCES + sorted((ROOT / "demos").glob("*.py")) + sorted(
     (ROOT / "bench").glob("*.py"))
 
 
-def _is_stub(fn):
-    """A body of constants only, a docstring and ``...`` (a Protocol method)."""
-    return all(isinstance(stmt, ast.Expr)
-               and isinstance(stmt.value, ast.Constant) for stmt in fn.body)
-
-
 def unread_parameters(tree):
     """(line, function, parameter) of each parameter its body never loads."""
     found = []
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
                                ast.Lambda)):
-            continue
-        if not isinstance(fn, ast.Lambda) and _is_stub(fn):
             continue
         a = fn.args
         params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
@@ -56,7 +48,8 @@ def test_every_parameter_is_read(path):
 def test_unread_parameter_is_found():
     tree = ast.parse("def f(a, b):\n    return a\n"
                      "class P:\n    def g(self, x):\n        ...\n")
-    assert unread_parameters(tree) == [(1, "f", "b")]
+    # a stub body reads nothing either
+    assert unread_parameters(tree) == [(1, "f", "b"), (4, "g", "x")]
 
 
 def _name(node):
