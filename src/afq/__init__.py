@@ -9,6 +9,37 @@ electromechanical readout chain, and sweeps the design space.
 
 __version__ = "0.1.0"
 
+
+def _keep_freed_memory():
+    """Have glibc keep freed memory in the process, so that a sweep's
+    columns reuse pages already mapped instead of page-faulting fresh ones.
+
+    By default glibc serves a block above 128 KiB by ``mmap`` and returns
+    freed memory at the top of the heap to the OS, so each sweep faults
+    its new columns in again. The mmap threshold is raised to 32 MiB,
+    glibc's 64-bit maximum, so that every column up to 4 M float64 comes
+    from the heap, and the trim threshold to 1 GiB, so that freed heap is
+    kept (mallopt(3), ``M_MMAP_THRESHOLD`` = -3, ``M_TRIM_THRESHOLD`` = -1).
+    The process's RSS then stays at its high-water mark. Nothing is set
+    where the C library has no ``mallopt``, or where the environment
+    already sets glibc's malloc policy (``GLIBC_TUNABLES`` or a
+    ``MALLOC_*`` variable). Outputs do not depend on it.
+    """
+    import ctypes     # numpy imports ctypes anyway
+    import os
+    if any(key == "GLIBC_TUNABLES" or key.startswith("MALLOC_")
+           for key in os.environ):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 1 << 30)
+
+
+_keep_freed_memory()
+
 from .cantilever import (BiasState, CantileverGeometry, CantileverModal,
                          MaterialParams, bias_state, modal_params,
                          snap_in_threshold)

@@ -264,9 +264,10 @@ def _csv_rows(sources, start: int, stop: int) -> str:
     return lines.translate(None, b"\0").decode()
 
 
-# Cells per block of rows: each numpy temporary stays near 128 KiB, which
-# the allocator reuses. Whole-table temporaries (~1 MB at 10^4 x 12) go
-# back to the OS and are page-faulted in again by every array operation.
+# Cells per block of rows. Blocks bound the writer's memory: its cells,
+# byte grid and decoded text take about 70 bytes a cell, so a block's
+# temporaries stay near 1.2 MB, where whole-table ones would grow with the
+# table (about 840 MB at 10^6 x 12).
 _BLOCK_CELLS = 1 << 14
 
 

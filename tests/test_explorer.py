@@ -1,8 +1,13 @@
 """Design-space sweep, feasibility filtering, length optimization."""
 
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +229,60 @@ def test_sweep_transient_memory_is_at_most_one_grid_array(box):
         tracemalloc.stop()
     kept = sum(a.nbytes for a in result.arrays.values())
     assert (peak - before - kept) / (len(result) * 8) <= 1.0
+
+
+def minor_faults_per_sweep(spec, warm=3, runs=5):
+    """Mean minor page faults of ``runs`` sweeps of ``spec`` after ``warm``
+    sweeps, each sweep dropping the result before it."""
+    for _ in range(warm):
+        result = None
+        result = sweep(spec)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(runs):
+        result = None
+        result = sweep(spec)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / runs
+
+
+def _glibc():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION") is not None
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# afq tunes glibc's allocator at import, unless the environment already does
+glibc_malloc_tuned = pytest.mark.skipif(
+    not _glibc() or any(key == "GLIBC_TUNABLES" or key.startswith("MALLOC_")
+                        for key in os.environ),
+    reason="afq tunes glibc's malloc only where the environment does not")
+
+
+@glibc_malloc_tuned
+def test_repeated_sweeps_reuse_freed_memory():
+    # a 178 x 178 sweep's columns are 253 KB each; with glibc's default
+    # policy their memory goes back to the OS and every sweep faults it in
+    # again (about 400 times)
+    assert minor_faults_per_sweep(make_spec(178, 178)) <= 5
+
+
+@glibc_malloc_tuned
+def test_malloc_policy_of_the_environment_is_left_alone():
+    # the same loop with the user's own trim threshold faults as glibc's
+    # default does, so afq did not override it
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_explorer import make_spec, minor_faults_per_sweep\n"
+            "print(minor_faults_per_sweep(make_spec(178, 178)))\n")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tests)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path,
+                               "MALLOC_TRIM_THRESHOLD_": "131072"})
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) > 100
 
 
 def test_ladder_and_occupancy_see_only_stable_rows(monkeypatch):
