@@ -20,7 +20,9 @@ finite non-zero cells get digits, four per table lookup; NaN, the
 infinities and the zeros are constant cells. A lookup column formats its
 distinct values once and gathers their cells per block: the four sweep
 columns that follow one grid axis, the sweep flag and every cell of a
-single-row report.
+single-row report. Every cell fills a fixed 20-byte slot, wide enough
+for ``-1.234567890123e-308`` and ``-9223372036854775808``; a longer
+``str()`` cell raises an error rather than shift a column.
 """
 
 from __future__ import annotations
@@ -185,30 +187,24 @@ def _sci_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _first_used(cells: np.ndarray):
-    """Index of the first byte that is not NUL in some cell of ``cells``:
-    (rows, width), or (rows, columns, width) for one index per column."""
-    return (np.bitwise_or.reduce(cells, axis=0) != 0).argmax(axis=-1)
-
-
 def _items(cells: np.ndarray) -> np.ndarray:
-    """(rows, width) uint8 cells, each row one opaque item: numpy copies
-    an item at once, where it would loop over the bytes of a row."""
-    return cells.view(f"V{cells.shape[1]}")[:, 0]
+    """(rows, 20) uint8 cells, each row one opaque ``V20`` item: numpy
+    copies an item at once, where it would loop over the bytes of a row."""
+    return cells.view("V20")[:, 0]
 
 
 def _lookup(values, index):
     """A lookup column: ``values`` formatted here, once (:func:`_sci_cells`
-    for float64, else ``str()`` of each, NUL-padded to the longest), and
+    for float64, else ``str()`` of each, right-aligned in 20 bytes), and
     row ``i`` of a block is the cell of ``values[index(start, stop)[i]]``."""
     values = np.asarray(values)
     if values.dtype == np.float64:
         cells = _sci_cells(values)
     else:
-        cells = np.array([str(v).encode() for v in values.tolist()], "S")
-        cells = cells.view(np.uint8).reshape(cells.size, cells.itemsize)
-    return "lookup", _items(np.ascontiguousarray(
-        cells[:, _first_used(cells):])), index
+        cells = np.frombuffer(b"".join(
+            str(v).encode().rjust(20, b"\0") for v in values.tolist()),
+            np.uint8).reshape(values.size, 20)
+    return "lookup", _items(cells), index
 
 
 def _cell_source(column):
@@ -237,37 +233,29 @@ def _csv_rows(sources, start: int, stop: int) -> str:
     """CSV lines of rows ``start:stop`` of the columns behind ``sources``
     (:func:`_cell_source`).
 
-    The float64 columns go through :func:`_sci_cells` at once. Each column
-    gets a slot in one (rows, line width) byte grid, as wide as its widest
-    cell in the block, then a separator. Cells fill their slot with NUL
-    padding, and dropping the NULs leaves the lines.
+    Each cell gets a 21-byte slot in one (rows, columns, 21) byte grid:
+    20 bytes of cell, right-aligned with NUL padding, then ``,``, or
+    a newline in the last column. The float64 columns go through
+    :func:`_sci_cells` at once; dropping the NULs leaves the lines.
     """
     rows = stop - start
+    grid = np.empty((rows, len(sources), 21), np.uint8)
     floats = [j for j, (kind, *_) in enumerate(sources) if kind == "float"]
-    items = {}
     if floats:
         x = np.stack([sources[j][1][start:stop] for j in floats], axis=1)
-        block = _sci_cells(x.reshape(-1)).reshape(rows, len(floats), 20)
-        for c, (j, first) in enumerate(zip(floats, _first_used(block))):
-            items[j] = _items(block[:, c, first:])
+        grid[:, floats, :20] = _sci_cells(x.ravel()).reshape(rows, -1, 20)
     for j, (kind, data, index) in enumerate(sources):
         if kind == "lookup":
-            items[j] = data[index(start, stop)]
-    widths = [items[j].itemsize for j in range(len(sources))]
-    ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)
-    lines = bytearray(rows * ends[-1])
-    grid = np.frombuffer(lines, np.uint8).reshape(rows, ends[-1])
-    for j, (end, width) in enumerate(zip(ends, widths)):
-        _items(grid[:, end - 1 - width:end - 1])[:] = items[j]
-    grid[:, ends - 1] = ord(",")
-    grid[:, -1] = ord("\n")
-    return lines.translate(None, b"\0").decode()
+            _items(grid[:, j, :20])[:] = data[index(start, stop)]
+    grid[:, :, 20] = ord(",")
+    grid[:, -1, 20] = ord("\n")
+    return grid.tobytes().translate(None, b"\0").decode()
 
 
-# Cells per block of rows. Blocks bound the writer's memory: its cells,
-# byte grid and decoded text take about 70 bytes a cell, so a block's
-# temporaries stay near 1.2 MB, where whole-table ones would grow with the
-# table (about 840 MB at 10^6 x 12).
+# Cells per block of rows. Blocks bound the writer's memory: its
+# temporaries take 68 bytes a cell in a sweep table, 107 in the all-float
+# cqad one (tracemalloc peaks), under 1.8 MB a block, where whole-table
+# ones would grow with the table (about 810 MB for a 10^6-row sweep).
 _BLOCK_CELLS = 1 << 14
 
 

@@ -190,8 +190,10 @@ def _refine(diag, t, seeds):
     to its seed, that turns into Rayleigh-quotient iteration: solve
     (T - sigma) y = x with ``dgtsv``, take x = y / |y| and move sigma to
     the Rayleigh quotient x.T x. It stops once the residual |(T - sigma) x|
-    is below a tenth of the margin 1e-8 (seeds[-1] - seeds[0]), so each
-    interval sigma +- margin holds an eigenvalue. The levels are certified
+    is below a tenth of the margin 1e-8 (seeds[2] - seeds[0]), so each
+    interval sigma +- margin holds an eigenvalue. The margin follows the
+    E_2 - E_0 span, not the top seed, so the lowest three levels stop
+    where they would with any number of seeds. The levels are certified
     when they ascend with gaps above 2 margin, which makes those
     eigenvalues distinct, and a Sturm count (``dstebz``) finds exactly
     ``len(seeds)`` eigenvalues at or below the top level + margin, which
@@ -200,7 +202,7 @@ def _refine(diag, t, seeds):
     dgtsv, dstebz = _lapack().dgtsv, _lapack().dstebz
     off = np.full(diag.size - 1, -t)
     start = _generic_vector(diag.size)
-    margin = 1e-8 * (seeds[-1] - seeds[0])
+    margin = 1e-8 * (seeds[2] - seeds[0])
     levels = []
     for sigma in seeds:
         x = start

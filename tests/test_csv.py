@@ -161,11 +161,13 @@ def test_snap_in_and_ok_rows_match_reference():
 
 
 def test_mixed_columns_match_reference():
-    # float and integer arrays, and lookups of floats, bools, None and str
+    # float and integer arrays, and lookups of floats, bools, None, str and
+    # the int64 extremes, whose str() fills a whole 20-byte cell
     columns = ([1.5, -2.0, np.nan], np.array([0, 1, 2], np.int8),
                ([True, False], 1), ([None, None, "text"], 1), [3, 40, -500],
-               ([2.5, -0.0, np.inf], 2), ([7], 3))
-    header = ["x", "flag", "ok", "note", "n", "axis", "one"]
+               ([2.5, -0.0, np.inf], 2), ([7], 3),
+               (np.array([-9223372036854775808, 9223372036854775807]), 2))
+    header = ["x", "flag", "ok", "note", "n", "axis", "one", "int64"]
     assert emitted(header, columns, 3) == reference_csv(
         header, zip(*(expanded(c, 3) for c in columns)))
 

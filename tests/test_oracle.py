@@ -95,7 +95,7 @@ def test_grid_validation():
         grid_eigensolve(harmonic, M_EFF, GridSpec(), 11, x_zpf=X_ZPF, gap=GAP)
 
 
-@pytest.mark.parametrize("n_levels", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_levels", range(1, 11))
 def test_grid_reports_omega_10_and_eta_at_any_n_levels(n_levels):
     res = grid_eigensolve(harmonic, M_EFF, GridSpec(), n_levels, x_zpf=X_ZPF,
                           gap=GAP)
@@ -107,6 +107,13 @@ def test_grid_reports_omega_10_and_eta_at_any_n_levels(n_levels):
     assert res.eta == (e2 - 2 * e1 + e0) / hbar
     assert res.omega_10 == pytest.approx(OMEGA, rel=1e-6)
     assert abs(res.eta) < 1e-6 * OMEGA       # harmonic: equal spacing
+    # the bundled design too, bit for bit: the levels above E_2 must not
+    # move the lowest three
+    v_q, m_eff, x_zpf, gap = next(audit_designs())
+    res, ref = (grid_eigensolve(v_q, m_eff, GridSpec(), n, x_zpf=x_zpf,
+                                gap=gap, check_convergence=False)
+                for n in (n_levels, 3))
+    assert (res.omega_10, res.eta) == (ref.omega_10, ref.eta)
 
 
 def test_grid_nonconvergence_raises():
