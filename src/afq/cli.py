@@ -212,8 +212,9 @@ def _cell_source(column):
 
     ``("float", column, None)``: a float64 array, formatted with every
     float64 column of the block at once. ``("lookup", items, index)``
-    (:func:`_lookup`): a ``(values, stride)`` column, or an integer array
-    (the sweep flag), which indexes the values ``lo..hi`` of its range.
+    (:func:`_lookup`): a ``(values, stride)`` column, or an integer array.
+    One whose range is below its length (the sweep flag) indexes the values
+    ``lo..hi`` of its range; any other, its distinct values.
     """
     if isinstance(column, tuple):
         values, stride = column
@@ -224,6 +225,9 @@ def _cell_source(column):
     if column.dtype.kind in "iu":
         lo, hi = ((int(column.min()), int(column.max())) if column.size
                   else (0, -1))
+        if hi - lo >= column.size:
+            values, inverse = np.unique(column, return_inverse=True)
+            return _lookup(values, lambda start, stop: inverse[start:stop])
         return _lookup(np.arange(lo, hi + 1), lambda start, stop:
                        np.subtract(column[start:stop], lo, dtype=np.intp))
     return "float", column.astype(np.float64, copy=False), None

@@ -86,7 +86,8 @@ class SweepResult:
     """Column arrays, one entry per grid point, lexicographic in (L, x).
 
     ``arrays`` maps each stored column name of ``_SWEEP_TABLE`` to its
-    array; a column also reads as an attribute (``result.eta_r``).
+    array, float64 but for the int8 flag; a column also reads as an
+    attribute (``result.eta_r``).
     """
 
     spec: SweepSpec
@@ -147,13 +148,6 @@ class DesignConstraints:
             raise DomainError("max_occupancy must be >= 0")
 
 
-def _scatter(mask, values):
-    """An array shaped like ``mask``: ``values`` where it is set, NaN elsewhere."""
-    out = np.full(mask.shape, np.nan)
-    out[mask] = values
-    return out
-
-
 def _figures(lengths, gaps, width, thickness, material, potential, temperature):
     """Vectorized figure-of-merit chain on the 1-D axes ``lengths`` x ``gaps``.
 
@@ -162,34 +156,48 @@ def _figures(lengths, gaps, width, thickness, material, potential, temperature):
     first-order omega_10 <= 0 is FLAG_BREAKDOWN, with NaN ladder figures;
     one whose omega_10 overflows to NaN stays FLAG_OK and carries it.
 
-    Stability is one mask, decided at k + V'': a snap-in row never enters
-    float arithmetic past it. The ladder and occupancy run on stable rows
-    only, are scattered back (NaN elsewhere) and freed, so every full-grid
-    array is an output column plus at most one transient.
+    Stability is one flat index of the stable rows, decided at k + V'': a
+    snap-in row never enters float arithmetic past it. The chain runs on
+    those rows alone, reading m_eff, omega_c, lambda_4 and lambda_6 off the
+    1-D axes through the index, and each figure is written once into its
+    NaN-filled column and freed, so every full-grid array is an output
+    column plus at most one transient.
     """
-    length, gap = lengths[:, None], gaps[None, :]
-    k, omega_c, m_eff = _modal_constants(length, width, thickness, material)
-    _, k_eff, stable, omega_eff, x_zpf = _operating_state(k, m_eff, potential,
-                                                          gap)
-    flag = np.full(stable.shape, FLAG_SNAP_IN)
-    omega_10, eta = _first_order_ladder(omega_eff, x_zpf, *(
-        np.broadcast_to(_taylor_term(potential, gap, n), stable.shape)[stable]
-        for n in (4, 6)))[1:]
-    del omega_eff                  # freed before the full-grid columns
+    n_x = gaps.size
+    k, omega_c, m_eff = _modal_constants(lengths[:, None], width, thickness,
+                                         material)
+    _, k_eff, idx, omega_eff, x_zpf = _operating_state(k, m_eff, potential,
+                                                       gaps[None, :])
+    at_x = idx - idx // n_x * n_x  # idx % n_x; numpy is slower at %
+    lam4, lam6 = (_taylor_term(potential, gaps, n)[at_x] for n in (4, 6))
+    del at_x
+    omega_10, eta = _first_order_ladder(omega_eff, x_zpf, lam4, lam6)[1:]
+    del omega_eff, lam4, lam6
     broken = omega_10 <= 0
-    flag[stable] = np.where(broken, FLAG_BREAKDOWN, FLAG_OK)
     omega_10[broken] = eta[broken] = np.nan
-    n_th = _scatter(~broken, thermal_occupancy(omega_10[~broken], temperature))
-    omega_10, eta = _scatter(stable, omega_10), _scatter(stable, eta)
-    n_th, x_zpf = _scatter(stable, n_th), _scatter(stable, x_zpf)
-    eta_r = eta / omega_10
-    delta_omega = relative_frequency_shift(omega_10, omega_c)
-    length, gap, omega_c, _ = np.broadcast_arrays(length, gap, omega_c, flag)
-    return {name: a.ravel() for name, a in {
-        "length": length, "gap": gap, "omega_c": omega_c,
-        "omega_10": omega_10, "eta_r": eta_r, "eta": eta,
-        "delta_omega": delta_omega, "n_thermal": n_th, "x_zpf": x_zpf,
-        "k_eff": k_eff, "flag": flag}.items()}
+
+    def column(values, rows=idx):
+        """A grid column: ``values`` at the flat ``rows``, NaN elsewhere."""
+        out = np.full(k_eff.size, np.nan)
+        out[rows] = values
+        return out
+
+    figures = {"k_eff": k_eff.ravel(), "x_zpf": column(x_zpf)}
+    del x_zpf
+    figures["eta_r"] = column(eta / omega_10)
+    figures["delta_omega"] = column(relative_frequency_shift(
+        omega_10, omega_c.ravel()[idx // n_x]))
+    figures["n_thermal"] = column(thermal_occupancy(
+        omega_10[~broken], temperature), idx[~broken])
+    figures["omega_10"], figures["eta"] = column(omega_10), column(eta)
+    del omega_10, eta
+    figures["flag"] = flag = np.full(k_eff.size, FLAG_SNAP_IN, np.int8)
+    flag[idx], flag[idx[broken]] = FLAG_OK, FLAG_BREAKDOWN
+    del idx, column                # before the three axis columns
+    figures["length"], figures["gap"], figures["omega_c"] = (
+        np.broadcast_to(a, k_eff.shape).ravel()
+        for a in (lengths[:, None], gaps, omega_c))
+    return {name: figures[name] for _, name, _ in _SWEEP_TABLE if name}
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -202,10 +210,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _fits(arrays, constraints: DesignConstraints):
-    """Rows that are FLAG_OK and meet the occupancy bound."""
-    with np.errstate(invalid="ignore"):
-        return ((arrays["flag"] == FLAG_OK)
-                & (arrays["n_thermal"] <= constraints.max_occupancy))
+    """Index of the FLAG_OK rows that meet the occupancy bound."""
+    idx = np.flatnonzero(arrays["flag"] == FLAG_OK)
+    return idx[arrays["n_thermal"][idx] <= constraints.max_occupancy]
 
 
 def _by_descending_eta_r(result: SweepResult, idx):
@@ -233,10 +240,8 @@ def feasible_designs(result: SweepResult,
     1.49 sigma); flagged rows never do. Ties break lexicographically by
     (L, x). An empty selection is a valid outcome.
     """
-    ok = _fits(result.arrays, constraints)
-    with np.errstate(invalid="ignore"):
-        ok &= result.eta_r >= 0.0
-    idx = np.nonzero(ok)[0]
+    idx = _fits(result.arrays, constraints)
+    idx = idx[result.eta_r[idx] >= 0.0]
     idx = np.take(idx, _by_descending_eta_r(result, idx))
     return result.take(idx)
 
@@ -276,8 +281,8 @@ def optimize_length(width, thickness, material, potential, temperature,
     arrays = _figures(lengths, np.array([potential.inflection]), width,
                       thickness, material, potential, temperature)
     fits = _fits(arrays, constraints)
-    if not fits[0]:
+    if fits.size == 0 or fits[0] != 0:
         raise DomainError(
             "occupancy constraint unsatisfiable at the smallest allowed length")
-    i = int(np.nonzero(fits)[0][-1])
+    i = int(fits[-1])
     return lengths[i].item(), _row(arrays, i, potential.sigma)

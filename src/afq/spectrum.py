@@ -49,9 +49,8 @@ def _first_order_ladder(omega_eff, x_zpf, lam4, lam6):
     The closed forms of the module docstring, shared by the sweep and
     :func:`perturbative_energies`, which builds its levels from them.
     """
-    q4 = lam4 * x_zpf**4
     q6 = lam6 * x_zpf**6
-    quartic = 12.0 * q4                 # first-order quartic part of both
+    quartic = 12.0 * (lam4 * x_zpf**4)  # 12 q4, first-order part of both
     omega_10 = omega_eff + (quartic + 90.0 * q6) / hbar
     eta = (quartic + 180.0 * q6) / hbar
     return q6, omega_10, eta

@@ -172,6 +172,18 @@ def test_mixed_columns_match_reference():
         header, zip(*(expanded(c, 3) for c in columns)))
 
 
+@pytest.mark.parametrize("column, text", [
+    # an integer column whose range is not below its length takes its cells
+    # from its distinct values, not from every integer of its range
+    (np.array([9223372036854775807, -9223372036854775808]),
+     "n\n9223372036854775807\n-9223372036854775808\n"),
+    (np.array([10**9, 0]), "n\n1000000000\n0\n"),
+])
+def test_wide_integer_column_cells(column, text):
+    assert emitted(["n"], [column], 2) == text == reference_csv(
+        ["n"], zip(column.tolist()))
+
+
 def test_empty_table():
     columns = ([], np.array([], np.int8), ([1.0, 2.0], 1))
     assert emitted(["a", "flag", "axis"], columns, 0) == "a,flag,axis\n"
@@ -238,6 +250,28 @@ def test_sweep_command_csv_is_pinned(tmp_path):
     assert len(data) == 1_379_112
     assert hashlib.sha256(data).hexdigest() == (
         "546b6239fb4910cabdc1de5c7ada38ae9fa36db4a2f7c804ac23c349b8294b94")
+
+
+BOX_WITH_EVERY_FLAG = """
+sweep.length_points = 300
+sweep.x_points = 300
+"""
+
+
+def test_sweep_command_csv_is_pinned_on_a_box_with_every_flag(tmp_path):
+    # 300 x 300 over the default box: 15 365 FLAG_OK, 74 625 snap-in and 10
+    # breakdown rows, each cell pinned
+    path, out = tmp_path / "box.cfg", tmp_path / "sweep.csv"
+    path.write_text(PAPER_CONFIG + BOX_WITH_EVERY_FLAG)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+    data = out.read_bytes()
+    flags = [line.rpartition(b",")[2] for line in data.splitlines()[1:]]
+    assert {f: flags.count(f) for f in set(flags)} == {
+        b"0": 15_365, b"2": 74_625, b"3": 10}
+    assert len(data) == 12_357_415
+    assert hashlib.sha256(data).hexdigest() == (
+        "e25f7a0cb79923f8319c91fd40bbd95adfa4525894d2e13bfba0728b9b0eecaf")
 
 
 def load_bench_tracing():

@@ -193,24 +193,29 @@ def _whole_grid_ladder(spec):
 
 def test_operating_state_returns_stable_elements_only():
     # the 200 x 200 default box mixes snap-in and stable rows; omega_eff and
-    # x_zpf come back for the stable elements alone, in C order
+    # x_zpf come back for the stable elements alone, at their flat C-order
+    # index, and as the whole grid gives them there
     spec = make_spec(200, 200)
     length = np.asarray(spec.lengths)[:, None]
     gap = np.asarray(spec.gaps_over_sigma)[None, :] * LJ.sigma
     k, _, m_eff = explorer._modal_constants(length, spec.width,
                                             spec.thickness, SILICON)
-    _, k_eff, stable, omega_eff, x_zpf = explorer._operating_state(
+    _, k_eff, idx, omega_eff, x_zpf = explorer._operating_state(
         k, m_eff, LJ, gap)
-    assert stable.shape == k_eff.shape == (200, 200)
-    assert 0 < stable.sum() < stable.size
-    np.testing.assert_array_equal(stable, k_eff > 0)
-    assert omega_eff.shape == x_zpf.shape == (stable.sum(),)
+    assert k_eff.shape == (200, 200)
+    assert 0 < idx.size < k_eff.size
+    np.testing.assert_array_equal(idx, np.flatnonzero(k_eff > 0))
+    assert omega_eff.shape == x_zpf.shape == idx.shape
     assert np.all(np.isfinite(omega_eff)) and np.all(np.isfinite(x_zpf))
+    with np.errstate(invalid="ignore"):
+        whole = np.sqrt(k_eff / m_eff).ravel()
+    np.testing.assert_array_equal(omega_eff, whole[idx])
 
 
 @pytest.mark.parametrize("box", [
     ((200, 800), (1.15, 1.24)),     # every row stable
     ((200, 800), (1.15, 2.0)),      # 83 % snap-in
+    ((200, 800), (1.15, 1.35)),     # 51 % snap-in
 ])
 def test_sweep_transient_memory_is_at_most_one_grid_array(box):
     # every full-grid array of the kernel is an output column plus at most
@@ -445,32 +450,136 @@ def test_take_by_mask_is_take_by_indices():
         result.take(mask[1:])
 
 
+def lexsorted(result, max_occupancy):
+    """feasible_designs' rows by whole-column masks: FLAG_OK, the
+    occupancy bound and eta_r >= 0, by descending eta_r, ties by (L, x)."""
+    with np.errstate(invalid="ignore"):
+        idx = np.nonzero((result.flag == FLAG_OK)
+                         & (result.n_thermal <= max_occupancy)
+                         & (result.eta_r >= 0.0))[0]
+    return idx[np.lexsort((result.gap[idx], result.length[idx],
+                           -result.eta_r[idx]))]
+
+
+def tied(result):
+    """``result`` with its rows reversed out of (L, x) order and eta_r
+    rounded into ties: only the (L, x) tie-break restores lexsort order."""
+    rev = result.take(np.arange(len(result))[::-1])
+    return explorer.SweepResult(rev.spec, dict(
+        rev.arrays, eta_r=np.round(rev.eta_r, 3)))
+
+
 def test_feasible_designs_orders_like_lexsort_with_and_without_ties():
     result = sweep(make_spec(20, 20))
     constraints = DesignConstraints(max_occupancy=1.5)
-
-    def lexsorted(res):
-        with np.errstate(invalid="ignore"):
-            idx = np.nonzero((res.flag == FLAG_OK)
-                             & (res.n_thermal <= constraints.max_occupancy)
-                             & (res.eta_r >= 0.0))[0]
-        return idx[np.lexsort((res.gap[idx], res.length[idx],
-                               -res.eta_r[idx]))]
-
     feas = feasible_designs(result, constraints)
     assert np.unique(feas.eta_r).size == len(feas) > 0     # no ties
     np.testing.assert_array_equal(feas.length,
-                                  result.length[lexsorted(result)])
-    # rows reversed out of (L, x) order and eta_r rounded into ties: only
-    # the (L, x) tie-break restores the lexsort order
-    rev = result.take(np.arange(len(result))[::-1])
-    tied = explorer.SweepResult(rev.spec, dict(
-        rev.arrays, eta_r=np.round(rev.eta_r, 3)))
-    feas = feasible_designs(tied, constraints)
+                                  result.length[lexsorted(result, 1.5)])
+    result = tied(result)
+    feas = feasible_designs(result, constraints)
     assert np.unique(feas.eta_r).size < len(feas)
-    want = lexsorted(tied)
+    want = lexsorted(result, 1.5)
     for name, col in feas.arrays.items():
-        np.testing.assert_array_equal(col, tied.arrays[name][want], err_msg=name)
+        np.testing.assert_array_equal(col, result.arrays[name][want],
+                                      err_msg=name)
+
+
+def seeded_box(seed):
+    """A 40 x 30 sub-box of 200-800 nm x 1.15-1.6 sigma, as linspace
+    arguments (L / nm, x / sigma)."""
+    rng = np.random.default_rng(seed)
+    return tuple((*np.sort(rng.uniform(lo, hi, 2)).tolist(), n)
+                 for lo, hi, n in ((200, 800, 40), (1.15, 1.6, 30)))
+
+
+SELECTION_BOXES = {
+    "all stable": ((200, 800, 40), (1.15, 1.24, 30)),
+    "all snap-in": ((600, 800, 40), (1.6, 2.0, 30)),
+    "every flag": ((200, 800, 40), (1.15, 2.0, 300)),
+    **{f"seed {seed}": seeded_box(seed) for seed in (1, 2, 4)}}
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("box", SELECTION_BOXES.values(),
+                         ids=SELECTION_BOXES.keys())
+def test_feasible_designs_matches_whole_column_masks(box, ties):
+    result = sweep(replace(make_spec(), lengths=tuple(
+        np.linspace(*box[0]) * 1e-9), gaps_over_sigma=tuple(
+        np.linspace(*box[1]))))
+    if box == SELECTION_BOXES["every flag"]:
+        assert set(result.flag.tolist()) == {FLAG_OK, FLAG_SNAP_IN,
+                                              FLAG_BREAKDOWN}
+    result = tied(result) if ties else result
+    # a bound equal to a qualifying row's occupancy keeps that row
+    at_bound = result.n_thermal[lexsorted(result, np.inf)][:1].tolist()
+    for bound in (0.0, 1.5, 3.0, np.inf, *at_bound):
+        feas = feasible_designs(result, DesignConstraints(bound))
+        want = lexsorted(result, bound)
+        assert len(feas) == want.size
+        for name, col in feas.arrays.items():
+            assert col.dtype == result.arrays[name].dtype, name
+            np.testing.assert_array_equal(col, result.arrays[name][want],
+                                          err_msg=name)
+
+
+def lattice_figures(width, thickness, material, potential, temperature):
+    """optimize_length's 1 nm lattice and its sweep columns at the bias gap."""
+    lengths = np.arange(200, 801) / 1e9
+    return lengths, _figures(lengths, np.array([potential.inflection]), width,
+                             thickness, material, potential, temperature)
+
+
+def whole_lattice_length(width, thickness, material, potential, temperature,
+                         bound):
+    """optimize_length by whole-column masks: the last lattice row that is
+    FLAG_OK and meets ``bound``, None unless the first row does."""
+    lengths, arrays = lattice_figures(width, thickness, material, potential,
+                                      temperature)
+    with np.errstate(invalid="ignore"):
+        fits = (arrays["flag"] == FLAG_OK) & (arrays["n_thermal"] <= bound)
+    if not fits[0]:
+        return None
+    i = np.nonzero(fits)[0][-1]
+    return lengths[i].item(), explorer._row(arrays, i, potential.sigma)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_optimize_length_matches_whole_column_masks(seed):
+    # every seed has a fitting length; the empty selection is tested below
+    rng = np.random.default_rng(seed)
+    width, thickness = rng.uniform(8e-9, 20e-9, 2)
+    temperature, bound = rng.uniform(2e-3, 20e-3), rng.uniform(0.5, 5.0)
+    assert optimize_length(width, thickness, SILICON, LJ, temperature,
+                           DesignConstraints(max_occupancy=bound)) == (
+        whole_lattice_length(width, thickness, SILICON, LJ, temperature,
+                             bound))
+
+
+def snapping_lj():
+    """A seeded potential whose V''(x0), rounding noise, is negative: a
+    soft enough beam snaps in at its bias gap."""
+    rng = np.random.default_rng(18)
+    return LennardJones(rng.uniform(1, 100) * MEV,
+                        rng.uniform(2, 6) * ANGSTROM)
+
+
+@pytest.mark.parametrize("flags, bound", [
+    ({FLAG_OK}, 0.0),                   # no row is in its ground state
+    ({FLAG_SNAP_IN}, np.inf),           # every row snaps in
+])
+def test_optimize_length_empty_selection(flags, bound):
+    material, potential = ((SILICON, LJ) if flags == {FLAG_OK} else
+                           (MaterialParams(1e-20, 2329.0), snapping_lj()))
+    _, arrays = lattice_figures(10e-9, 12e-9, material, potential, 8e-3)
+    assert set(arrays["flag"].tolist()) == flags
+    assert whole_lattice_length(10e-9, 12e-9, material, potential, 8e-3,
+                                bound) is None
+    with pytest.raises(DomainError) as caught:
+        optimize_length(10e-9, 12e-9, material, potential, 8e-3,
+                        DesignConstraints(max_occupancy=bound))
+    assert str(caught.value) == (
+        "occupancy constraint unsatisfiable at the smallest allowed length")
 
 
 def test_feasible_designs_empty_on_impossible_bound():
@@ -515,8 +624,7 @@ def test_optimize_length_reaches_upper_bound():
 def test_design_point_names_snap_in():
     # V''(x0) is rounding noise; this seeded potential's is negative, and a
     # 1 mm x 1 nm x 1 nm beam (k = 4e-17 N/m) is softer than its magnitude
-    rng = np.random.default_rng(18)
-    lj = LennardJones(rng.uniform(1, 100) * MEV, rng.uniform(2, 6) * ANGSTROM)
+    lj = snapping_lj()
     assert -lj.derivative(lj.inflection, 2) > 4e-17
     with pytest.raises(DomainError, match="snap-in regime \\(flag 2\\)"):
         design_point(1e-3, 1e-9, 1e-9, SILICON, lj, 8e-3)
