@@ -6,12 +6,15 @@ closed-form results they check:
 * a position-grid Schroedinger eigensolver for the full biased-cantilever
   potential (3-point stencil, Dirichlet walls, one Richardson refinement
   from a grid doubling). Sturm bisection solves a seed grid 4x coarser
-  than the requested one, to 1e-3 hbar omega (``SEED_TOL``): the seeds
-  only pick the shifts that Rayleigh-quotient iteration starts from, and
-  it refines them on the requested grid and then on the doubled one.
+  than the requested one, to 1e-3 hbar omega (``SEED_TOL``), and one
+  inverse-iteration step per seed gives that grid's start vectors.
+  Rayleigh-quotient iteration refines the levels on the requested grid
+  and then on the doubled one, each level starting from the previous
+  grid's eigenvector carried onto the finer grid by cubic midpoints.
   Each refined grid must pass a certificate (small residuals, separated
   levels and a Sturm count) that its levels are the lowest ones, or it is
-  bisected instead, to full precision;
+  bisected instead, to full precision, and the next grid starts from a
+  generic vector;
 * exact ladder-operator matrix elements and a truncated-Fock-basis
   diagonalizer for polynomial potentials;
 * small dense diagonalizations for the dispersive shift and the bus
@@ -46,6 +49,8 @@ GRID_CONVERGENCE_TOL = 1e-4
 # seed bisection tolerance, in units of hbar omega = hbar^2 / (2 m x_zpf^2):
 # Rayleigh-quotient iteration converges cubically from a seed this close
 SEED_TOL = 1e-3
+# cubic interpolation at a midpoint from the two points each side of it
+_CUBIC_MIDPOINT = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 
 
 @dataclass(frozen=True)
@@ -182,49 +187,101 @@ def _generic_vector(n: int) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53
 
 
-def _refine(diag, t, seeds):
-    """The stencil eigenvalues next to ``seeds`` (ascending), or None when
-    they cannot be certified as the lowest ``len(seeds)``.
+def _applied(diag, t, x):
+    """T x for the :func:`_stencil` Hamiltonian T (off-diagonal -t)."""
+    tx = diag * x
+    tx[1:] -= t * x[:-1]
+    tx[:-1] -= t * x[1:]
+    return tx
 
-    Each level runs inverse iteration from a fixed generic vector, shifted
-    to its seed, that turns into Rayleigh-quotient iteration: solve
-    (T - sigma) y = x with ``dgtsv``, take x = y / |y| and move sigma to
-    the Rayleigh quotient x.T x. It stops once the residual |(T - sigma) x|
-    is below a tenth of the margin 1e-8 (seeds[2] - seeds[0]), so each
-    interval sigma +- margin holds an eigenvalue. The margin follows the
-    E_2 - E_0 span, not the top seed, so the lowest three levels stop
-    where they would with any number of seeds. The levels are certified
-    when they ascend with gaps above 2 margin, which makes those
-    eigenvalues distinct, and a Sturm count (``dstebz``) finds exactly
-    ``len(seeds)`` eigenvalues at or below the top level + margin, which
-    makes them the lowest ones.
-    """
-    dgtsv, dstebz = _lapack().dgtsv, _lapack().dstebz
+
+def _inverse_step(diag, off, sigma, x):
+    """(T - sigma)^-1 x scaled to unit length by one ``dgtsv`` solve, or None
+    when T - sigma is singular to rounding (sigma is an eigenvalue)."""
+    *_, y, info = _lapack().dgtsv(off, diag - sigma, off, x[:, None])
+    return None if info else y[:, 0] / np.linalg.norm(y)
+
+
+def _seed_vectors(diag, t, seeds):
+    """One inverse-iteration step per seed from the generic vector, shifted
+    to that seed: the seed grid's start vectors, as unit rows, or None."""
     off = np.full(diag.size - 1, -t)
     start = _generic_vector(diag.size)
+    rows = [_inverse_step(diag, off, sigma, start) for sigma in seeds]
+    return None if any(x is None for x in rows) else np.array(rows)
+
+
+def _doubled(rows):
+    """Rows of values at the n interior points of a grid with Dirichlet
+    walls, carried onto the 2n + 1 interior points of the grid with half
+    its spacing.
+
+    The old points keep their values; each midpoint takes the cubic through
+    its four nearest points, (9 (f_0 + f_1) - (f_-1 + f_2)) / 16, where a
+    wall is 0 and the point past it is the odd reflection -f_1 of the first
+    interior one. The rows are padded side by side into one flat array, so
+    the midpoints of all of them are one convolution.
+    """
+    k, n = rows.shape
+    padded = np.zeros((k, n + 4))       # -f_1, 0, f_1 .. f_n, 0, -f_n
+    padded[:, 2:-2] = rows
+    padded[:, 0] = -rows[:, 0]
+    padded[:, -1] = -rows[:, -1]
+    # entry 3 + i of the full convolution is the midpoint of flat i + 1, i + 2
+    mid = np.convolve(padded.ravel(), _CUBIC_MIDPOINT)[3:].reshape(k, n + 4)
+    out = np.empty((k, 2 * n + 1))
+    out[:, ::2] = mid[:, :n + 1]
+    out[:, 1::2] = rows
+    return out
+
+
+def _refine(diag, t, seeds, starts):
+    """The stencil eigenvalues next to ``seeds`` (ascending) and their unit
+    eigenvectors as rows, or None when they cannot be certified as the
+    lowest ``len(seeds)``.
+
+    Each level runs Rayleigh-quotient iteration: solve (T - sigma) y = x
+    with ``dgtsv``, take x = y / |y| and move sigma to the Rayleigh
+    quotient x.T x. It starts from the level's row of ``starts``, with its
+    Rayleigh quotient as the first shift; when ``starts`` is None, from a
+    fixed generic vector with the level's seed as the first shift, so it
+    begins as inverse iteration. It stops once the residual
+    |(T - sigma) x| is below a tenth of the margin 1e-8 (seeds[2] -
+    seeds[0]), so each interval sigma +- margin holds an eigenvalue. The
+    margin follows the E_2 - E_0 span, not the top seed, so the lowest
+    three levels stop where they would with any number of seeds. The
+    levels are certified when they ascend with gaps above 2 margin, which
+    makes those eigenvalues distinct, and a Sturm count (``dstebz``) finds
+    exactly ``len(seeds)`` eigenvalues at or below the top level + margin,
+    which makes them the lowest ones.
+    """
+    off = np.full(diag.size - 1, -t)
+    generic = _generic_vector(diag.size) if starts is None else None
     margin = 1e-8 * (seeds[2] - seeds[0])
-    levels = []
-    for sigma in seeds:
-        x = start
-        for _ in range(8):      # a certified level takes 2 or 3 solves
-            *_, y, info = dgtsv(off, diag - sigma, off, x[:, None])
-            if info:    # singular: sigma is an eigenvalue to rounding
+    levels = np.empty(len(seeds))
+    vectors = np.empty((len(seeds), diag.size))
+    for level, sigma in enumerate(seeds):
+        if starts is None:
+            x = generic
+        else:
+            x = starts[level]
+            sigma = x @ _applied(diag, t, x) / (x @ x)
+        for _ in range(8):      # a certified level takes 1 to 3 solves
+            x = _inverse_step(diag, off, sigma, x)
+            if x is None:
                 return None
-            x = y[:, 0] / np.linalg.norm(y)
-            tx = diag * x
-            tx[1:] -= t * x[:-1]
-            tx[:-1] -= t * x[1:]
+            tx = _applied(diag, t, x)
             sigma = x @ tx
             if np.linalg.norm(tx - sigma * x) <= 0.1 * margin:
                 break
         else:
             return None
-        levels.append(sigma)
-    levels = np.array(levels)
-    count, *_ = dstebz(diag, off, 1, diag.min() - 2.0 * t, levels[-1] + margin,
-                       0, 0, np.inf, b"E")
+        levels[level] = sigma
+        vectors[level] = x
+    count, *_ = _lapack().dstebz(diag, off, 1, diag.min() - 2.0 * t,
+                                 levels[-1] + margin, 0, 0, np.inf, b"E")
     if count == levels.size and np.all(np.diff(levels) > 2.0 * margin):
-        return levels
+        return levels, vectors
     return None
 
 
@@ -243,11 +300,16 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     One grid is bisected, the seed: the same domain on
     ``(points - 1) // 4 + 1`` points (51 for the smallest ``GridSpec``),
     to ``SEED_TOL`` hbar omega, hbar omega = hbar^2 / (2 m_eff x_zpf^2).
-    :func:`_refine` refines the seed levels on the ``points`` grid and
-    those on the doubled grid, and certifies each grid's levels as its
-    lowest eigenvalues. A grid that fails the certificate, as when two
-    levels lie within 2e-8 of the span of each other or a seed is too
-    coarse to lead to its level, is bisected instead, to full precision.
+    One inverse-iteration step per level, shifted to its seed, gives the
+    seed grid's start vectors. :func:`_refine` refines the levels on the
+    ``points`` grid, from the start vectors carried onto it by two
+    :func:`_doubled` steps, and then on the doubled grid, from that grid's
+    refined eigenvectors carried onto it by one; it certifies each grid's
+    levels as its lowest eigenvalues. A grid that fails the certificate,
+    as when two levels lie within 2e-8 of the span of each other or a
+    start is too far off to lead to its level, is bisected instead, to full
+    precision, and hands on its levels only: the next grid starts each
+    level from the generic vector shifted to it.
     Either way every raw level is its grid's eigenvalue to within about
     1e-10 of the span.
     At least three levels are solved for ``omega_10`` and ``eta``;
@@ -257,15 +319,20 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
         raise DomainError(f"n_levels must be in 1..10, got {n_levels}")
     lo, hi = grid.domain(x_zpf, gap)
     n_solve = max(n_levels, 3)
+    diag, t = _stencil(v_q, m_eff, lo, hi, (grid.points - 1) // 4 + 1)
     levels = _stencil_eigenvalues(
-        *_stencil(v_q, m_eff, lo, hi, (grid.points - 1) // 4 + 1), n_solve,
-        SEED_TOL * hbar**2 / (2.0 * m_eff * x_zpf**2))
+        diag, t, n_solve, SEED_TOL * hbar**2 / (2.0 * m_eff * x_zpf**2))
+    vectors = _seed_vectors(diag, t, levels)
     raw = []
     for points in (grid.points, 2 * grid.points - 1):
         diag, t = _stencil(v_q, m_eff, lo, hi, points)
-        levels = _refine(diag, t, levels)
-        if levels is None:     # not certified: bisect this grid
-            levels = _stencil_eigenvalues(diag, t, n_solve)
+        while vectors is not None and vectors.shape[1] < diag.size:
+            vectors = _doubled(vectors)
+        found = _refine(diag, t, levels, vectors)
+        if found is None:     # not certified: bisect this grid
+            levels, vectors = _stencil_eigenvalues(diag, t, n_solve), None
+        else:
+            levels, vectors = found
         raw.append(levels)
     coarse, fine = raw
     span_c = coarse[2] - coarse[0]

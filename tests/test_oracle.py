@@ -3,6 +3,8 @@
 import importlib.util
 import sys
 import warnings
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,10 +175,10 @@ def test_refined_grids_match_bisection(monkeypatch):
     refine = oracle._refine
     refined = []
 
-    def recording(diag, t, seeds):
-        levels = refine(diag, t, seeds)
-        refined.append((diag.size + 2, levels))
-        return levels
+    def recording(diag, t, seeds, starts):
+        found = refine(diag, t, seeds, starts)
+        refined.append((diag.size + 2, starts is not None, found))
+        return found
 
     monkeypatch.setattr(oracle, "_refine", recording)
     spec = GridSpec()
@@ -184,10 +186,12 @@ def test_refined_grids_match_bisection(monkeypatch):
         refined.clear()
         grid_eigensolve(v_q, m_eff, spec, 3, x_zpf=x_zpf, gap=gap,
                         check_convergence=False)
-        assert [p for p, _ in refined] == [spec.points, 2 * spec.points - 1]
+        assert [(p, warm) for p, warm, _ in refined] == [
+            (spec.points, True), (2 * spec.points - 1, True)]
         lo, hi = spec.domain(x_zpf, gap)
-        for points, levels in refined:
-            assert levels is not None, f"design {i}, {points} points"
+        for points, _, found in refined:
+            assert found is not None, f"design {i}, {points} points"
+            levels, _ = found
             ref = BISECT(v_q, m_eff, lo, hi, points, 3)
             assert np.abs(levels - ref).max() <= 1e-10 * (ref[2] - ref[0]), \
                 f"design {i}, {points} points"
@@ -196,21 +200,32 @@ def test_refined_grids_match_bisection(monkeypatch):
 def test_seeds_off_by_the_seed_tolerance_still_certify():
     # the seed grid is bisected only to SEED_TOL hbar omega: seeds that far
     # from their level, either way, still lead to it on both refined grids
+    # from the generic start, and on the requested grid from the start
+    # vectors that one inverse-iteration step at those seeds gives
     spec = GridSpec()
     seed_points = (spec.points - 1) // 4 + 1
     for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
         lo, hi = spec.domain(x_zpf, gap)
-        seeds = BISECT(v_q, m_eff, lo, hi, seed_points, 5)
+        seed_diag, seed_t = oracle._stencil(v_q, m_eff, lo, hi, seed_points)
+        seeds = STURM(seed_diag, seed_t, 5)
         tol = oracle.SEED_TOL * hbar**2 / (2 * m_eff * x_zpf**2)
         for points in (spec.points, 2 * spec.points - 1):
             diag, t = oracle._stencil(v_q, m_eff, lo, hi, points)
             ref = BISECT(v_q, m_eff, lo, hi, points, 5)
             for sign in (1, -1):
-                levels = oracle._refine(diag, t, seeds + sign * tol)
-                assert levels is not None, f"design {i}, {points} points"
-                assert (np.abs(levels - ref).max()
-                        <= 1e-10 * (ref[2] - ref[0])), \
-                    f"design {i}, {points} points, offset {sign} tol"
+                offset = seeds + sign * tol
+                starts = [None]
+                if points == spec.points:
+                    vectors = oracle._seed_vectors(seed_diag, seed_t, offset)
+                    starts.append(oracle._doubled(oracle._doubled(vectors)))
+                for start in starts:
+                    found = oracle._refine(diag, t, offset, start)
+                    where = (f"design {i}, {points} points, offset {sign} "
+                             f"tol, {'generic' if start is None else 'warm'}")
+                    assert found is not None, where
+                    levels, _ = found
+                    assert (np.abs(levels - ref).max()
+                            <= 1e-10 * (ref[2] - ref[0])), where
 
 
 @pytest.mark.parametrize("n_levels", range(1, 11))
@@ -229,12 +244,11 @@ def test_refinement_on_harmonic_well(monkeypatch, n_levels):
 
 
 @pytest.mark.parametrize("n_levels, bisected_sizes",
-                         [(3, [51]), (5, [51]), (10, [51, 201])])
+                         [(3, [51]), (5, [51]), (10, [51])])
 def test_smallest_grid_seeds_on_51_points(monkeypatch, n_levels,
                                           bisected_sizes):
-    # GridSpec(points=201) seeds from 51 points. Three or five seeds there
-    # lead to their levels; ten do not, the 201-point grid fails its
-    # certificate and is bisected, and its levels seed the 401-point grid.
+    # GridSpec(points=201) seeds from 51 points. Even ten seeds there, with
+    # their start vectors, lead to their levels on the 201-point grid.
     spec = GridSpec(points=201)
     ref, span = bisection_result(harmonic, M_EFF, spec, n_levels, X_ZPF, GAP)
     bisected = bisected_grids(monkeypatch)
@@ -243,6 +257,86 @@ def test_smallest_grid_seeds_on_51_points(monkeypatch, n_levels,
     assert bisected == bisected_sizes
     np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
                                atol=1e-10 * span)
+
+
+def test_bisected_grid_hands_on_levels_to_a_generic_start(monkeypatch):
+    # the requested grid's refinement is refused, so that grid is bisected
+    # and hands on its levels only: the doubled grid refines them from the
+    # generic start, to its bisected levels
+    spec = GridSpec()
+    refine = oracle._refine
+    calls = []
+    bisected = []
+
+    def refusing_requested(diag, t, seeds, starts):
+        found = None
+        if diag.size + 2 != spec.points:
+            found = refine(diag, t, seeds, starts)
+        calls.append((diag.size + 2, seeds, starts, found))
+        return found
+
+    def bisecting(diag, t, n_levels, abstol=0.0):
+        levels = STURM(diag, t, n_levels, abstol)
+        bisected.append((diag.size + 2, levels))
+        return levels
+
+    monkeypatch.setattr(oracle, "_refine", refusing_requested)
+    monkeypatch.setattr(oracle, "_stencil_eigenvalues", bisecting)
+    for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
+        calls.clear()
+        bisected.clear()
+        grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
+                        check_convergence=False)
+        assert [p for p, _ in bisected] == [(spec.points - 1) // 4 + 1,
+                                            spec.points]
+        (requested, _, warm, _), (doubled, seeds, starts, found) = calls
+        assert (requested, doubled) == (spec.points, 2 * spec.points - 1)
+        assert warm is not None and starts is None, f"design {i}"
+        assert seeds is bisected[-1][1]
+        assert found is not None, f"design {i}"
+        lo, hi = spec.domain(x_zpf, gap)
+        ref = BISECT(v_q, m_eff, lo, hi, doubled, 5)
+        assert (np.abs(found[0] - ref).max()
+                <= 1e-10 * (ref[2] - ref[0])), f"design {i}"
+
+
+def test_refinement_work_bound(monkeypatch):
+    # warm starts: one inverse-iteration step a level on the seed grid, at
+    # most 2.5 solves a level on the requested grid and 1.5 on the doubled
+    lapack = oracle._lapack()
+    solves = Counter()
+
+    def counting(dl, d, du, b):
+        solves[d.size + 2] += 1
+        return lapack.dgtsv(dl, d, du, b)
+
+    monkeypatch.setattr(oracle, "_lapack", lambda: SimpleNamespace(
+        dgtsv=counting, dstebz=lapack.dstebz))
+    spec = GridSpec()
+    designs = list(audit_designs())
+    for v_q, m_eff, x_zpf, gap in designs:
+        grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
+                        check_convergence=False)
+    levels = 5 * len(designs)
+    assert solves[2 * spec.points - 1] <= 1.5 * levels
+    assert solves[spec.points] <= 2.5 * levels
+    assert solves[(spec.points - 1) // 4 + 1] == levels
+
+
+def test_doubling_is_fourth_order_at_the_walls_too():
+    # sin(m pi x) on [0, 1] is odd about both walls, so the cubic midpoints
+    # with the reflected points carry it to O(h^4) everywhere: halving h
+    # cuts the error about 16-fold (4-fold would be linear interpolation)
+    modes = np.array([1, 2, 5])
+    errors = []
+    for n in (99, 199):
+        rows = np.sin(np.pi * np.outer(modes, np.linspace(0, 1, n + 2)[1:-1]))
+        out = oracle._doubled(rows)
+        np.testing.assert_array_equal(out[:, 1::2], rows)
+        fine = np.linspace(0, 1, 2 * n + 3)[1:-1]
+        errors.append(np.abs(out - np.sin(np.pi * np.outer(modes, fine)))
+                      .max(axis=1))
+    assert np.all(errors[0] / errors[1] > 14)
 
 
 def double_well(dx):
@@ -327,8 +421,8 @@ def test_certificate_refuses_colliding_or_skipping_seeds(picks):
     lo, hi = spec.domain(X_ZPF, GAP)
     diag, t = oracle._stencil(harmonic, M_EFF, lo, hi, spec.points)
     exact = BISECT(harmonic, M_EFF, lo, hi, spec.points, 4)
-    assert oracle._refine(diag, t, exact[[0, 1, 2]]) is not None
-    assert oracle._refine(diag, t, exact[list(picks)]) is None
+    assert oracle._refine(diag, t, exact[[0, 1, 2]], None) is not None
+    assert oracle._refine(diag, t, exact[list(picks)], None) is None
 
 
 def test_ground_state_above_potential_minimum():
