@@ -14,7 +14,7 @@ closed-form results they check:
   Each refined grid must pass a certificate (small residuals, separated
   levels and a Sturm count) that its levels are the lowest ones, or it is
   bisected instead, to full precision, and the next grid starts from a
-  generic vector;
+  generic vector, as does a requested grid the seed grid is not nested in;
 * exact ladder-operator matrix elements and a truncated-Fock-basis
   diagonalizer for polynomial potentials;
 * small dense diagonalizations for the dispersive shift and the bus
@@ -204,7 +204,8 @@ def _inverse_step(diag, off, sigma, x):
 
 def _seed_vectors(diag, t, seeds):
     """One inverse-iteration step per seed from the generic vector, shifted
-    to that seed: the seed grid's start vectors, as unit rows, or None."""
+    to that seed: start vectors, as unit rows, for a grid that is handed no
+    eigenvectors of a grid it is nested in, or None."""
     off = np.full(diag.size - 1, -t)
     start = _generic_vector(diag.size)
     rows = [_inverse_step(diag, off, sigma, start) for sigma in seeds]
@@ -243,9 +244,7 @@ def _refine(diag, t, seeds, starts):
     Each level runs Rayleigh-quotient iteration: solve (T - sigma) y = x
     with ``dgtsv``, take x = y / |y| and move sigma to the Rayleigh
     quotient x.T x. It starts from the level's row of ``starts``, with its
-    Rayleigh quotient as the first shift; when ``starts`` is None, from a
-    fixed generic vector with the level's seed as the first shift, so it
-    begins as inverse iteration. It stops once the residual
+    Rayleigh quotient as the first shift. It stops once the residual
     |(T - sigma) x| is below a tenth of the margin 1e-8 (seeds[2] -
     seeds[0]), so each interval sigma +- margin holds an eigenvalue. The
     margin follows the E_2 - E_0 span, not the top seed, so the lowest
@@ -256,16 +255,11 @@ def _refine(diag, t, seeds, starts):
     which makes them the lowest ones.
     """
     off = np.full(diag.size - 1, -t)
-    generic = _generic_vector(diag.size) if starts is None else None
     margin = 1e-8 * (seeds[2] - seeds[0])
     levels = np.empty(len(seeds))
     vectors = np.empty((len(seeds), diag.size))
-    for level, sigma in enumerate(seeds):
-        if starts is None:
-            x = generic
-        else:
-            x = starts[level]
-            sigma = x @ _applied(diag, t, x) / (x @ x)
+    for level, x in enumerate(starts):
+        sigma = x @ _applied(diag, t, x) / (x @ x)
         for _ in range(8):      # a certified level takes 1 to 3 solves
             x = _inverse_step(diag, off, sigma, x)
             if x is None:
@@ -309,7 +303,10 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     as when two levels lie within 2e-8 of the span of each other or a
     start is too far off to lead to its level, is bisected instead, to full
     precision, and hands on its levels only: the next grid starts each
-    level from the generic vector shifted to it.
+    level from one inverse-iteration step from the generic vector, shifted
+    to that level, as does the ``points`` grid when ``points % 4 == 3``:
+    the seed grid's points are not among its points, so the seed vectors
+    have no values there.
     Either way every raw level is its grid's eigenvalue to within about
     1e-10 of the span.
     At least three levels are solved for ``omega_10`` and ``eta``;
@@ -324,11 +321,15 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
         diag, t, n_solve, SEED_TOL * hbar**2 / (2.0 * m_eff * x_zpf**2))
     vectors = _seed_vectors(diag, t, levels)
     raw = []
-    for points in (grid.points, 2 * grid.points - 1):
+    for points, doublings in ((grid.points, 2), (2 * grid.points - 1, 1)):
         diag, t = _stencil(v_q, m_eff, lo, hi, points)
-        while vectors is not None and vectors.shape[1] < diag.size:
-            vectors = _doubled(vectors)
-        found = _refine(diag, t, levels, vectors)
+        if vectors is not None:
+            for _ in range(doublings):
+                vectors = _doubled(vectors)
+        if vectors is None or vectors.shape[1] != diag.size:
+            # bisected, or not nested (points % 4 == 3): start generic
+            vectors = _seed_vectors(diag, t, levels)
+        found = None if vectors is None else _refine(diag, t, levels, vectors)
         if found is None:     # not certified: bisect this grid
             levels, vectors = _stencil_eigenvalues(diag, t, n_solve), None
         else:

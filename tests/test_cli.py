@@ -182,10 +182,12 @@ def test_oracle_chi_uses_the_spectrum_splittings(tmp_path):
         cycles(chi) / 1e3, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("points, warned", [(4001, True), (8001, False)])
+@pytest.mark.parametrize("points, warned",
+                         [(4001, True), (4003, True), (8001, False)])
 def test_oracle_warns_when_grid_not_converged(tmp_path, points, warned):
-    # the bundled design's grid doubling estimate is 1.26e-4 at 4001 points,
-    # past the 1e-4 that grid_eigensolve enforces; 8001 points converge
+    # the bundled design's grid doubling estimate is 1.26e-4 at 4001 and
+    # 4003 points, past the 1e-4 that grid_eigensolve enforces; 8001 points
+    # converge. 4003 points are not nested on the seed grid's 1001.
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(PAPER_CONFIG + f"oracle.grid_points = {points}\n")
     out = tmp_path / "oracle.json"

@@ -171,25 +171,41 @@ def audit_designs():
                state.x_zpf, gap)
 
 
+def recorded_starts(monkeypatch):
+    """The grid sizes that start from the generic vector, in call order."""
+    sizes = []
+    seed_vectors = oracle._seed_vectors
+
+    def recording(diag, t, seeds):
+        sizes.append(diag.size + 2)
+        return seed_vectors(diag, t, seeds)
+
+    monkeypatch.setattr(oracle, "_seed_vectors", recording)
+    return sizes
+
+
 def test_refined_grids_match_bisection(monkeypatch):
     refine = oracle._refine
     refined = []
 
     def recording(diag, t, seeds, starts):
         found = refine(diag, t, seeds, starts)
-        refined.append((diag.size + 2, starts is not None, found))
+        refined.append((diag.size + 2, found))
         return found
 
     monkeypatch.setattr(oracle, "_refine", recording)
+    generic = recorded_starts(monkeypatch)
     spec = GridSpec()
     for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
         refined.clear()
+        generic.clear()
         grid_eigensolve(v_q, m_eff, spec, 3, x_zpf=x_zpf, gap=gap,
                         check_convergence=False)
-        assert [(p, warm) for p, warm, _ in refined] == [
-            (spec.points, True), (2 * spec.points - 1, True)]
+        # only the seed grid starts generic: both refined grids start warm
+        assert generic == [(spec.points - 1) // 4 + 1]
+        assert [p for p, _ in refined] == [spec.points, 2 * spec.points - 1]
         lo, hi = spec.domain(x_zpf, gap)
-        for points, _, found in refined:
+        for points, found in refined:
             assert found is not None, f"design {i}, {points} points"
             levels, _ = found
             ref = BISECT(v_q, m_eff, lo, hi, points, 3)
@@ -214,14 +230,14 @@ def test_seeds_off_by_the_seed_tolerance_still_certify():
             ref = BISECT(v_q, m_eff, lo, hi, points, 5)
             for sign in (1, -1):
                 offset = seeds + sign * tol
-                starts = [None]
+                starts = [oracle._seed_vectors(diag, t, offset)]
                 if points == spec.points:
                     vectors = oracle._seed_vectors(seed_diag, seed_t, offset)
                     starts.append(oracle._doubled(oracle._doubled(vectors)))
-                for start in starts:
+                for kind, start in zip(("generic", "warm"), starts):
                     found = oracle._refine(diag, t, offset, start)
                     where = (f"design {i}, {points} points, offset {sign} "
-                             f"tol, {'generic' if start is None else 'warm'}")
+                             f"tol, {kind}")
                     assert found is not None, where
                     levels, _ = found
                     assert (np.abs(levels - ref).max()
@@ -259,6 +275,27 @@ def test_smallest_grid_seeds_on_51_points(monkeypatch, n_levels,
                                atol=1e-10 * span)
 
 
+@pytest.mark.parametrize("points", [203, 4003])
+@pytest.mark.parametrize("n_levels", [3, 10])
+def test_requested_grid_off_the_seed_grid_starts_generic(monkeypatch, points,
+                                                        n_levels):
+    # with points % 4 == 3 the seed grid's points, (points - 1) // 4 + 1 of
+    # them, are not among the requested grid's: the seed vectors have no
+    # values there, so that grid starts from the generic vector. The
+    # doubled grid holds every requested point and starts warm from it.
+    spec = GridSpec(points=points)
+    ref, span = bisection_result(harmonic, M_EFF, spec, n_levels, X_ZPF, GAP)
+    bisected = bisected_grids(monkeypatch)
+    generic = recorded_starts(monkeypatch)
+    res = grid_eigensolve(harmonic, M_EFF, spec, n_levels, x_zpf=X_ZPF,
+                          gap=GAP, check_convergence=False)
+    # a bisected requested grid hands the doubled one its levels only
+    handed_levels_only = [2 * points - 1] if points in bisected else []
+    assert generic == [(points - 1) // 4 + 1, points] + handed_levels_only
+    np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
+                               atol=1e-10 * span)
+
+
 def test_bisected_grid_hands_on_levels_to_a_generic_start(monkeypatch):
     # the requested grid's refinement is refused, so that grid is bisected
     # and hands on its levels only: the doubled grid refines them from the
@@ -291,10 +328,13 @@ def test_bisected_grid_hands_on_levels_to_a_generic_start(monkeypatch):
                                             spec.points]
         (requested, _, warm, _), (doubled, seeds, starts, found) = calls
         assert (requested, doubled) == (spec.points, 2 * spec.points - 1)
-        assert warm is not None and starts is None, f"design {i}"
-        assert seeds is bisected[-1][1]
-        assert found is not None, f"design {i}"
         lo, hi = spec.domain(x_zpf, gap)
+        diag, t = oracle._stencil(v_q, m_eff, lo, hi, doubled)
+        assert seeds is bisected[-1][1]
+        assert warm.shape == (5, spec.points - 2), f"design {i}"
+        np.testing.assert_array_equal(
+            starts, oracle._seed_vectors(diag, t, seeds), f"design {i}")
+        assert found is not None, f"design {i}"
         ref = BISECT(v_q, m_eff, lo, hi, doubled, 5)
         assert (np.abs(found[0] - ref).max()
                 <= 1e-10 * (ref[2] - ref[0])), f"design {i}"
@@ -421,8 +461,11 @@ def test_certificate_refuses_colliding_or_skipping_seeds(picks):
     lo, hi = spec.domain(X_ZPF, GAP)
     diag, t = oracle._stencil(harmonic, M_EFF, lo, hi, spec.points)
     exact = BISECT(harmonic, M_EFF, lo, hi, spec.points, 4)
-    assert oracle._refine(diag, t, exact[[0, 1, 2]], None) is not None
-    assert oracle._refine(diag, t, exact[list(picks)], None) is None
+    for seeds, certified in ((exact[[0, 1, 2]], True),
+                             (exact[list(picks)], False)):
+        starts = oracle._seed_vectors(diag, t, seeds)
+        assert (oracle._refine(diag, t, seeds, starts) is not None) \
+            == certified
 
 
 def test_ground_state_above_potential_minimum():
