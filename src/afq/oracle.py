@@ -5,16 +5,16 @@ closed-form results they check:
 
 * a position-grid Schroedinger eigensolver for the full biased-cantilever
   potential (3-point stencil, Dirichlet walls, one Richardson refinement
-  from a grid doubling). Sturm bisection solves a seed grid 4x coarser
-  than the requested one, to 1e-3 hbar omega (``SEED_TOL``), and one
-  inverse-iteration step per seed gives that grid's start vectors.
-  Rayleigh-quotient iteration refines the levels on the requested grid
-  and then on the doubled one, each level starting from the previous
-  grid's eigenvector carried onto the finer grid by cubic midpoints.
-  Each refined grid must pass a certificate (small residuals, separated
-  levels and a Sturm count) that its levels are the lowest ones, or it is
-  bisected instead, to full precision, and the next grid starts from a
-  generic vector, as does a requested grid the seed grid is not nested in;
+  from a grid doubling), run on three nested grids in turn: a seed grid
+  2x or 4x coarser than the requested one, that grid and the doubled one.
+  Each grid refines the previous grid's levels by Rayleigh-quotient
+  iteration from its eigenvectors, carried onto the finer grid by cubic
+  midpoints, and must pass a certificate (small residuals, separated
+  levels and a Sturm count) that they are its lowest ones. Sturm
+  bisection solves what has nothing to start from, the seed grid (to
+  1e-3 hbar omega, ``SEED_TOL``), and every level that fails the
+  certificate (to full precision); one inverse-iteration step at each
+  bisected level gives the eigenvector that grid hands on;
 * exact ladder-operator matrix elements and a truncated-Fock-basis
   diagonalizer for polynomial potentials;
 * small dense diagonalizations for the dispersive shift and the bus
@@ -148,27 +148,16 @@ def _lapack():
     return scipy.linalg.lapack
 
 
-def _stencil_eigenvalues(diag, t, n_levels, abstol=0.0):
-    """Lowest ``n_levels`` eigenvalues of a :func:`_stencil` by Sturm bisection
-    (``dstebz``), each to within ``abstol`` (J); 0 bisects to machine precision.
-
-    The lowest three levels are bisected apart from any above them: where
-    a bisection stops depends on the interval it starts from, which spans
-    every level asked for. So the three levels that give omega_10 and eta
-    do not depend on ``n_levels``.
-    """
-    dstebz = _lapack().dstebz
+def _stencil_eigenvalues(diag, t, first, last, abstol=0.0):
+    """Eigenvalues ``first`` to ``last`` (1-based) of a :func:`_stencil` by
+    Sturm bisection (``dstebz``), each to within ``abstol`` (J); 0 bisects
+    to machine precision."""
     off = np.full(diag.size - 1, -t)
-    levels = []
-    for first, last in ((1, min(n_levels, 3)), (4, n_levels)):
-        if first <= last:
-            found, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, first, last,
-                                          abstol, b"E")
-            if info:
-                raise ConvergenceError(f"dstebz bisection failed (info = "
-                                       f"{info})")
-            levels.append(w[:found])
-    return np.concatenate(levels)
+    found, w, _, _, info = _lapack().dstebz(diag, off, 2, 0.0, 0.0, first,
+                                            last, abstol, b"E")
+    if info:
+        raise ConvergenceError(f"dstebz bisection failed (info = {info})")
+    return w[:found]
 
 
 def _generic_vector(n: int) -> np.ndarray:
@@ -204,8 +193,8 @@ def _inverse_step(diag, off, sigma, x):
 
 def _seed_vectors(diag, t, seeds):
     """One inverse-iteration step per seed from the generic vector, shifted
-    to that seed: start vectors, as unit rows, for a grid that is handed no
-    eigenvectors of a grid it is nested in, or None."""
+    to that seed: the start vectors, as unit rows, that a bisected grid
+    hands on for the levels it bisected, or None."""
     off = np.full(diag.size - 1, -t)
     start = _generic_vector(diag.size)
     rows = [_inverse_step(diag, off, sigma, start) for sigma in seeds]
@@ -238,44 +227,47 @@ def _doubled(rows):
 
 def _refine(diag, t, seeds, starts):
     """The stencil eigenvalues next to ``seeds`` (ascending) and their unit
-    eigenvectors as rows, or None when they cannot be certified as the
-    lowest ``len(seeds)``.
+    eigenvectors as rows: all of them, or only the lowest three where only
+    those are certified as the lowest eigenvalues, or None.
 
     Each level runs Rayleigh-quotient iteration: solve (T - sigma) y = x
-    with ``dgtsv``, take x = y / |y| and move sigma to the Rayleigh
-    quotient x.T x. It starts from the level's row of ``starts``, with its
-    Rayleigh quotient as the first shift. It stops once the residual
-    |(T - sigma) x| is below a tenth of the margin 1e-8 (seeds[2] -
-    seeds[0]), so each interval sigma +- margin holds an eigenvalue. The
-    margin follows the E_2 - E_0 span, not the top seed, so the lowest
-    three levels stop where they would with any number of seeds. The
-    levels are certified when they ascend with gaps above 2 margin, which
-    makes those eigenvalues distinct, and a Sturm count (``dstebz``) finds
-    exactly ``len(seeds)`` eigenvalues at or below the top level + margin,
-    which makes them the lowest ones.
+    with ``dgtsv``, take x = y / |y| and move sigma to the Rayleigh quotient
+    x.T x. It starts from the level's row of ``starts``, with its Rayleigh
+    quotient as the first shift. It stops once the residual |(T - sigma) x|
+    is below a tenth of the margin 1e-8 (seeds[2] - seeds[0]), so each
+    interval sigma +- margin holds an eigenvalue; a level that does not stop
+    within 8 solves ends the refinement. The margin follows the E_2 - E_0
+    span, not the top seed, so the lowest three levels stop where they would
+    with any number of seeds. The lowest k levels are certified when they
+    ascend with gaps above 2 margin, which makes those eigenvalues distinct,
+    and a Sturm count (``dstebz``) finds exactly k eigenvalues at or below
+    level k + margin, which makes them the lowest ones. k = 3 is tried only
+    where k = len(seeds) fails: that certificate implies the lowest three's,
+    which thus does not depend on the others.
     """
     off = np.full(diag.size - 1, -t)
     margin = 1e-8 * (seeds[2] - seeds[0])
-    levels = np.empty(len(seeds))
-    vectors = np.empty((len(seeds), diag.size))
+    levels, vectors = [], []
     for level, x in enumerate(starts):
         sigma = x @ _applied(diag, t, x) / (x @ x)
         for _ in range(8):      # a certified level takes 1 to 3 solves
             x = _inverse_step(diag, off, sigma, x)
             if x is None:
-                return None
+                break
             tx = _applied(diag, t, x)
             sigma = x @ tx
             if np.linalg.norm(tx - sigma * x) <= 0.1 * margin:
+                levels.append(sigma)
+                vectors.append(x)
                 break
-        else:
-            return None
-        levels[level] = sigma
-        vectors[level] = x
-    count, *_ = _lapack().dstebz(diag, off, 1, diag.min() - 2.0 * t,
-                                 levels[-1] + margin, 0, 0, np.inf, b"E")
-    if count == levels.size and np.all(np.diff(levels) > 2.0 * margin):
-        return levels, vectors
+        if len(levels) == level:    # it did not stop
+            break
+    for k in dict.fromkeys((len(seeds), 3)):    # all, else the lowest 3
+        if (len(levels) >= k and np.all(np.diff(levels[:k]) > 2.0 * margin)
+                and _lapack().dstebz(diag, off, 1, diag.min() - 2.0 * t,
+                                     levels[k - 1] + margin, 0, 0, np.inf,
+                                     b"E")[0] == k):
+            return np.array(levels[:k]), np.array(vectors[:k])
     return None
 
 
@@ -291,24 +283,22 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     span between the raw solves; above ``GRID_CONVERGENCE_TOL`` it raises
     :class:`ConvergenceError` unless ``check_convergence`` is false.
 
-    One grid is bisected, the seed: the same domain on
-    ``(points - 1) // 4 + 1`` points (51 for the smallest ``GridSpec``),
-    to ``SEED_TOL`` hbar omega, hbar omega = hbar^2 / (2 m_eff x_zpf^2).
-    One inverse-iteration step per level, shifted to its seed, gives the
-    seed grid's start vectors. :func:`_refine` refines the levels on the
-    ``points`` grid, from the start vectors carried onto it by two
-    :func:`_doubled` steps, and then on the doubled grid, from that grid's
-    refined eigenvectors carried onto it by one; it certifies each grid's
-    levels as its lowest eigenvalues. A grid that fails the certificate,
-    as when two levels lie within 2e-8 of the span of each other or a
-    start is too far off to lead to its level, is bisected instead, to full
-    precision, and hands on its levels only: the next grid starts each
-    level from one inverse-iteration step from the generic vector, shifted
-    to that level, as does the ``points`` grid when ``points % 4 == 3``:
-    the seed grid's points are not among its points, so the seed vectors
-    have no values there.
+    Three grids of the domain are solved in turn: a seed grid of every 4th
+    point of the ``points`` grid (51 points for the smallest ``GridSpec``),
+    or every 2nd where ``points % 4 == 3``, so that each grid is nested in
+    the next; the ``points`` grid; and the doubled grid. A grid refines
+    the previous grid's levels by :func:`_refine`, from their eigenvectors
+    carried onto it by :func:`_doubled`. What has no vectors carried onto
+    it, the seed grid, is bisected instead, to ``SEED_TOL`` hbar omega
+    (hbar omega = hbar^2 / (2 m_eff x_zpf^2)), and so is, to full
+    precision, each level that fails the certificate: the levels above E_2
+    alone where the lowest three pass, else all of them, as when two levels
+    lie within 2e-8 of the span of each other. A grid hands on its refined
+    eigenvectors and, for each level it bisected, one inverse-iteration
+    step from the generic vector shifted to that level (:func:`_seed_vectors`).
     Either way every raw level is its grid's eigenvalue to within about
-    1e-10 of the span.
+    1e-10 of the span, and the lowest three take the same path whatever
+    ``n_levels`` is.
     At least three levels are solved for ``omega_10`` and ``eta``;
     ``n_levels`` sets how many ``eigenvalues`` are returned.
     """
@@ -316,26 +306,32 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
         raise DomainError(f"n_levels must be in 1..10, got {n_levels}")
     lo, hi = grid.domain(x_zpf, gap)
     n_solve = max(n_levels, 3)
-    diag, t = _stencil(v_q, m_eff, lo, hi, (grid.points - 1) // 4 + 1)
-    levels = _stencil_eigenvalues(
-        diag, t, n_solve, SEED_TOL * hbar**2 / (2.0 * m_eff * x_zpf**2))
-    vectors = _seed_vectors(diag, t, levels)
-    raw = []
-    for points, doublings in ((grid.points, 2), (2 * grid.points - 1, 1)):
+    step = 4 if grid.points % 4 == 1 else 2
+    sizes = ((grid.points - 1) // step + 1, grid.points, 2 * grid.points - 1)
+    abstol = SEED_TOL * hbar**2 / (2.0 * m_eff * x_zpf**2)
+    raw, vectors = [], None
+    for points in sizes:
         diag, t = _stencil(v_q, m_eff, lo, hi, points)
-        if vectors is not None:
-            for _ in range(doublings):
+        found = None
+        if vectors is not None:     # the previous grid's, carried over
+            while vectors.shape[1] < diag.size:
                 vectors = _doubled(vectors)
-        if vectors is None or vectors.shape[1] != diag.size:
-            # bisected, or not nested (points % 4 == 3): start generic
-            vectors = _seed_vectors(diag, t, levels)
-        found = None if vectors is None else _refine(diag, t, levels, vectors)
-        if found is None:     # not certified: bisect this grid
-            levels, vectors = _stencil_eigenvalues(diag, t, n_solve), None
-        else:
-            levels, vectors = found
+            found = _refine(diag, t, raw[-1], vectors)
+        levels, vectors = found or (np.empty(0), np.empty((0, diag.size)))
+        # bisect what is not certified, the lowest three apart from the
+        # rest: where a bisection stops depends on the interval it starts
+        # from, which spans every level it is asked for
+        for first, last in ((1, 3), (4, n_solve)):
+            if levels.size < first <= last:
+                levels = np.append(levels, _stencil_eigenvalues(
+                    diag, t, first, last, abstol))
+        if points < sizes[-1] and len(vectors) < n_solve:
+            bisected = _seed_vectors(diag, t, levels[len(vectors):])
+            vectors = (None if bisected is None
+                       else np.concatenate([vectors, bisected]))
         raw.append(levels)
-    coarse, fine = raw
+        abstol = 0.0
+    _, coarse, fine = raw
     span_c = coarse[2] - coarse[0]
     span_f = fine[2] - fine[0]
     estimate = abs(span_f - span_c) / abs(span_f)

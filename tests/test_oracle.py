@@ -118,6 +118,22 @@ def test_grid_reports_omega_10_and_eta_at_any_n_levels(n_levels):
     assert (res.omega_10, res.eta) == (ref.omega_10, ref.eta)
 
 
+@pytest.mark.parametrize("points", [203, 801])
+def test_small_grids_report_omega_10_and_eta_at_any_n_levels(points):
+    # on small grids a level above E_2 often fails the certificate where the
+    # lowest three pass: only the levels above E_2 are bisected then, so
+    # omega_10 and eta stay, bit for bit, what three levels give
+    spec = GridSpec(points=points)
+    for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
+        ref = grid_eigensolve(v_q, m_eff, spec, 3, x_zpf=x_zpf, gap=gap,
+                              check_convergence=False)
+        for n_levels in range(1, 11):
+            res = grid_eigensolve(v_q, m_eff, spec, n_levels, x_zpf=x_zpf,
+                                  gap=gap, check_convergence=False)
+            assert (res.omega_10, res.eta) == (ref.omega_10, ref.eta), \
+                f"design {i}, {n_levels} levels"
+
+
 def test_grid_nonconvergence_raises():
     from afq.errors import ConvergenceError
     with pytest.raises(ConvergenceError):
@@ -127,7 +143,16 @@ def test_grid_nonconvergence_raises():
 
 # --- seeded refinement against bisection -----------------------------------
 
-STURM = oracle._stencil_eigenvalues
+_BISECTED = oracle._stencil_eigenvalues
+
+
+def STURM(diag, t, n_levels, abstol=0.0):
+    """The lowest ``n_levels`` stencil eigenvalues, the lowest three bisected
+    apart from the rest, as grid_eigensolve bisects a grid."""
+    return np.concatenate([_BISECTED(diag, t, first, last, abstol)
+                           for first, last in ((1, min(n_levels, 3)),
+                                               (4, n_levels))
+                           if first <= last])
 
 
 def BISECT(v_q, m_eff, lo, hi, points, n_levels):
@@ -136,12 +161,14 @@ def BISECT(v_q, m_eff, lo, hi, points, n_levels):
 
 
 def bisected_grids(monkeypatch):
-    """The grid sizes that grid_eigensolve bisects, in call order."""
+    """The grid sizes that grid_eigensolve bisects, in whole or in part, each
+    once, in call order."""
     sizes = []
 
-    def counting(diag, t, n_levels, abstol=0.0):
-        sizes.append(diag.size + 2)
-        return STURM(diag, t, n_levels, abstol)
+    def counting(diag, t, first, last, abstol=0.0):
+        if sizes[-1:] != [diag.size + 2]:
+            sizes.append(diag.size + 2)
+        return _BISECTED(diag, t, first, last, abstol)
 
     monkeypatch.setattr(oracle, "_stencil_eigenvalues", counting)
     return sizes
@@ -172,7 +199,8 @@ def audit_designs():
 
 
 def recorded_starts(monkeypatch):
-    """The grid sizes that start from the generic vector, in call order."""
+    """The grid sizes on which _seed_vectors computes start vectors from the
+    generic vector, in call order."""
     sizes = []
     seed_vectors = oracle._seed_vectors
 
@@ -184,16 +212,22 @@ def recorded_starts(monkeypatch):
     return sizes
 
 
-def test_refined_grids_match_bisection(monkeypatch):
+def recorded_refinements(monkeypatch):
+    """(grid size, seeds, start vectors, result) of each _refine call."""
+    calls = []
     refine = oracle._refine
-    refined = []
 
     def recording(diag, t, seeds, starts):
         found = refine(diag, t, seeds, starts)
-        refined.append((diag.size + 2, found))
+        calls.append((diag.size + 2, seeds, starts, found))
         return found
 
     monkeypatch.setattr(oracle, "_refine", recording)
+    return calls
+
+
+def test_refined_grids_match_bisection(monkeypatch):
+    refined = recorded_refinements(monkeypatch)
     generic = recorded_starts(monkeypatch)
     spec = GridSpec()
     for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
@@ -203,9 +237,9 @@ def test_refined_grids_match_bisection(monkeypatch):
                         check_convergence=False)
         # only the seed grid starts generic: both refined grids start warm
         assert generic == [(spec.points - 1) // 4 + 1]
-        assert [p for p, _ in refined] == [spec.points, 2 * spec.points - 1]
+        assert [p for p, *_ in refined] == [spec.points, 2 * spec.points - 1]
         lo, hi = spec.domain(x_zpf, gap)
-        for points, found in refined:
+        for points, _, _, found in refined:
             assert found is not None, f"design {i}, {points} points"
             levels, _ = found
             ref = BISECT(v_q, m_eff, lo, hi, points, 3)
@@ -260,50 +294,61 @@ def test_refinement_on_harmonic_well(monkeypatch, n_levels):
 
 
 @pytest.mark.parametrize("n_levels, bisected_sizes",
-                         [(3, [51]), (5, [51]), (10, [51])])
+                         [(n, {201: [51], 203: [102]}) for n in (3, 5, 10)])
 def test_smallest_grid_seeds_on_51_points(monkeypatch, n_levels,
                                           bisected_sizes):
-    # GridSpec(points=201) seeds from 51 points. Even ten seeds there, with
-    # their start vectors, lead to their levels on the 201-point grid.
-    spec = GridSpec(points=201)
-    ref, span = bisection_result(harmonic, M_EFF, spec, n_levels, X_ZPF, GAP)
-    bisected = bisected_grids(monkeypatch)
-    res = grid_eigensolve(harmonic, M_EFF, spec, n_levels, x_zpf=X_ZPF,
-                          gap=GAP, check_convergence=False)
-    assert bisected == bisected_sizes
-    np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
-                               atol=1e-10 * span)
+    # GridSpec(points=201) seeds from 51 points, every 4th, and points=203
+    # from 102, every 2nd. Even ten seeds there, with their start vectors,
+    # lead to their levels on the requested grid.
+    for points, sizes in bisected_sizes.items():
+        spec = GridSpec(points=points)
+        ref, span = bisection_result(harmonic, M_EFF, spec, n_levels, X_ZPF,
+                                     GAP)
+        bisected = bisected_grids(monkeypatch)
+        res = grid_eigensolve(harmonic, M_EFF, spec, n_levels, x_zpf=X_ZPF,
+                              gap=GAP, check_convergence=False)
+        assert bisected == sizes
+        np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
+                                   atol=1e-10 * span)
 
 
 @pytest.mark.parametrize("points", [203, 4003])
 @pytest.mark.parametrize("n_levels", [3, 10])
 def test_requested_grid_off_the_seed_grid_starts_generic(monkeypatch, points,
                                                         n_levels):
-    # with points % 4 == 3 the seed grid's points, (points - 1) // 4 + 1 of
-    # them, are not among the requested grid's: the seed vectors have no
-    # values there, so that grid starts from the generic vector. The
-    # doubled grid holds every requested point and starts warm from it.
+    # with points % 4 == 3 an every-4th-point seed grid would be off the
+    # requested grid, so the seed grid takes every 2nd point: each grid is
+    # nested in the next, and both refined grids start from the previous
+    # grid's vectors carried over by _doubled. Start vectors from the
+    # generic vector are computed only on a bisected grid, the seed grid
+    # always, and never on the doubled grid, which hands nothing on.
     spec = GridSpec(points=points)
     ref, span = bisection_result(harmonic, M_EFF, spec, n_levels, X_ZPF, GAP)
     bisected = bisected_grids(monkeypatch)
     generic = recorded_starts(monkeypatch)
+    refined = recorded_refinements(monkeypatch)
     res = grid_eigensolve(harmonic, M_EFF, spec, n_levels, x_zpf=X_ZPF,
                           gap=GAP, check_convergence=False)
-    # a bisected requested grid hands the doubled one its levels only
-    handed_levels_only = [2 * points - 1] if points in bisected else []
-    assert generic == [(points - 1) // 4 + 1, points] + handed_levels_only
+    assert bisected[0] == (points - 1) // 2 + 1
+    assert generic == [p for p in bisected if p != 2 * points - 1]
+    n_solve = max(n_levels, 3)
+    assert [(p, starts.shape) for p, _, starts, _ in refined] == [
+        (points, (n_solve, points - 2)),
+        (2 * points - 1, (n_solve, 2 * points - 3))]
     np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
                                atol=1e-10 * span)
 
 
 def test_bisected_grid_hands_on_levels_to_a_generic_start(monkeypatch):
     # the requested grid's refinement is refused, so that grid is bisected
-    # and hands on its levels only: the doubled grid refines them from the
-    # generic start, to its bisected levels
+    # and hands on, for each level, one inverse-iteration step from the
+    # generic vector on that grid: the doubled grid refines them, carried
+    # over by _doubled, to its bisected levels
     spec = GridSpec()
     refine = oracle._refine
+    seed_vectors = oracle._seed_vectors
     calls = []
-    bisected = []
+    seeded = []
 
     def refusing_requested(diag, t, seeds, starts):
         found = None
@@ -312,55 +357,88 @@ def test_bisected_grid_hands_on_levels_to_a_generic_start(monkeypatch):
         calls.append((diag.size + 2, seeds, starts, found))
         return found
 
-    def bisecting(diag, t, n_levels, abstol=0.0):
-        levels = STURM(diag, t, n_levels, abstol)
-        bisected.append((diag.size + 2, levels))
-        return levels
+    def recording(diag, t, seeds):
+        rows = seed_vectors(diag, t, seeds)
+        seeded.append((diag.size + 2, seeds, rows))
+        return rows
 
+    bisected = bisected_grids(monkeypatch)
     monkeypatch.setattr(oracle, "_refine", refusing_requested)
-    monkeypatch.setattr(oracle, "_stencil_eigenvalues", bisecting)
+    monkeypatch.setattr(oracle, "_seed_vectors", recording)
     for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
         calls.clear()
+        seeded.clear()
         bisected.clear()
         grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
                         check_convergence=False)
-        assert [p for p, _ in bisected] == [(spec.points - 1) // 4 + 1,
-                                            spec.points]
-        (requested, _, warm, _), (doubled, seeds, starts, found) = calls
+        assert bisected == [(spec.points - 1) // 4 + 1, spec.points]
+        (requested, _, _, _), (doubled, seeds, starts, found) = calls
         assert (requested, doubled) == (spec.points, 2 * spec.points - 1)
+        (_, _, _), (handing, levels, rows) = seeded
+        assert handing == spec.points
         lo, hi = spec.domain(x_zpf, gap)
-        diag, t = oracle._stencil(v_q, m_eff, lo, hi, doubled)
-        assert seeds is bisected[-1][1]
-        assert warm.shape == (5, spec.points - 2), f"design {i}"
         np.testing.assert_array_equal(
-            starts, oracle._seed_vectors(diag, t, seeds), f"design {i}")
+            levels, BISECT(v_q, m_eff, lo, hi, spec.points, 5), f"design {i}")
+        np.testing.assert_array_equal(seeds, levels, f"design {i}")
+        np.testing.assert_array_equal(starts, oracle._doubled(rows),
+                                      f"design {i}")
         assert found is not None, f"design {i}"
         ref = BISECT(v_q, m_eff, lo, hi, doubled, 5)
         assert (np.abs(found[0] - ref).max()
                 <= 1e-10 * (ref[2] - ref[0])), f"design {i}"
 
 
+@pytest.mark.parametrize("points", [203, 801, 4003])
+def test_every_grid_size_matches_bisection(monkeypatch, points):
+    # at ten levels small grids often bisect some levels: refined or
+    # bisected, every level matches full bisection to 1e-10 of the span,
+    # and no start vectors are computed on the doubled grid
+    spec = GridSpec(points=points)
+    generic = recorded_starts(monkeypatch)
+    for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
+        for n_levels in (5, 10):
+            ref, span = bisection_result(v_q, m_eff, spec, n_levels, x_zpf,
+                                         gap)
+            res = grid_eigensolve(v_q, m_eff, spec, n_levels, x_zpf=x_zpf,
+                                  gap=gap, check_convergence=False)
+            assert (np.abs(np.array(res.eigenvalues) - ref).max()
+                    <= 1e-10 * span), f"design {i}, {n_levels} levels"
+    assert 2 * points - 1 not in generic
+
+
 def test_refinement_work_bound(monkeypatch):
     # warm starts: one inverse-iteration step a level on the seed grid, at
-    # most 2.5 solves a level on the requested grid and 1.5 on the doubled
+    # most 2.5 solves a level on the requested grid and 1.5 on the doubled,
+    # on the default grid and on a points % 4 == 3 one, seeded on every 2nd
+    # point; two bisections on the seed grid, the lowest three levels and
+    # the rest, and one Sturm count on each grid that certifies its levels
     lapack = oracle._lapack()
     solves = Counter()
+    counts = Counter()
 
     def counting(dl, d, du, b):
         solves[d.size + 2] += 1
         return lapack.dgtsv(dl, d, du, b)
 
+    def counting_stebz(d, *args):
+        counts[d.size + 2] += 1
+        return lapack.dstebz(d, *args)
+
     monkeypatch.setattr(oracle, "_lapack", lambda: SimpleNamespace(
-        dgtsv=counting, dstebz=lapack.dstebz))
-    spec = GridSpec()
+        dgtsv=counting, dstebz=counting_stebz))
     designs = list(audit_designs())
-    for v_q, m_eff, x_zpf, gap in designs:
-        grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
-                        check_convergence=False)
     levels = 5 * len(designs)
-    assert solves[2 * spec.points - 1] <= 1.5 * levels
-    assert solves[spec.points] <= 2.5 * levels
-    assert solves[(spec.points - 1) // 4 + 1] == levels
+    for spec, seed in ((GridSpec(), 1001), (GridSpec(points=4003), 2002)):
+        solves.clear()
+        counts.clear()
+        for v_q, m_eff, x_zpf, gap in designs:
+            grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
+                            check_convergence=False)
+        assert solves[2 * spec.points - 1] <= 1.5 * levels
+        assert solves[spec.points] <= 2.5 * levels
+        assert solves[seed] == levels
+        assert counts == {seed: 2 * len(designs), spec.points: len(designs),
+                          2 * spec.points - 1: len(designs)}
 
 
 def test_doubling_is_fourth_order_at_the_walls_too():

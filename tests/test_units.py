@@ -73,7 +73,7 @@ print(json.dumps({
     "lapack": oracle._lapack().__name__,
     "loads": oracle._lapack.cache_info().misses,
     "shared": lapack is not None and oracle._lapack() is lapack._flapack,
-    "levels": oracle._stencil_eigenvalues(*stencil, 5).tobytes().hex()}))
+    "levels": oracle._stencil_eigenvalues(*stencil, 1, 5).tobytes().hex()}))
 """
 
 
