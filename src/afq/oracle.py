@@ -10,11 +10,15 @@ closed-form results they check:
   Each grid refines the previous grid's levels by Rayleigh-quotient
   iteration from its eigenvectors, carried onto the finer grid by cubic
   midpoints, and must pass a certificate (small residuals, separated
-  levels and a Sturm count) that they are its lowest ones. Sturm
-  bisection solves what has nothing to start from, the seed grid (to
-  1e-3 hbar omega, ``SEED_TOL``), and every level that fails the
-  certificate (to full precision); one inverse-iteration step at each
-  bisected level gives the eigenvector that grid hands on;
+  levels and a Sturm count) that they are its lowest ones. The iteration
+  runs on the stretch of the grid that the levels reach, read once off
+  the seed grid's potential, and the certificate still holds for the
+  whole grid: the residual counts the couplings out of the stretch, and
+  the Sturm count takes every row. Sturm bisection solves what has
+  nothing to start from, the seed grid (to 1e-3 hbar omega,
+  ``SEED_TOL``), and every level that fails the certificate (to full
+  precision); one inverse-iteration step at each bisected level gives
+  the eigenvector that grid hands on;
 * exact ladder-operator matrix elements and a truncated-Fock-basis
   diagonalizer for polynomial potentials;
 * small dense diagonalizations for the dispersive shift and the bus
@@ -225,38 +229,75 @@ def _doubled(rows):
     return out
 
 
-def _refine(diag, t, seeds, starts):
+def _reach(diag, t, sigma, floor):
+    """The grid points (a, b) between which lie the rows that the stencil
+    eigenvectors of the levels below ``sigma`` reach above ``floor`` (of a
+    unit amplitude); points 0 and diag.size + 1 are the walls. On a grid
+    ``scale`` times finer, nested on this one, they are the rows
+    ``slice(a * scale, b * scale - 1)``.
+
+    A level oscillates on the rows where diag - sigma < 2t; past them its
+    eigenvector decays by exp(-acosh((diag - sigma) / 2t)) a row. The
+    stretch is those rows, widened on each side until that decay adds up
+    past log(1 / floor), or to the wall. It is read off the potential, not
+    off an eigenvector, whose rounding floor lies near 1e-16 of its largest
+    entry on every row.
+    """
+    arg = (diag - sigma) / (2.0 * t)
+    # the rows below sigma, or the lowest one should there be none
+    inside = np.flatnonzero(arg <= max(arg.min(), 1.0))
+    first, last = inside[0], inside[-1]
+    # each side takes its rows up to the first one whose decay passes need
+    need = -np.log(floor)
+    left, right = (np.searchsorted(np.cumsum(np.arccosh(side)), need, "right")
+                   for side in (arg[:first][::-1], arg[last + 1:]))
+    return max(first - left - 1, 0), min(last + right + 3, diag.size + 1)
+
+
+def _refine(diag, t, seeds, starts, rows):
     """The stencil eigenvalues next to ``seeds`` (ascending) and their unit
     eigenvectors as rows: all of them, or only the lowest three where only
     those are certified as the lowest eigenvalues, or None.
 
-    Each level runs Rayleigh-quotient iteration: solve (T - sigma) y = x
-    with ``dgtsv``, take x = y / |y| and move sigma to the Rayleigh quotient
-    x.T x. It starts from the level's row of ``starts``, with its Rayleigh
-    quotient as the first shift. It stops once the residual |(T - sigma) x|
-    is below a tenth of the margin 1e-8 (seeds[2] - seeds[0]), so each
-    interval sigma +- margin holds an eigenvalue; a level that does not stop
-    within 8 solves ends the refinement. The margin follows the E_2 - E_0
-    span, not the top seed, so the lowest three levels stop where they would
-    with any number of seeds. The lowest k levels are certified when they
-    ascend with gaps above 2 margin, which makes those eigenvalues distinct,
-    and a Sturm count (``dstebz``) finds exactly k eigenvalues at or below
-    level k + margin, which makes them the lowest ones. k = 3 is tried only
-    where k = len(seeds) fails: that certificate implies the lowest three's,
-    which thus does not depend on the others.
+    Each level runs Rayleigh-quotient iteration on its slice in ``rows``, a
+    stretch of the grid: solve (T_S - sigma) y = x with ``dgtsv`` for the
+    stencil T_S on those rows, take x = y / |y| and move sigma to the
+    Rayleigh quotient x.T_S x. It starts from the stretch of the level's row
+    of ``starts``, with its Rayleigh quotient as the first shift, and hands
+    on x padded with zeros. For that padded vector the squared whole-grid
+    residual |(T - sigma) x|^2 is the stretch's own plus t^2 (x_first^2 +
+    x_last^2), the couplings -t x out of its ends, less an end at a wall.
+    Iteration stops once that residual is below a tenth of the margin 1e-8
+    (seeds[2] - seeds[0]), so each interval sigma +- margin holds an
+    eigenvalue of T; a level that does not stop within 8 solves, as when
+    its stretch cuts into it, ends the refinement. The margin follows the
+    E_2 - E_0 span, not the top seed, so the lowest three levels stop where
+    they would with any number of seeds. The lowest k levels are certified
+    when they ascend with gaps above 2 margin, which makes those
+    eigenvalues distinct, and a Sturm count (``dstebz``) of the whole grid
+    finds exactly k eigenvalues at or below level k + margin, which makes
+    them the lowest ones. k = 3 is tried only where k = len(seeds) fails:
+    that certificate implies the lowest three's, which thus does not depend
+    on the others.
     """
     off = np.full(diag.size - 1, -t)
     margin = 1e-8 * (seeds[2] - seeds[0])
     levels, vectors = [], []
-    for level, x in enumerate(starts):
-        sigma = x @ _applied(diag, t, x) / (x @ x)
+    for level, (x, stretch) in enumerate(zip(starts, rows)):
+        d, x = diag[stretch], x[stretch]
+        # the hopping out of each end of the stretch, none at a wall
+        t_lo = t if stretch.start > 0 else 0.0
+        t_hi = t if stretch.stop < diag.size else 0.0
+        sigma = x @ _applied(d, t, x) / (x @ x)
         for _ in range(8):      # a certified level takes 1 to 3 solves
-            x = _inverse_step(diag, off, sigma, x)
+            x = _inverse_step(d, off[:d.size - 1], sigma, x)
             if x is None:
                 break
-            tx = _applied(diag, t, x)
+            tx = _applied(d, t, x)
             sigma = x @ tx
-            if np.linalg.norm(tx - sigma * x) <= 0.1 * margin:
+            r = tx - sigma * x
+            if (r @ r + (t_lo * x[0]) ** 2 + (t_hi * x[-1]) ** 2
+                    <= (0.1 * margin) ** 2):
                 levels.append(sigma)
                 vectors.append(x)
                 break
@@ -267,7 +308,10 @@ def _refine(diag, t, seeds, starts):
                 and _lapack().dstebz(diag, off, 1, diag.min() - 2.0 * t,
                                      levels[k - 1] + margin, 0, 0, np.inf,
                                      b"E")[0] == k):
-            return np.array(levels[:k]), np.array(vectors[:k])
+            padded = np.zeros((k, diag.size))
+            for row, stretch, x in zip(padded, rows, vectors):
+                row[stretch] = x
+            return np.array(levels[:k]), padded
     return None
 
 
@@ -288,12 +332,19 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     or every 2nd where ``points % 4 == 3``, so that each grid is nested in
     the next; the ``points`` grid; and the doubled grid. A grid refines
     the previous grid's levels by :func:`_refine`, from their eigenvectors
-    carried onto it by :func:`_doubled`. What has no vectors carried onto
-    it, the seed grid, is bisected instead, to ``SEED_TOL`` hbar omega
+    carried onto it by :func:`_doubled`, on the stretch of it that they
+    reach. The seed grid decides the stretches once, from its stencil and
+    its levels (:func:`_reach`): the lowest three share one, taken at E_2's
+    seed alone, and the levels above share one taken at the top seed, each
+    at the seed plus a tenth of the E_2 - E_0 span; a stretch is carried
+    onto the finer grids by its end points, since the grids are nested.
+    What has no vectors carried onto it, the seed grid, is bisected
+    instead, to ``SEED_TOL`` hbar omega
     (hbar omega = hbar^2 / (2 m_eff x_zpf^2)), and so is, to full
     precision, each level that fails the certificate: the levels above E_2
     alone where the lowest three pass, else all of them, as when two levels
-    lie within 2e-8 of the span of each other. A grid hands on its refined
+    lie within 2e-8 of the span of each other, or as when a stretch is too
+    narrow for its level. A grid hands on its refined
     eigenvectors and, for each level it bisected, one inverse-iteration
     step from the generic vector shifted to that level (:func:`_seed_vectors`).
     Either way every raw level is its grid's eigenvalue to within about
@@ -310,13 +361,14 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     sizes = ((grid.points - 1) // step + 1, grid.points, 2 * grid.points - 1)
     abstol = SEED_TOL * hbar**2 / (2.0 * m_eff * x_zpf**2)
     raw, vectors = [], None
-    for points in sizes:
+    for points, scale in zip(sizes, (1, step, 2 * step)):
         diag, t = _stencil(v_q, m_eff, lo, hi, points)
         found = None
         if vectors is not None:     # the previous grid's, carried over
             while vectors.shape[1] < diag.size:
                 vectors = _doubled(vectors)
-            found = _refine(diag, t, raw[-1], vectors)
+            found = _refine(diag, t, raw[-1], vectors,
+                            [slice(a * scale, b * scale - 1) for a, b in reach])
         levels, vectors = found or (np.empty(0), np.empty((0, diag.size)))
         # bisect what is not certified, the lowest three apart from the
         # rest: where a bisection stops depends on the interval it starts
@@ -329,6 +381,15 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
             bisected = _seed_vectors(diag, t, levels[len(vectors):])
             vectors = (None if bisected is None
                        else np.concatenate([vectors, bisected]))
+        if not raw:     # the seed grid: the stretches its levels reach
+            # to an amplitude whose coupling t x out of a stretch is a tenth
+            # of the residual bound on the doubled grid, where t is largest
+            span = levels[2] - levels[0]
+            floor = 1e-10 * span / (t * (2 * step) ** 2)
+            reach = [_reach(diag, t, levels[2] + 0.1 * span, floor)] * 3
+            if n_solve > 3:
+                reach += [_reach(diag, t, levels[-1] + 0.1 * span,
+                                 floor)] * (n_solve - 3)
         raw.append(levels)
         abstol = 0.0
     _, coarse, fine = raw

@@ -14,7 +14,7 @@ from afq import (CantileverGeometry, GridSpec, LennardJones, MaterialParams,
                  grid_eigensolve, jc_dispersive_oracle, modal_params,
                  taylor_coefficients, total_potential, two_qubit_bus_oracle)
 from afq import oracle
-from afq.config import default_config
+from afq.config import PAPER_CONFIG, default_config, parse_config_text
 from afq.cqad import bus_coupling, dispersive_shift
 from afq.errors import DomainError, LabelingError
 from afq.units import MEV, ANGSTROM, MHZ, cycles, hbar
@@ -213,13 +213,14 @@ def recorded_starts(monkeypatch):
 
 
 def recorded_refinements(monkeypatch):
-    """(grid size, seeds, start vectors, result) of each _refine call."""
+    """(grid size, seeds, start vectors, result, stretches) of each _refine
+    call."""
     calls = []
     refine = oracle._refine
 
-    def recording(diag, t, seeds, starts):
-        found = refine(diag, t, seeds, starts)
-        calls.append((diag.size + 2, seeds, starts, found))
+    def recording(diag, t, seeds, starts, rows):
+        found = refine(diag, t, seeds, starts, rows)
+        calls.append((diag.size + 2, seeds, starts, found, rows))
         return found
 
     monkeypatch.setattr(oracle, "_refine", recording)
@@ -239,7 +240,7 @@ def test_refined_grids_match_bisection(monkeypatch):
         assert generic == [(spec.points - 1) // 4 + 1]
         assert [p for p, *_ in refined] == [spec.points, 2 * spec.points - 1]
         lo, hi = spec.domain(x_zpf, gap)
-        for points, _, _, found in refined:
+        for points, _, _, found, _ in refined:
             assert found is not None, f"design {i}, {points} points"
             levels, _ = found
             ref = BISECT(v_q, m_eff, lo, hi, points, 3)
@@ -247,14 +248,20 @@ def test_refined_grids_match_bisection(monkeypatch):
                 f"design {i}, {points} points"
 
 
-def test_seeds_off_by_the_seed_tolerance_still_certify():
+def test_seeds_off_by_the_seed_tolerance_still_certify(monkeypatch):
     # the seed grid is bisected only to SEED_TOL hbar omega: seeds that far
-    # from their level, either way, still lead to it on both refined grids
-    # from the generic start, and on the requested grid from the start
-    # vectors that one inverse-iteration step at those seeds gives
+    # from their level, either way, still lead to it on both refined grids,
+    # on the stretches grid_eigensolve refines there, from the generic
+    # start, and on the requested grid from the start vectors that one
+    # inverse-iteration step at those seeds gives
     spec = GridSpec()
     seed_points = (spec.points - 1) // 4 + 1
+    refined = recorded_refinements(monkeypatch)
     for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
+        refined.clear()
+        grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
+                        check_convergence=False)
+        stretches = {points: rows for points, *_, rows in refined}
         lo, hi = spec.domain(x_zpf, gap)
         seed_diag, seed_t = oracle._stencil(v_q, m_eff, lo, hi, seed_points)
         seeds = STURM(seed_diag, seed_t, 5)
@@ -269,7 +276,8 @@ def test_seeds_off_by_the_seed_tolerance_still_certify():
                     vectors = oracle._seed_vectors(seed_diag, seed_t, offset)
                     starts.append(oracle._doubled(oracle._doubled(vectors)))
                 for kind, start in zip(("generic", "warm"), starts):
-                    found = oracle._refine(diag, t, offset, start)
+                    found = oracle._refine(diag, t, offset, start,
+                                           stretches[points])
                     where = (f"design {i}, {points} points, offset {sign} "
                              f"tol, {kind}")
                     assert found is not None, where
@@ -314,8 +322,8 @@ def test_smallest_grid_seeds_on_51_points(monkeypatch, n_levels,
 
 @pytest.mark.parametrize("points", [203, 4003])
 @pytest.mark.parametrize("n_levels", [3, 10])
-def test_requested_grid_off_the_seed_grid_starts_generic(monkeypatch, points,
-                                                        n_levels):
+def test_grid_of_3_mod_4_points_seeds_on_every_2nd_point_and_starts_warm(
+        monkeypatch, points, n_levels):
     # with points % 4 == 3 an every-4th-point seed grid would be off the
     # requested grid, so the seed grid takes every 2nd point: each grid is
     # nested in the next, and both refined grids start from the previous
@@ -332,14 +340,14 @@ def test_requested_grid_off_the_seed_grid_starts_generic(monkeypatch, points,
     assert bisected[0] == (points - 1) // 2 + 1
     assert generic == [p for p in bisected if p != 2 * points - 1]
     n_solve = max(n_levels, 3)
-    assert [(p, starts.shape) for p, _, starts, _ in refined] == [
+    assert [(p, starts.shape) for p, _, starts, *_ in refined] == [
         (points, (n_solve, points - 2)),
         (2 * points - 1, (n_solve, 2 * points - 3))]
     np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
                                atol=1e-10 * span)
 
 
-def test_bisected_grid_hands_on_levels_to_a_generic_start(monkeypatch):
+def test_doubled_grid_refines_the_bisected_grids_seed_vectors(monkeypatch):
     # the requested grid's refinement is refused, so that grid is bisected
     # and hands on, for each level, one inverse-iteration step from the
     # generic vector on that grid: the doubled grid refines them, carried
@@ -350,10 +358,10 @@ def test_bisected_grid_hands_on_levels_to_a_generic_start(monkeypatch):
     calls = []
     seeded = []
 
-    def refusing_requested(diag, t, seeds, starts):
+    def refusing_requested(diag, t, seeds, starts, rows):
         found = None
         if diag.size + 2 != spec.points:
-            found = refine(diag, t, seeds, starts)
+            found = refine(diag, t, seeds, starts, rows)
         calls.append((diag.size + 2, seeds, starts, found))
         return found
 
@@ -388,6 +396,50 @@ def test_bisected_grid_hands_on_levels_to_a_generic_start(monkeypatch):
                 <= 1e-10 * (ref[2] - ref[0])), f"design {i}"
 
 
+def test_stretch_cutting_through_the_ground_state_is_refused(monkeypatch):
+    # stretches forced to end 4 x_zpf right of the harmonic well's centre,
+    # where the ground state still has exp(-4) of its peak: the couplings
+    # out of the stretch's end keep the residual above the certificate's
+    # bound, so neither refined grid certifies, every grid is bisected, and
+    # the levels are the bisected ones. Without those couplings both grids
+    # would certify the stretch's own levels, 0.02 of the span too high.
+    spec = GridSpec()
+    lo, hi = spec.domain(X_ZPF, GAP)
+    seed_points = (spec.points - 1) // 4 + 1
+    cut = round((4 * X_ZPF - lo) / (hi - lo) * (seed_points - 1))
+    monkeypatch.setattr(oracle, "_reach", lambda diag, t, sigma, floor:
+                        (0, cut))
+    refined = recorded_refinements(monkeypatch)
+    bisected = bisected_grids(monkeypatch)
+    ref, span = bisection_result(harmonic, M_EFF, spec, 3, X_ZPF, GAP)
+    res = grid_eigensolve(harmonic, M_EFF, spec, 3, x_zpf=X_ZPF, gap=GAP)
+    assert [(p, rows, found) for p, *_, found, rows in refined] == [
+        (points, [slice(0, cut * scale - 1)] * 3, None)
+        for points, scale in ((spec.points, 4), (2 * spec.points - 1, 8))]
+    assert bisected == [seed_points, spec.points, 2 * spec.points - 1]
+    np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
+                               atol=1e-10 * span)
+
+
+def test_convex_beam_matches_bisection():
+    # 206 x 15 x 8 nm at the cubic-free gap x_3 = 1.366109650946 sigma:
+    # k exceeds the largest softening -V'', so V_q is one convex well whose
+    # levels reach about 90 % of the grid
+    cfg = parse_config_text(PAPER_CONFIG + "bias.x_over_sigma = "
+                            "1.366109650946\n")
+    pot, modal, gap, state, _ = cfg.design(
+        CantileverGeometry(206e-9, 15e-9, 8e-9))
+    v_q = total_potential(modal, pot, gap)
+    spec = GridSpec()
+    for n_levels in (3, 5, 10):
+        ref, span = bisection_result(v_q, modal.effective_mass, spec,
+                                     n_levels, state.x_zpf, gap)
+        res = grid_eigensolve(v_q, modal.effective_mass, spec, n_levels,
+                              x_zpf=state.x_zpf, gap=gap)
+        assert (np.abs(np.array(res.eigenvalues) - ref).max()
+                <= 1e-10 * span), n_levels
+
+
 @pytest.mark.parametrize("points", [203, 801, 4003])
 def test_every_grid_size_matches_bisection(monkeypatch, points):
     # at ten levels small grids often bisect some levels: refined or
@@ -406,39 +458,69 @@ def test_every_grid_size_matches_bisection(monkeypatch, points):
     assert 2 * points - 1 not in generic
 
 
+def lapack_work(monkeypatch):
+    """Counters of ``dgtsv`` solves, the rows they solve and ``dstebz``
+    calls, each keyed by the size of the grid whose stencil was built last:
+    a refined grid solves on stretches of itself."""
+    lapack = oracle._lapack()
+    stencil = oracle._stencil
+    work = SimpleNamespace(solves=Counter(), rows=Counter(), counts=Counter(),
+                           grid=None)
+
+    def building(v_q, m_eff, lo, hi, points):
+        work.grid = points
+        return stencil(v_q, m_eff, lo, hi, points)
+
+    def counting(dl, d, du, b):
+        work.solves[work.grid] += 1
+        work.rows[work.grid] += d.size
+        return lapack.dgtsv(dl, d, du, b)
+
+    def counting_stebz(d, *args):
+        work.counts[work.grid] += 1
+        return lapack.dstebz(d, *args)
+
+    monkeypatch.setattr(oracle, "_stencil", building)
+    monkeypatch.setattr(oracle, "_lapack", lambda: SimpleNamespace(
+        dgtsv=counting, dstebz=counting_stebz))
+    return work
+
+
 def test_refinement_work_bound(monkeypatch):
     # warm starts: one inverse-iteration step a level on the seed grid, at
     # most 2.5 solves a level on the requested grid and 1.5 on the doubled,
     # on the default grid and on a points % 4 == 3 one, seeded on every 2nd
     # point; two bisections on the seed grid, the lowest three levels and
     # the rest, and one Sturm count on each grid that certifies its levels
-    lapack = oracle._lapack()
-    solves = Counter()
-    counts = Counter()
-
-    def counting(dl, d, du, b):
-        solves[d.size + 2] += 1
-        return lapack.dgtsv(dl, d, du, b)
-
-    def counting_stebz(d, *args):
-        counts[d.size + 2] += 1
-        return lapack.dstebz(d, *args)
-
-    monkeypatch.setattr(oracle, "_lapack", lambda: SimpleNamespace(
-        dgtsv=counting, dstebz=counting_stebz))
+    work = lapack_work(monkeypatch)
     designs = list(audit_designs())
     levels = 5 * len(designs)
     for spec, seed in ((GridSpec(), 1001), (GridSpec(points=4003), 2002)):
-        solves.clear()
-        counts.clear()
+        work.solves.clear()
+        work.counts.clear()
         for v_q, m_eff, x_zpf, gap in designs:
             grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
                             check_convergence=False)
-        assert solves[2 * spec.points - 1] <= 1.5 * levels
-        assert solves[spec.points] <= 2.5 * levels
-        assert solves[seed] == levels
-        assert counts == {seed: 2 * len(designs), spec.points: len(designs),
-                          2 * spec.points - 1: len(designs)}
+        assert work.solves[2 * spec.points - 1] <= 1.5 * levels
+        assert work.solves[spec.points] <= 2.5 * levels
+        assert work.solves[seed] == levels
+        assert work.counts == {seed: 2 * len(designs),
+                               spec.points: len(designs),
+                               2 * spec.points - 1: len(designs)}
+
+
+def test_refinement_solves_on_the_rows_its_levels_reach(monkeypatch):
+    # the lowest levels of the audit designs are wall states that reach a
+    # small part of the grid: each refined grid's dgtsv solves run on fewer
+    # than 0.35 of the rows that whole-grid solves would
+    work = lapack_work(monkeypatch)
+    spec = GridSpec()
+    for v_q, m_eff, x_zpf, gap in audit_designs():
+        grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
+                        check_convergence=False)
+    for points in (spec.points, 2 * spec.points - 1):
+        assert (work.rows[points]
+                <= 0.35 * work.solves[points] * (points - 2)), points
 
 
 def test_doubling_is_fourth_order_at_the_walls_too():
@@ -542,8 +624,9 @@ def test_certificate_refuses_colliding_or_skipping_seeds(picks):
     for seeds, certified in ((exact[[0, 1, 2]], True),
                              (exact[list(picks)], False)):
         starts = oracle._seed_vectors(diag, t, seeds)
-        assert (oracle._refine(diag, t, seeds, starts) is not None) \
-            == certified
+        found = oracle._refine(diag, t, seeds, starts,
+                               [slice(0, diag.size)] * 3)
+        assert (found is not None) == certified
 
 
 def test_ground_state_above_potential_minimum():
