@@ -17,10 +17,11 @@ the ``True``/``None`` cells of single-row reports are ``str()``.
 The writer (:func:`emit_csv`) knows two kinds of column (:class:`CsvTable`).
 A float64 column is formatted with numpy, block by block, and only its
 finite non-zero cells get digits, four per table lookup; NaN, the
-infinities and the zeros are constant cells. A lookup column formats its
-distinct values once and gathers their cells per block: the four sweep
-columns that follow one grid axis, the sweep flag and every cell of a
-single-row report. Every cell fills a fixed 20-byte slot, wide enough
+infinities and the zeros are constant cells. A lookup column
+``(values, stride)`` or ``(values, codes)`` formats its values once and
+gathers their cells per block: the four sweep columns that follow one
+grid axis and every cell of a single-row report by stride, the sweep
+flag by code. Every cell fills a fixed 20-byte slot, wide enough
 for ``-1.234567890123e-308`` and ``-9223372036854775808``; a longer
 ``str()`` cell raises an error rather than shift a column.
 """
@@ -55,10 +56,11 @@ class CsvTable:
     """A CSV body of ``rows`` data rows held column by column; ``len()``
     counts the rows.
 
-    A column is a lookup ``(values, stride)``, whose row ``i`` holds
-    ``values[(i // stride) % len(values)]`` (as in
-    :meth:`~afq.explorer.SweepResult.axis_columns`), or an array of
-    ``rows`` values: integers, or anything else as float64. Float64
+    A column is a float64 array of ``rows`` values or a lookup
+    ``(values, index)`` (as in
+    :meth:`~afq.explorer.SweepResult.axis_columns`). The index is a stride,
+    where row ``i`` holds ``values[(i // stride) % len(values)]``, or an
+    array of ``rows`` codes, where it holds ``values[codes[i]]``. Float64
     values print as ``f"{x:.12e}"``, any other with ``str()``.
     """
 
@@ -193,10 +195,19 @@ def _items(cells: np.ndarray) -> np.ndarray:
     return cells.view("V20")[:, 0]
 
 
-def _lookup(values, index):
-    """A lookup column: ``values`` formatted here, once (:func:`_sci_cells`
-    for float64, else ``str()`` of each, right-aligned in 20 bytes), and
-    row ``i`` of a block is the cell of ``values[index(start, stop)[i]]``."""
+def _cell_source(column):
+    """How :func:`_csv_rows` makes a column's cells: ``(kind, data, index)``.
+
+    ``("float", column, None)``: an array, formatted as float64 with every
+    float64 column of the block at once. ``("lookup", items, index)``: a
+    ``(values, stride)`` or ``(values, codes)`` column, its values formatted
+    here, once (:func:`_sci_cells` for float64, else ``str()`` of each,
+    right-aligned in 20 bytes), and row ``i`` of a block the cell of
+    ``values[index(start, stop)[i]]``.
+    """
+    if not isinstance(column, tuple):
+        return "float", np.asarray(column, np.float64), None
+    values, index = column
     values = np.asarray(values)
     if values.dtype == np.float64:
         cells = _sci_cells(values)
@@ -204,33 +215,11 @@ def _lookup(values, index):
         cells = np.frombuffer(b"".join(
             str(v).encode().rjust(20, b"\0") for v in values.tolist()),
             np.uint8).reshape(values.size, 20)
-    return "lookup", _items(cells), index
-
-
-def _cell_source(column):
-    """How :func:`_csv_rows` makes a column's cells: ``(kind, data, index)``.
-
-    ``("float", column, None)``: a float64 array, formatted with every
-    float64 column of the block at once. ``("lookup", items, index)``
-    (:func:`_lookup`): a ``(values, stride)`` column, or an integer array.
-    One whose range is below its length (the sweep flag) indexes the values
-    ``lo..hi`` of its range; any other, its distinct values.
-    """
-    if isinstance(column, tuple):
-        values, stride = column
-        count = len(values)
-        return _lookup(values, lambda start, stop:
-                       np.arange(start, stop) // stride % count)
-    column = np.asarray(column)
-    if column.dtype.kind in "iu":
-        lo, hi = ((int(column.min()), int(column.max())) if column.size
-                  else (0, -1))
-        if hi - lo >= column.size:
-            values, inverse = np.unique(column, return_inverse=True)
-            return _lookup(values, lambda start, stop: inverse[start:stop])
-        return _lookup(np.arange(lo, hi + 1), lambda start, stop:
-                       np.subtract(column[start:stop], lo, dtype=np.intp))
-    return "float", column.astype(np.float64, copy=False), None
+    if np.ndim(index):      # codes
+        rows = lambda start, stop: index[start:stop]
+    else:                   # a stride
+        rows = lambda start, stop: np.arange(start, stop) // index % values.size
+    return "lookup", _items(cells), rows
 
 
 def _csv_rows(sources, start: int, stop: int) -> str:

@@ -23,17 +23,18 @@ FLAG_OK = 0            # regime of a sweep row, written in _figures
 FLAG_SNAP_IN = 2       # k + V'' <= 0; 1 (contact) is refused before evaluation
 FLAG_BREAKDOWN = 3     # stable, but the first-order ladder gives omega_10 <= 0
 
-# (CSV header, SweepResult column, grid axis) in CSV order; a new column is
-# one entry plus its line in _figures. The axis is 0 for a column that
-# follows L, 1 for one that follows x, else None. gap_over_sigma (column
-# None) is derived from gap, not stored.
+# (CSV header, SweepResult column, CSV kind) in CSV order; a new column is
+# one entry plus its line in _figures. The kind is 0 for a column that
+# follows L and 1 for one that follows x, each a (values, stride) lookup,
+# "codes" for the flag, a (values, codes) lookup, else None: a float64
+# array. gap_over_sigma (column None) is derived from gap, not stored.
 _SWEEP_TABLE = (
     ("length_m", "length", 0), ("gap_m", "gap", 1),
     ("gap_over_sigma", None, 1), ("omega_c_rad_s", "omega_c", 0),
     ("omega_10_rad_s", "omega_10", None), ("eta_r", "eta_r", None),
     ("eta_rad_s", "eta", None), ("delta_omega", "delta_omega", None),
     ("n_thermal", "n_thermal", None), ("x_zpf_m", "x_zpf", None),
-    ("k_eff_n_m", "k_eff", None), ("flag", "flag", None))
+    ("k_eff_n_m", "k_eff", None), ("flag", "flag", "codes"))
 SWEEP_COLUMNS = tuple(header for header, *_ in _SWEEP_TABLE)
 
 
@@ -110,8 +111,10 @@ class SweepResult:
 
     def axis_columns(self):
         """The columns of the full grid in SWEEP_COLUMNS order: an array,
-        or ``(values, stride)`` for a column that follows one grid axis,
-        where row ``i`` holds ``values[(i // stride) % len(values)]``.
+        ``(values, stride)`` for a column that follows one grid axis, where
+        row ``i`` holds ``values[(i // stride) % len(values)]``, or the flag
+        as ``(np.arange(FLAG_BREAKDOWN + 1), flag)``, whose codes are the
+        flag itself: row ``i`` holds ``values[flag[i]]``.
 
         Rows run lexicographically in (L, x): an L column takes one value
         per length, held by ``n_x`` consecutive rows, and an x column one
@@ -125,10 +128,11 @@ class SweepResult:
         # first length (one per gap), with their strides
         axes = ((slice(None, None, n_x), n_x), (slice(n_x), 1))
         return tuple(
-            _column(self.arrays, name, sigma, slice(None)) if axis is None
-            else (_column(self.arrays, name, sigma, axes[axis][0]),
-                  axes[axis][1])
-            for _, name, axis in _SWEEP_TABLE)
+            (np.arange(FLAG_BREAKDOWN + 1), self.arrays[name]) if kind == "codes"
+            else _column(self.arrays, name, sigma, slice(None)) if kind is None
+            else (_column(self.arrays, name, sigma, axes[kind][0]),
+                  axes[kind][1])
+            for _, name, kind in _SWEEP_TABLE)
 
     def take(self, indices) -> "SweepResult":
         """The rows at integer ``indices``, in order, or under a bool mask."""

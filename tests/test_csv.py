@@ -126,18 +126,27 @@ def emitted(header, columns, rows) -> str:
 
 
 def expanded(column, rows):
-    """The ``rows`` values of a CSV column: a lookup ``(values, stride)``
-    or an array."""
+    """The ``rows`` values of a CSV column: a lookup ``(values, stride)`` or
+    ``(values, codes)``, or an array."""
     if not isinstance(column, tuple):
         return column
-    values, stride = column
-    return [values[i // stride % len(values)] for i in range(rows)]
+    values, index = column
+    if np.ndim(index):
+        return [values[code] for code in index]
+    return [values[i // index % len(values)] for i in range(rows)]
+
+
+def coded(column):
+    """An integer array as the lookup ``(values, codes)`` of its distinct
+    values: the writer's one kind of integer column."""
+    return np.unique(column, return_inverse=True)
 
 
 def test_default_sweep_csv_matches_reference():
     columns = sweep(default_config().sweep_spec()).columns()
-    text = emitted(list(SWEEP_COLUMNS), columns, len(columns[0]))
-    assert text == reference_csv(SWEEP_COLUMNS, zip(*columns))
+    text = emitted(list(SWEEP_COLUMNS), columns[:-1] + (coded(columns[-1]),),
+                   len(columns[0]))
+    assert_same_text(text, reference_csv(SWEEP_COLUMNS, zip(*columns)))
     assert len(text.encode()) == 1_379_112
     # pins the column order and every cell, which the reference shares
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -156,16 +165,17 @@ def test_snap_in_and_ok_rows_match_reference():
                figures["omega_c"], figures["omega_10"], figures["eta_r"],
                figures["eta"], figures["delta_omega"], figures["n_thermal"],
                figures["x_zpf"], figures["k_eff"], figures["flag"])
-    assert emitted(list(SWEEP_COLUMNS), columns, i.size) == reference_csv(
-        SWEEP_COLUMNS, zip(*columns))
+    assert emitted(list(SWEEP_COLUMNS), columns[:-1] + (coded(columns[-1]),),
+                   i.size) == reference_csv(SWEEP_COLUMNS, zip(*columns))
 
 
 def test_mixed_columns_match_reference():
-    # float and integer arrays, and lookups of floats, bools, None, str and
-    # the int64 extremes, whose str() fills a whole 20-byte cell
-    columns = ([1.5, -2.0, np.nan], np.array([0, 1, 2], np.int8),
-               ([True, False], 1), ([None, None, "text"], 1), [3, 40, -500],
-               ([2.5, -0.0, np.inf], 2), ([7], 3),
+    # a float array, integer arrays as code lookups, and stride lookups of
+    # floats, bools, None, str and the int64 extremes, whose str() fills a
+    # whole 20-byte cell
+    columns = ([1.5, -2.0, np.nan], coded(np.array([0, 1, 2], np.int8)),
+               ([True, False], 1), ([None, None, "text"], 1),
+               coded([3, 40, -500]), ([2.5, -0.0, np.inf], 2), ([7], 3),
                (np.array([-9223372036854775808, 9223372036854775807]), 2))
     header = ["x", "flag", "ok", "note", "n", "axis", "one", "int64"]
     assert emitted(header, columns, 3) == reference_csv(
@@ -173,15 +183,15 @@ def test_mixed_columns_match_reference():
 
 
 @pytest.mark.parametrize("column, text", [
-    # an integer column whose range is not below its length takes its cells
-    # from its distinct values, not from every integer of its range
-    (np.array([9223372036854775807, -9223372036854775808]),
+    # an integer column is a code lookup of its values, whatever their
+    # range: the int64 extremes fill a whole 20-byte cell
+    ((np.array([-9223372036854775808, 9223372036854775807]), [1, 0]),
      "n\n9223372036854775807\n-9223372036854775808\n"),
-    (np.array([10**9, 0]), "n\n1000000000\n0\n"),
+    ((np.array([0, 10**9]), [1, 0]), "n\n1000000000\n0\n"),
 ])
 def test_wide_integer_column_cells(column, text):
     assert emitted(["n"], [column], 2) == text == reference_csv(
-        ["n"], zip(column.tolist()))
+        ["n"], zip(expanded(column, 2)))
 
 
 def test_empty_table():
@@ -371,15 +381,29 @@ def test_axis_columns_match_their_rows():
 def test_integer_columns_match_reference():
     rows = cli._BLOCK_CELLS // 3 + 7
     rng = np.random.default_rng(3)
-    # each a lookup of its range lo..hi; int8 spans past its own range
+    # each written as the code lookup of its distinct values
     columns = [rng.integers(0, 4, rows).astype(np.int8),    # the sweep flag
                rng.integers(0, 256, rows).astype(np.uint8),
                rng.integers(-128, 128, rows).astype(np.int8),
                rng.integers(-20, 20, rows), rng.integers(0, 10, rows) + 10,
                np.full(rows, -7)]
     header = ["flag", "u8", "i8", "signed", "wide", "one"]
-    assert_same_text(emitted(header, columns, rows),
+    assert_same_text(emitted(header, [coded(c) for c in columns], rows),
                      reference_csv(header, zip(*columns)))
+
+
+def test_codes_skipping_a_value_cross_block_edges():
+    # codes 0, 2 and 3, as the sweep flag takes them, never 1: a code
+    # indexes its values, not a range of them; then an empty code array
+    rows = 3 * cli._BLOCK_CELLS // 2 + 11             # crosses block edges
+    codes = np.random.default_rng(6).choice([0, 2, 3], rows).astype(np.int8)
+    columns = [(np.arange(4), codes), np.arange(rows) * 0.25,
+               (np.array([5, -1, 17, -9223372036854775808]), codes)]
+    header = ["flag", "x", "n"]
+    assert_same_text(emitted(header, columns, rows), reference_csv(
+        header, zip(*(expanded(c, rows) for c in columns))))
+    assert emitted(["flag"], [(np.arange(4), np.array([], np.int8))],
+                   0) == "flag\n"
 
 
 def test_constant_cells_match_reference():

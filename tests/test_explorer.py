@@ -430,9 +430,10 @@ def test_axis_columns_expand_to_the_columns(n_l, n_x):
     rows = np.arange(len(result))
     for name, col, full in zip(SWEEP_COLUMNS, result.axis_columns(),
                                result.columns()):
-        if isinstance(col, tuple):
-            values, stride = col
-            col = values[rows // stride % len(values)]
+        if isinstance(col, tuple):      # (values, stride) or (values, codes)
+            values, index = col
+            col = values[index if np.ndim(index)
+                         else rows // index % len(values)]
         np.testing.assert_array_equal(col, full, err_msg=name)
     with pytest.raises(ValueError, match="full grid"):
         result.take(rows[1:]).axis_columns()

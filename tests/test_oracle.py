@@ -565,6 +565,32 @@ def test_unresolved_tunnelling_pair_falls_back_to_bisection(monkeypatch):
     np.testing.assert_array_equal(res.eigenvalues, ref)
 
 
+def test_refinement_ends_at_the_first_level_it_cannot_accept(monkeypatch):
+    # the double well's ground pair lies within 2 margin: level 1 stops next
+    # to level 0 and is refused, which ends the refinement before level 2,
+    # whose start vector neither refined grid solves from
+    inverse_step, refine = oracle._inverse_step, oracle._refine
+    level_2, refined = [], []       # (grid size, level 2's start vector)
+
+    def recording_refine(diag, t, seeds, starts, rows):
+        level_2[:] = [(diag.size + 2, starts[2])]
+        found = refine(diag, t, seeds, starts, rows)
+        level_2.clear()
+        refined.append((diag.size + 2, found))
+        return found
+
+    def recording_step(diag, off, sigma, x):
+        for points, start in level_2:
+            if np.shares_memory(x, start):
+                pytest.fail(f"a solve on level 2 of the {points}-point grid")
+        return inverse_step(diag, off, sigma, x)
+
+    monkeypatch.setattr(oracle, "_refine", recording_refine)
+    monkeypatch.setattr(oracle, "_inverse_step", recording_step)
+    grid_eigensolve(double_well, M_EFF, GridSpec(), 3, x_zpf=X_ZPF, gap=GAP)
+    assert refined == [(4001, None), (8001, None)]
+
+
 def lapack_route_cases():
     """The audit designs and the tunnelling double well, whose grids are
     bisected to full precision, as (v_q, m_eff, x_zpf, gap)."""
