@@ -61,7 +61,8 @@ class CsvTable:
     :meth:`~afq.explorer.SweepResult.axis_columns`). The index is a stride,
     where row ``i`` holds ``values[(i // stride) % len(values)]``, or an
     array of ``rows`` codes, where it holds ``values[codes[i]]``. Float64
-    values print as ``f"{x:.12e}"``, any other with ``str()``.
+    values print as ``f"{x:.12e}"``, any other with ``str()``. An integer
+    or bool column is such a lookup: as a bare array it is refused.
     """
 
     def __init__(self, columns, rows: int):
@@ -199,14 +200,20 @@ def _cell_source(column):
     """How :func:`_csv_rows` makes a column's cells: ``(kind, data, index)``.
 
     ``("float", column, None)``: an array, formatted as float64 with every
-    float64 column of the block at once. ``("lookup", items, index)``: a
+    float64 column of the block at once; an integer or bool array raises
+    :class:`TypeError`, since its cells are ``str()`` and it must come as
+    a ``(values, codes)`` lookup. ``("lookup", items, index)``: a
     ``(values, stride)`` or ``(values, codes)`` column, its values formatted
     here, once (:func:`_sci_cells` for float64, else ``str()`` of each,
     right-aligned in 20 bytes), and row ``i`` of a block the cell of
     ``values[index(start, stop)[i]]``.
     """
     if not isinstance(column, tuple):
-        return "float", np.asarray(column, np.float64), None
+        column = np.asarray(column)
+        if column.dtype.kind in "biu":
+            raise TypeError(f"a {column.dtype} CSV column must be a "
+                            "(values, codes) lookup, not an array")
+        return "float", column.astype(np.float64, copy=False), None
     values, index = column
     values = np.asarray(values)
     if values.dtype == np.float64:

@@ -14,11 +14,16 @@ closed-form results they check:
   runs on the stretch of the grid that the levels reach, read once off
   the seed grid's potential, and the certificate still holds for the
   whole grid: the residual counts the couplings out of the stretch, and
-  the Sturm count takes every row. Sturm bisection solves what has
-  nothing to start from, the seed grid (to 1e-3 hbar omega,
-  ``SEED_TOL``), and every level that fails the certificate (to full
-  precision); one inverse-iteration step at each bisected level gives
-  the eigenvector that grid hands on;
+  the Sturm count runs on the stretch with its end diagonals lowered by
+  a bound on the Schur complement of the rows outside it, which by
+  Sylvester's law of inertia bounds the whole grid's count from above
+  where those rows lie above the count's shift by more than 2t (else it
+  counts every row). Sturm bisection solves what has nothing to start
+  from, the seed grid (to 1e-3 hbar omega, ``SEED_TOL``, on the window
+  of rows that its levels reach, found from a bound by Cauchy
+  interlacing), and every level that fails the certificate (to full
+  precision, on every row); one inverse-iteration step at each bisected
+  level gives the eigenvector that grid hands on;
 * exact ladder-operator matrix elements and a truncated-Fock-basis
   diagonalizer for polynomial potentials;
 * small dense diagonalizations for the dispersive shift and the bus
@@ -241,7 +246,10 @@ def _reach(diag, t, sigma, floor):
     stretch is those rows, widened on each side until that decay adds up
     past log(1 / floor), or to the wall. It is read off the potential, not
     off an eigenvector, whose rounding floor lies near 1e-16 of its largest
-    entry on every row.
+    entry on every row. On the seed grid it gives both the windows that
+    grid's levels are bisected on (:func:`_seed_window`, and at sigma the
+    potential's minimum the block of rows around it) and the stretches the
+    finer grids refine and count on (:func:`_refine`).
     """
     arg = (diag - sigma) / (2.0 * t)
     # the rows below sigma, or the lowest one should there be none
@@ -252,6 +260,34 @@ def _reach(diag, t, sigma, floor):
     left, right = (np.searchsorted(np.cumsum(np.arccosh(side)), need, "right")
                    for side in (arg[:first][::-1], arg[last + 1:]))
     return max(first - left - 1, 0), min(last + right + 3, diag.size + 1)
+
+
+def _sturm_count(diag, t, sigma, hull):
+    """A bound from above on the number of stencil eigenvalues at or below
+    ``sigma``, by one ``dstebz`` count on the rows ``hull`` (a slice), or
+    that number, by a count of every row, where some row outside ``hull``
+    has diag - sigma <= 2t.
+
+    Where none has, each block of rows outside the hull, eliminated from
+    its wall inward, leaves pivots p in (d - sigma - t, d - sigma], each
+    above t, for d the diagonal at its row: T - sigma is positive definite
+    there. By Sylvester's law of inertia T then has as many eigenvalues at
+    or below sigma as the hull's own block with the diagonal at each end
+    lowered by t^2 / p, for p the pivot of the row next to that end.
+    Lowering it by t^2 / (d - sigma - t) instead, at least t^2 / p for any
+    such p, can only add eigenvalues at or below sigma.
+    """
+    a, b = hull.start, hull.stop
+    if min(diag[:a].min(initial=np.inf),
+           diag[b:].min(initial=np.inf)) - sigma <= 2.0 * t:
+        a, b = 0, diag.size
+    d = diag[a:b].copy()
+    if a > 0:
+        d[0] -= t * t / (diag[a - 1] - sigma - t)
+    if b < diag.size:
+        d[-1] -= t * t / (diag[b] - sigma - t)
+    return _lapack().dstebz(d, np.full(d.size - 1, -t), 1, d.min() - 2.0 * t,
+                            sigma, 0, 0, np.inf, b"E")[0]
 
 
 def _refine(diag, t, seeds, starts, rows):
@@ -274,11 +310,13 @@ def _refine(diag, t, seeds, starts, rows):
     of seeds. A level is accepted only above the last by more than 2
     margin, which makes the eigenvalues distinct; the first that is not, or
     that does not stop within 8 solves (as when its stretch cuts into it),
-    ends the refinement. The lowest k levels are certified when a Sturm
-    count (``dstebz``) of the whole grid finds exactly k eigenvalues at or
-    below level k + margin: they are the lowest ones. k = 3 is tried only
-    where k = len(seeds) fails: that certificate implies the lowest
-    three's, which thus does not depend on the others.
+    ends the refinement. The lowest k levels are certified when
+    :func:`_sturm_count` on the hull of their stretches finds at most k
+    eigenvalues at or below level k + margin: that bounds the whole grid's
+    count from above, and the k distinct levels bound it from below, so
+    they are the lowest ones. k = 3 is tried only where k = len(seeds)
+    fails: that certificate implies the lowest three's, which thus does
+    not depend on the others.
     """
     off = np.full(diag.size - 1, -t)
     margin = 1e-8 * (seeds[2] - seeds[0])
@@ -306,14 +344,31 @@ def _refine(diag, t, seeds, starts, rows):
         if len(levels) == level:    # it did not stop, or not above the last
             break
     for k in dict.fromkeys((len(seeds), 3)):    # all, else the lowest 3
-        if len(levels) >= k and _lapack().dstebz(
-                diag, off, 1, diag.min() - 2.0 * t, levels[k - 1] + margin,
-                0, 0, np.inf, b"E")[0] == k:
+        hull = slice(min(s.start for s in rows[:k]),
+                     max(s.stop for s in rows[:k]))
+        if (len(levels) >= k
+                and _sturm_count(diag, t, levels[k - 1] + margin, hull) == k):
             padded = np.zeros((k, diag.size))
             for row, stretch, x in zip(padded, rows, vectors):
                 row[stretch] = x
             return np.array(levels[:k]), padded
     return None
+
+
+def _seed_window(diag, t, last, abstol, block):
+    """The rows (a slice) on which a seed grid's levels up to ``last`` are
+    bisected to ``abstol``: those that the levels below sigma reach above
+    abstol / t of a unit amplitude (:func:`_reach`), with sigma the level
+    ``last`` of the rows ``block``, bisected, plus abstol. By Cauchy
+    interlacing that level lies at or above the grid's. A block of fewer
+    than ``last`` rows gives the whole grid.
+    """
+    sigma = np.inf
+    if block.stop - block.start >= last:
+        sigma = _stencil_eigenvalues(diag[block], t, last, last,
+                                     abstol)[0] + abstol
+    a, b = _reach(diag, t, sigma, abstol / t)
+    return slice(a, b - 1)
 
 
 def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
@@ -341,8 +396,13 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     onto the finer grids by its end points, since the grids are nested.
     What has no vectors carried onto it, the seed grid, is bisected
     instead, to ``SEED_TOL`` hbar omega
-    (hbar omega = hbar^2 / (2 m_eff x_zpf^2)), and so is, to full
-    precision, each level that fails the certificate: the levels above E_2
+    (hbar omega = hbar^2 / (2 m_eff x_zpf^2)), on windows of its rows
+    (:func:`_seed_window`): the lowest three on the rows that the levels
+    below E_2's bound reach, that bound being level 3 of the block of rows
+    around the potential's minimum, and the levels above on the rows that
+    those below the top level's bound reach, level ``n_solve`` of the
+    lowest three's window. Each level is bisected to full precision on
+    every row where it fails the certificate: the levels above E_2
     alone where the lowest three pass, else all of them, as when two levels
     lie within 2e-8 of the span of each other, or as when a stretch is too
     narrow for its level. A grid hands on its refined
@@ -373,11 +433,19 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
         levels, vectors = found or (np.empty(0), np.empty((0, diag.size)))
         # bisect what is not certified, the lowest three apart from the
         # rest: where a bisection stops depends on the interval it starts
-        # from, which spans every level it is asked for
+        # from, which spans every level it is asked for. The seed grid
+        # bisects on windows, the first bounded on the rows around the
+        # potential's minimum
+        window = slice(0, diag.size)
+        if not raw:
+            a, b = _reach(diag, t, diag.min() - 2.0 * t, abstol / t)
+            window = slice(a, b - 1)
         for first, last in ((1, 3), (4, n_solve)):
             if levels.size < first <= last:
+                if not raw:
+                    window = _seed_window(diag, t, last, abstol, window)
                 levels = np.append(levels, _stencil_eigenvalues(
-                    diag, t, first, last, abstol))
+                    diag[window], t, first, last, abstol))
         if points < sizes[-1] and len(vectors) < n_solve:
             bisected = _seed_vectors(diag, t, levels[len(vectors):])
             vectors = (None if bisected is None

@@ -195,8 +195,24 @@ def test_wide_integer_column_cells(column, text):
 
 
 def test_empty_table():
-    columns = ([], np.array([], np.int8), ([1.0, 2.0], 1))
+    columns = ([], (np.arange(4), np.array([], np.int8)), ([1.0, 2.0], 1))
     assert emitted(["a", "flag", "axis"], columns, 0) == "a,flag,axis\n"
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64,
+                                   np.bool_])
+def test_integer_or_bool_array_column_is_refused(dtype):
+    # an integer or bool array passed bare would print as float64 cells,
+    # 3.000000000000e+00 for 3: it must come as a (values, codes) lookup,
+    # which prints its str() cells, so the writer refuses it, empty too
+    for column in (np.array([3, 0, 1], dtype), np.array([], dtype)):
+        with pytest.raises(TypeError, match=f"^a {np.dtype(dtype)} CSV "
+                           r"column must be a \(values, codes\) lookup"):
+            emitted(["n"], [column], column.size)
+    codes = np.array([1, 0, 1], np.int8)
+    values = np.array([0, 3], dtype)
+    assert emitted(["n"], [(values, codes)], 3) == reference_csv(
+        ["n"], zip(expanded((values, codes), 3)))
 
 
 # what `afq oracle` warns on the bundled design: both dispersive oracles

@@ -3,7 +3,7 @@
 import importlib.util
 import sys
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -162,16 +162,25 @@ def BISECT(v_q, m_eff, lo, hi, points, n_levels):
 
 def bisected_grids(monkeypatch):
     """The grid sizes that grid_eigensolve bisects, in whole or in part, each
-    once, in call order."""
-    sizes = []
+    once, in call order, as ``grids``, and the rows of each of its
+    bisections by grid size, as ``rows``: a grid is the one whose stencil
+    was built last, and the seed grid bisects on windows of its rows."""
+    stencil = oracle._stencil
+    work = SimpleNamespace(grids=[], rows=defaultdict(list), grid=None)
+
+    def building(v_q, m_eff, lo, hi, points):
+        work.grid = points
+        return stencil(v_q, m_eff, lo, hi, points)
 
     def counting(diag, t, first, last, abstol=0.0):
-        if sizes[-1:] != [diag.size + 2]:
-            sizes.append(diag.size + 2)
+        if work.grids[-1:] != [work.grid]:
+            work.grids.append(work.grid)
+        work.rows[work.grid].append(diag.size)
         return _BISECTED(diag, t, first, last, abstol)
 
+    monkeypatch.setattr(oracle, "_stencil", building)
     monkeypatch.setattr(oracle, "_stencil_eigenvalues", counting)
-    return sizes
+    return work
 
 
 def bisection_result(v_q, m_eff, spec, n_levels, x_zpf, gap):
@@ -293,7 +302,10 @@ def test_refinement_on_harmonic_well(monkeypatch, n_levels):
     bisected = bisected_grids(monkeypatch)
     res = grid_eigensolve(harmonic, M_EFF, GridSpec(), n_levels, x_zpf=X_ZPF,
                           gap=GAP)
-    assert bisected == [1001]       # the seed only: both grids certified
+    # the seed only, on windows of at most three quarters of its rows: both
+    # refined grids are certified
+    assert bisected.grids == [1001]
+    assert max(bisected.rows[1001]) <= 0.75 * 999
     np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
                                atol=1e-10 * span)
     np.testing.assert_allclose(res.eigenvalues,
@@ -306,8 +318,9 @@ def test_refinement_on_harmonic_well(monkeypatch, n_levels):
 def test_smallest_grid_seeds_on_51_points(monkeypatch, n_levels,
                                           bisected_sizes):
     # GridSpec(points=201) seeds from 51 points, every 4th, and points=203
-    # from 102, every 2nd. Even ten seeds there, with their start vectors,
-    # lead to their levels on the requested grid.
+    # from 102, every 2nd, bisected on windows of at most 0.7 of their rows.
+    # Even ten seeds there, with their start vectors, lead to their levels
+    # on the requested grid.
     for points, sizes in bisected_sizes.items():
         spec = GridSpec(points=points)
         ref, span = bisection_result(harmonic, M_EFF, spec, n_levels, X_ZPF,
@@ -315,7 +328,8 @@ def test_smallest_grid_seeds_on_51_points(monkeypatch, n_levels,
         bisected = bisected_grids(monkeypatch)
         res = grid_eigensolve(harmonic, M_EFF, spec, n_levels, x_zpf=X_ZPF,
                               gap=GAP, check_convergence=False)
-        assert bisected == sizes
+        assert bisected.grids == sizes
+        assert max(bisected.rows[sizes[0]]) <= 0.7 * (sizes[0] - 2)
         np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
                                    atol=1e-10 * span)
 
@@ -337,8 +351,8 @@ def test_grid_of_3_mod_4_points_seeds_on_every_2nd_point_and_starts_warm(
     refined = recorded_refinements(monkeypatch)
     res = grid_eigensolve(harmonic, M_EFF, spec, n_levels, x_zpf=X_ZPF,
                           gap=GAP, check_convergence=False)
-    assert bisected[0] == (points - 1) // 2 + 1
-    assert generic == [p for p in bisected if p != 2 * points - 1]
+    assert bisected.grids[0] == (points - 1) // 2 + 1
+    assert generic == [p for p in bisected.grids if p != 2 * points - 1]
     n_solve = max(n_levels, 3)
     assert [(p, starts.shape) for p, _, starts, *_ in refined] == [
         (points, (n_solve, points - 2)),
@@ -376,10 +390,12 @@ def test_doubled_grid_refines_the_bisected_grids_seed_vectors(monkeypatch):
     for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
         calls.clear()
         seeded.clear()
-        bisected.clear()
+        bisected.grids.clear()
+        bisected.rows.clear()
         grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
                         check_convergence=False)
-        assert bisected == [(spec.points - 1) // 4 + 1, spec.points]
+        assert bisected.grids == [(spec.points - 1) // 4 + 1, spec.points]
+        assert bisected.rows[spec.points] == [spec.points - 2] * 2
         (requested, _, _, _), (doubled, seeds, starts, found) = calls
         assert (requested, doubled) == (spec.points, 2 * spec.points - 1)
         (_, _, _), (handing, levels, rows) = seeded
@@ -403,6 +419,8 @@ def test_stretch_cutting_through_the_ground_state_is_refused(monkeypatch):
     # bound, so neither refined grid certifies, every grid is bisected, and
     # the levels are the bisected ones. Without those couplings both grids
     # would certify the stretch's own levels, 0.02 of the span too high.
+    # The seed grid bisects on the same forced rows, which _reach gives its
+    # windows too; the refused grids are bisected on every row.
     spec = GridSpec()
     lo, hi = spec.domain(X_ZPF, GAP)
     seed_points = (spec.points - 1) // 4 + 1
@@ -416,26 +434,33 @@ def test_stretch_cutting_through_the_ground_state_is_refused(monkeypatch):
     assert [(p, rows, found) for p, *_, found, rows in refined] == [
         (points, [slice(0, cut * scale - 1)] * 3, None)
         for points, scale in ((spec.points, 4), (2 * spec.points - 1, 8))]
-    assert bisected == [seed_points, spec.points, 2 * spec.points - 1]
+    assert bisected.grids == [seed_points, spec.points, 2 * spec.points - 1]
+    assert bisected.rows == {seed_points: [cut - 1] * 2,
+                             spec.points: [spec.points - 2],
+                             2 * spec.points - 1: [2 * spec.points - 3]}
     np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
                                atol=1e-10 * span)
 
 
-def test_convex_beam_matches_bisection():
-    # 206 x 15 x 8 nm at the cubic-free gap x_3 = 1.366109650946 sigma:
-    # k exceeds the largest softening -V'', so V_q is one convex well whose
-    # levels reach about 90 % of the grid
+def convex_beam():
+    """206 x 15 x 8 nm at the cubic-free gap x_3 = 1.366109650946 sigma, as
+    (v_q, m_eff, x_zpf, gap): k exceeds the largest softening -V'', so V_q
+    is one convex well whose levels reach about 90 % of the grid."""
     cfg = parse_config_text(PAPER_CONFIG + "bias.x_over_sigma = "
                             "1.366109650946\n")
     pot, modal, gap, state, _ = cfg.design(
         CantileverGeometry(206e-9, 15e-9, 8e-9))
-    v_q = total_potential(modal, pot, gap)
+    return (total_potential(modal, pot, gap), modal.effective_mass,
+            state.x_zpf, gap)
+
+
+def test_convex_beam_matches_bisection():
+    v_q, m_eff, x_zpf, gap = convex_beam()
     spec = GridSpec()
     for n_levels in (3, 5, 10):
-        ref, span = bisection_result(v_q, modal.effective_mass, spec,
-                                     n_levels, state.x_zpf, gap)
-        res = grid_eigensolve(v_q, modal.effective_mass, spec, n_levels,
-                              x_zpf=state.x_zpf, gap=gap)
+        ref, span = bisection_result(v_q, m_eff, spec, n_levels, x_zpf, gap)
+        res = grid_eigensolve(v_q, m_eff, spec, n_levels, x_zpf=x_zpf,
+                              gap=gap)
         assert (np.abs(np.array(res.eigenvalues) - ref).max()
                 <= 1e-10 * span), n_levels
 
@@ -459,13 +484,14 @@ def test_every_grid_size_matches_bisection(monkeypatch, points):
 
 
 def lapack_work(monkeypatch):
-    """Counters of ``dgtsv`` solves, the rows they solve and ``dstebz``
-    calls, each keyed by the size of the grid whose stencil was built last:
-    a refined grid solves on stretches of itself."""
+    """Counters of ``dgtsv`` solves, the rows they solve, ``dstebz`` calls
+    and the rows they take, each keyed by the size of the grid whose stencil
+    was built last: a refined grid solves and counts on stretches of
+    itself, and the seed grid bisects on windows of itself."""
     lapack = oracle._lapack()
     stencil = oracle._stencil
     work = SimpleNamespace(solves=Counter(), rows=Counter(), counts=Counter(),
-                           grid=None)
+                           counted=Counter(), grid=None)
 
     def building(v_q, m_eff, lo, hi, points):
         work.grid = points
@@ -478,6 +504,7 @@ def lapack_work(monkeypatch):
 
     def counting_stebz(d, *args):
         work.counts[work.grid] += 1
+        work.counted[work.grid] += d.size
         return lapack.dstebz(d, *args)
 
     monkeypatch.setattr(oracle, "_stencil", building)
@@ -490,23 +517,30 @@ def test_refinement_work_bound(monkeypatch):
     # warm starts: one inverse-iteration step a level on the seed grid, at
     # most 2.5 solves a level on the requested grid and 1.5 on the doubled,
     # on the default grid and on a points % 4 == 3 one, seeded on every 2nd
-    # point; two bisections on the seed grid, the lowest three levels and
-    # the rest, and one Sturm count on each grid that certifies its levels
+    # point; four bisections on the seed grid, for the lowest three levels
+    # and the rest each a bound on the top one and the levels, on windows
+    # of at most 0.2 of its rows in all, and one Sturm count on each grid
+    # that certifies its levels, on at most 0.35 of its rows in all
     work = lapack_work(monkeypatch)
     designs = list(audit_designs())
     levels = 5 * len(designs)
     for spec, seed in ((GridSpec(), 1001), (GridSpec(points=4003), 2002)):
         work.solves.clear()
         work.counts.clear()
+        work.counted.clear()
         for v_q, m_eff, x_zpf, gap in designs:
             grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
                             check_convergence=False)
         assert work.solves[2 * spec.points - 1] <= 1.5 * levels
         assert work.solves[spec.points] <= 2.5 * levels
         assert work.solves[seed] == levels
-        assert work.counts == {seed: 2 * len(designs),
+        assert work.counts == {seed: 4 * len(designs),
                                spec.points: len(designs),
                                2 * spec.points - 1: len(designs)}
+        assert work.counted[seed] <= 0.2 * work.counts[seed] * (seed - 2)
+        for points in (spec.points, 2 * spec.points - 1):
+            assert (work.counted[points]
+                    <= 0.35 * work.counts[points] * (points - 2)), points
 
 
 def test_refinement_solves_on_the_rows_its_levels_reach(monkeypatch):
@@ -558,7 +592,11 @@ def test_unresolved_tunnelling_pair_falls_back_to_bisection(monkeypatch):
     bisected = bisected_grids(monkeypatch)
     res = grid_eigensolve(counted, M_EFF, GridSpec(), 3, x_zpf=X_ZPF,
                           gap=GAP)
-    assert bisected == [1001, 4001, 8001]
+    # the seed grid on windows that hold both wells, about half its rows,
+    # and both refused grids on every row
+    assert bisected.grids == [1001, 4001, 8001]
+    assert max(bisected.rows[1001]) <= 0.55 * 999
+    assert (bisected.rows[4001], bisected.rows[8001]) == ([3999], [7999])
     # each grid's potential is evaluated once, for its refinement and its
     # bisection alike: the seed, the requested and the doubled grid
     assert evaluated == [999, 3999, 7999]
@@ -589,6 +627,105 @@ def test_refinement_ends_at_the_first_level_it_cannot_accept(monkeypatch):
     monkeypatch.setattr(oracle, "_inverse_step", recording_step)
     grid_eigensolve(double_well, M_EFF, GridSpec(), 3, x_zpf=X_ZPF, gap=GAP)
     assert refined == [(4001, None), (8001, None)]
+
+
+def counted_rows(monkeypatch):
+    """The rows of each ``dstebz`` call, in call order."""
+    lapack = oracle._lapack()
+    rows = []
+
+    def counting_stebz(d, *args):
+        rows.append(d.size)
+        return lapack.dstebz(d, *args)
+
+    monkeypatch.setattr(oracle, "_lapack", lambda: SimpleNamespace(
+        dgtsv=lapack.dgtsv, dstebz=counting_stebz))
+    return rows
+
+
+def every_row_count(diag, t, sigma):
+    """The number of eigenvalues at or below ``sigma`` of the stencil with
+    diagonal ``diag`` and off-diagonal -t, by a ``dstebz`` count of every
+    row."""
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack.dstebz(
+        diag, np.full(diag.size - 1, -t), 1, diag.min() - 2.0 * t, sigma, 0,
+        0, np.inf, b"E")[0]
+
+
+def test_windowed_sturm_count_equals_the_whole_grids(monkeypatch):
+    # at every sigma that _refine counts, the count on the hull of the
+    # levels' stretches, its end diagonals lowered by the bound on the Schur
+    # complement of the rows outside it, equals the count of every row. The
+    # audit designs and the convex beam are counted, none on every row; the
+    # double well's refinements end before any count.
+    rows = counted_rows(monkeypatch)
+    sturm_count = oracle._sturm_count
+    counts = []
+
+    def recording(diag, t, sigma, hull):
+        rows.clear()
+        found = sturm_count(diag, t, sigma, hull)
+        counts.append((diag, t, sigma, *rows, found))
+        return found
+
+    monkeypatch.setattr(oracle, "_sturm_count", recording)
+    cases = [*audit_designs(), convex_beam(), (double_well, M_EFF, X_ZPF, GAP)]
+    for points in (203, 801, 4001, 4003):
+        spec = GridSpec(points=points)
+        for i, (v_q, m_eff, x_zpf, gap) in enumerate(cases):
+            counts.clear()
+            for n_levels in (1, 3, 5, 10):
+                grid_eigensolve(v_q, m_eff, spec, n_levels, x_zpf=x_zpf,
+                                gap=gap, check_convergence=False)
+            where = f"case {i}, {points} points"
+            assert bool(counts) == (v_q is not double_well), where
+            for diag, t, sigma, counted, found in counts:
+                assert found == every_row_count(diag, t, sigma), where
+                assert counted < diag.size, where
+
+
+def test_count_on_one_well_of_the_double_well_falls_back_to_every_row(
+        monkeypatch):
+    # stretches forced onto the right well: both refined grids are refused
+    # and bisected, and the levels are the bisected ones. At levels 2 to 4
+    # plus the margin (level 1's lies within the margin of level 2), a count
+    # on that stretch finds the left well's rows within 2t of sigma, so it
+    # counts every row, where the right well's rows alone would hold too few
+    # levels.
+    spec = GridSpec()
+    seed_points = (spec.points - 1) // 4 + 1
+    middle = (seed_points - 1) // 2         # dx = 0, the barrier's top
+    monkeypatch.setattr(oracle, "_reach", lambda diag, t, sigma, floor:
+                        (middle, seed_points - 1))
+    ref, span = bisection_result(double_well, M_EFF, spec, 4, X_ZPF, GAP)
+    res = grid_eigensolve(double_well, M_EFF, spec, 4, x_zpf=X_ZPF, gap=GAP)
+    np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
+                               atol=1e-10 * span)
+    rows = counted_rows(monkeypatch)
+    lo, hi = spec.domain(X_ZPF, GAP)
+    for points, scale in ((spec.points, 4), (2 * spec.points - 1, 8)):
+        diag, t = oracle._stencil(double_well, M_EFF, lo, hi, points)
+        hull = slice(middle * scale, (seed_points - 1) * scale - 1)
+        levels = BISECT(double_well, M_EFF, lo, hi, points, 4)
+        for k in (2, 3, 4):
+            sigma = levels[k - 1] + 1e-8 * (levels[2] - levels[0])
+            rows.clear()
+            assert oracle._sturm_count(diag, t, sigma, hull) == k
+            assert rows == [diag.size], (points, k)
+            d = diag[hull].copy()
+            d[0] -= t * t / (diag[hull.start - 1] - sigma - t)
+            assert every_row_count(d, t, sigma) < k, (points, k)
+
+
+def test_seed_window_of_a_block_shorter_than_its_levels_is_every_row():
+    # a block of 2 rows holds no level 3 to bound the window with
+    spec = GridSpec()
+    lo, hi = spec.domain(X_ZPF, GAP)
+    diag, t = oracle._stencil(harmonic, M_EFF, lo, hi, spec.points)
+    middle = diag.size // 2
+    assert oracle._seed_window(diag, t, 3, oracle.SEED_TOL * hbar * OMEGA,
+                               slice(middle, middle + 2)) == slice(0, diag.size)
 
 
 def lapack_route_cases():
