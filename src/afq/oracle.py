@@ -7,22 +7,16 @@ closed-form results they check:
   potential (3-point stencil, Dirichlet walls, one Richardson refinement
   from a grid doubling), run on three nested grids in turn: a seed grid
   2x or 4x coarser than the requested one, that grid and the doubled one.
-  Each grid refines the previous grid's levels by Rayleigh-quotient
-  iteration from its eigenvectors, carried onto the finer grid by cubic
-  midpoints, and must pass a certificate (small residuals, separated
-  levels and a Sturm count) that they are its lowest ones. The iteration
-  runs on the stretch of the grid that the levels reach, read once off
-  the seed grid's potential, and the certificate still holds for the
-  whole grid: the residual counts the couplings out of the stretch, and
-  the Sturm count runs on the stretch with its end diagonals lowered by
-  a bound on the Schur complement of the rows outside it, which by
-  Sylvester's law of inertia bounds the whole grid's count from above
-  where those rows lie above the count's shift by more than 2t (else it
-  counts every row). Sturm bisection solves what has nothing to start
-  from, the seed grid (to 1e-3 hbar omega, ``SEED_TOL``, on the window
-  of rows that its levels reach, found from a bound by Cauchy
-  interlacing), and every level that fails the certificate (to full
-  precision, on every row); one inverse-iteration step at each bisected
+  Sturm bisection solves the seed grid, which has nothing to start from;
+  in one pass over each group of levels (the lowest three, then the rest)
+  it also decides the rows that the finer grids refine that group on
+  (:func:`grid_eigensolve`). Each finer grid refines the previous grid's
+  levels by Rayleigh-quotient iteration from its eigenvectors, carried
+  onto it by cubic midpoints, and must pass a certificate (small
+  residuals, separated levels and a Sturm count) that they are its lowest
+  ones, which holds for the whole grid (:func:`_refine`,
+  :func:`_sturm_count`); a level that fails it is bisected to full
+  precision on every row. One inverse-iteration step at each bisected
   level gives the eigenvector that grid hands on;
 * exact ladder-operator matrix elements and a truncated-Fock-basis
   diagonalizer for polynomial potentials;
@@ -247,9 +241,9 @@ def _reach(diag, t, sigma, floor):
     past log(1 / floor), or to the wall. It is read off the potential, not
     off an eigenvector, whose rounding floor lies near 1e-16 of its largest
     entry on every row. On the seed grid it gives both the windows that
-    grid's levels are bisected on (:func:`_seed_window`, and at sigma the
-    potential's minimum the block of rows around it) and the stretches the
-    finer grids refine and count on (:func:`_refine`).
+    grid's levels are bisected on (at sigma the potential's minimum, the
+    block of rows around it) and the stretches the finer grids refine and
+    count on (:func:`grid_eigensolve`).
     """
     arg = (diag - sigma) / (2.0 * t)
     # the rows below sigma, or the lowest one should there be none
@@ -355,22 +349,6 @@ def _refine(diag, t, seeds, starts, rows):
     return None
 
 
-def _seed_window(diag, t, last, abstol, block):
-    """The rows (a slice) on which a seed grid's levels up to ``last`` are
-    bisected to ``abstol``: those that the levels below sigma reach above
-    abstol / t of a unit amplitude (:func:`_reach`), with sigma the level
-    ``last`` of the rows ``block``, bisected, plus abstol. By Cauchy
-    interlacing that level lies at or above the grid's. A block of fewer
-    than ``last`` rows gives the whole grid.
-    """
-    sigma = np.inf
-    if block.stop - block.start >= last:
-        sigma = _stencil_eigenvalues(diag[block], t, last, last,
-                                     abstol)[0] + abstol
-    a, b = _reach(diag, t, sigma, abstol / t)
-    return slice(a, b - 1)
-
-
 def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
                     x_zpf: float, gap: float,
                     check_convergence: bool = True) -> OracleResult:
@@ -386,31 +364,34 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     Three grids of the domain are solved in turn: a seed grid of every 4th
     point of the ``points`` grid (51 points for the smallest ``GridSpec``),
     or every 2nd where ``points % 4 == 3``, so that each grid is nested in
-    the next; the ``points`` grid; and the doubled grid. A grid refines
-    the previous grid's levels by :func:`_refine`, from their eigenvectors
-    carried onto it by :func:`_doubled`, on the stretch of it that they
-    reach. The seed grid decides the stretches once, from its stencil and
-    its levels (:func:`_reach`): the lowest three share one, taken at E_2's
-    seed alone, and the levels above share one taken at the top seed, each
-    at the seed plus a tenth of the E_2 - E_0 span; a stretch is carried
-    onto the finer grids by its end points, since the grids are nested.
-    What has no vectors carried onto it, the seed grid, is bisected
-    instead, to ``SEED_TOL`` hbar omega
-    (hbar omega = hbar^2 / (2 m_eff x_zpf^2)), on windows of its rows
-    (:func:`_seed_window`): the lowest three on the rows that the levels
-    below E_2's bound reach, that bound being level 3 of the block of rows
-    around the potential's minimum, and the levels above on the rows that
-    those below the top level's bound reach, level ``n_solve`` of the
-    lowest three's window. Each level is bisected to full precision on
-    every row where it fails the certificate: the levels above E_2
-    alone where the lowest three pass, else all of them, as when two levels
-    lie within 2e-8 of the span of each other, or as when a stretch is too
-    narrow for its level. A grid hands on its refined
-    eigenvectors and, for each level it bisected, one inverse-iteration
-    step from the generic vector shifted to that level (:func:`_seed_vectors`).
-    Either way every raw level is its grid's eigenvalue to within about
-    1e-10 of the span, and the lowest three take the same path whatever
-    ``n_levels`` is.
+    the next; the ``points`` grid; and the doubled grid. The seed grid is
+    bisected to ``SEED_TOL`` hbar omega (hbar omega = hbar^2 /
+    (2 m_eff x_zpf^2)), the lowest three levels apart from the rest, since
+    where a bisection stops depends on the interval that it starts from.
+    It decides everything about a group of levels in one pass, in turn:
+
+    1. a bound on the group's top level: that level of the previous
+       group's window, which by Cauchy interlacing lies at or above the
+       grid's; for the lowest three, of the block of rows around the
+       potential's minimum. A window of fewer rows has none;
+    2. the group's window: the rows that the levels below the bound plus
+       ``SEED_TOL`` reach (:func:`_reach`);
+    3. the bisection of the group's levels on its window;
+    4. the group's stretch: the rows that the levels below its top level
+       plus a tenth of the E_2 - E_0 span reach, carried onto the finer
+       grids by its end points, since the grids are nested.
+
+    Each finer grid refines the previous grid's levels by :func:`_refine`
+    on their stretches, from their eigenvectors carried onto it by
+    :func:`_doubled`, and bisects to full precision, on every row, the
+    levels that fail the certificate: those above E_2 alone where the
+    lowest three pass, else all of them, as when two levels lie within
+    2e-8 of the span of each other, or as when a stretch is too narrow for
+    its level. A grid hands on its refined eigenvectors and, for each level
+    it bisected, one inverse-iteration step from the generic vector shifted
+    to that level (:func:`_seed_vectors`). Either way every raw level is its
+    grid's eigenvalue to within about 1e-10 of the span, and the lowest
+    three take the same path whatever ``n_levels`` is.
     At least three levels are solved for ``omega_10`` and ``eta``;
     ``n_levels`` sets how many ``eigenvalues`` are returned.
     """
@@ -421,7 +402,7 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     step = 4 if grid.points % 4 == 1 else 2
     sizes = ((grid.points - 1) // step + 1, grid.points, 2 * grid.points - 1)
     abstol = SEED_TOL * hbar**2 / (2.0 * m_eff * x_zpf**2)
-    raw, vectors = [], None
+    raw, vectors, reach = [], None, []
     for points, scale in zip(sizes, (1, step, 2 * step)):
         diag, t = _stencil(v_q, m_eff, lo, hi, points)
         found = None
@@ -431,36 +412,43 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
             found = _refine(diag, t, raw[-1], vectors,
                             [slice(a * scale, b * scale - 1) for a, b in reach])
         levels, vectors = found or (np.empty(0), np.empty((0, diag.size)))
-        # bisect what is not certified, the lowest three apart from the
-        # rest: where a bisection stops depends on the interval it starts
-        # from, which spans every level it is asked for. The seed grid
-        # bisects on windows, the first bounded on the rows around the
-        # potential's minimum
-        window = slice(0, diag.size)
-        if not raw:
+        if not raw:     # the seed grid's first bound: rows around the minimum
             a, b = _reach(diag, t, diag.min() - 2.0 * t, abstol / t)
             window = slice(a, b - 1)
+        # bisect what is not certified, the lowest three apart from the
+        # rest: where a bisection stops depends on the interval it starts
+        # from, which spans every level it is asked for
         for first, last in ((1, 3), (4, n_solve)):
-            if levels.size < first <= last:
-                if not raw:
-                    window = _seed_window(diag, t, last, abstol, window)
+            if not levels.size < first <= last:
+                continue
+            if raw:     # refused on a refined grid: every row, in full
                 levels = np.append(levels, _stencil_eigenvalues(
-                    diag[window], t, first, last, abstol))
+                    diag, t, first, last))
+                continue
+            # the seed grid: level ``last`` of the previous window bounds the
+            # grid's (Cauchy interlacing), and the levels are bisected on the
+            # rows that those below that bound reach
+            bound = np.inf
+            if window.stop - window.start >= last:
+                bound = _stencil_eigenvalues(diag[window], t, last, last,
+                                             abstol)[0]
+            a, b = _reach(diag, t, bound + abstol, abstol / t)
+            window = slice(a, b - 1)
+            levels = np.append(levels, _stencil_eigenvalues(
+                diag[window], t, first, last, abstol))
+            # and refined on the stretch the levels below the top one plus
+            # a tenth of the span reach, to an amplitude whose coupling t x
+            # out of it is a tenth of the residual bound on the doubled
+            # grid, where t is largest
+            span = levels[2] - levels[0]
+            floor = 1e-10 * span / (t * (2 * step) ** 2)
+            reach += [_reach(diag, t, levels[-1] + 0.1 * span,
+                             floor)] * (last - first + 1)
         if points < sizes[-1] and len(vectors) < n_solve:
             bisected = _seed_vectors(diag, t, levels[len(vectors):])
             vectors = (None if bisected is None
                        else np.concatenate([vectors, bisected]))
-        if not raw:     # the seed grid: the stretches its levels reach
-            # to an amplitude whose coupling t x out of a stretch is a tenth
-            # of the residual bound on the doubled grid, where t is largest
-            span = levels[2] - levels[0]
-            floor = 1e-10 * span / (t * (2 * step) ** 2)
-            reach = [_reach(diag, t, levels[2] + 0.1 * span, floor)] * 3
-            if n_solve > 3:
-                reach += [_reach(diag, t, levels[-1] + 0.1 * span,
-                                 floor)] * (n_solve - 3)
         raw.append(levels)
-        abstol = 0.0
     _, coarse, fine = raw
     span_c = coarse[2] - coarse[0]
     span_f = fine[2] - fine[0]

@@ -209,16 +209,22 @@ def audit_designs():
 
 def recorded_starts(monkeypatch):
     """The grid sizes on which _seed_vectors computes start vectors from the
-    generic vector, in call order."""
-    sizes = []
-    seed_vectors = oracle._seed_vectors
+    generic vector, in call order: a grid is the one whose stencil was
+    built last."""
+    stencil, seed_vectors = oracle._stencil, oracle._seed_vectors
+    work = SimpleNamespace(sizes=[], grid=None)
 
-    def recording(diag, t, seeds):
-        sizes.append(diag.size + 2)
-        return seed_vectors(diag, t, seeds)
+    def building(v_q, m_eff, lo, hi, points):
+        work.grid = points
+        return stencil(v_q, m_eff, lo, hi, points)
 
+    def recording(*args):
+        work.sizes.append(work.grid)
+        return seed_vectors(*args)
+
+    monkeypatch.setattr(oracle, "_stencil", building)
     monkeypatch.setattr(oracle, "_seed_vectors", recording)
-    return sizes
+    return work.sizes
 
 
 def recorded_refinements(monkeypatch):
@@ -718,14 +724,44 @@ def test_count_on_one_well_of_the_double_well_falls_back_to_every_row(
             assert every_row_count(d, t, sigma) < k, (points, k)
 
 
-def test_seed_window_of_a_block_shorter_than_its_levels_is_every_row():
-    # a block of 2 rows holds no level 3 to bound the window with
+def test_seed_block_shorter_than_its_levels_bisects_them_on_every_row(
+        monkeypatch):
+    # a block of 2 rows around the potential's minimum holds no level 3 to
+    # bound the lowest three's window with: the seed grid bisects them on
+    # every row, and the levels above on the window that their bound, the
+    # top level of every row, gives. Both refined grids still certify.
+    reach = oracle._reach
+
+    def two_rows(diag, t, sigma, floor):
+        if sigma == diag.min() - 2.0 * t:   # the block around the minimum
+            middle = int(np.argmin(diag))
+            return middle, middle + 3
+        return reach(diag, t, sigma, floor)
+
+    monkeypatch.setattr(oracle, "_reach", two_rows)
     spec = GridSpec()
-    lo, hi = spec.domain(X_ZPF, GAP)
-    diag, t = oracle._stencil(harmonic, M_EFF, lo, hi, spec.points)
-    middle = diag.size // 2
-    assert oracle._seed_window(diag, t, 3, oracle.SEED_TOL * hbar * OMEGA,
-                               slice(middle, middle + 2)) == slice(0, diag.size)
+    seed_points = (spec.points - 1) // 4 + 1
+    every_row = seed_points - 2
+    bisected = bisected_grids(monkeypatch)
+    generic = recorded_starts(monkeypatch)
+    for n_levels in (3, 5):
+        ref, span = bisection_result(harmonic, M_EFF, spec, n_levels, X_ZPF,
+                                     GAP)
+        bisected.grids.clear()
+        bisected.rows.clear()
+        generic.clear()
+        res = grid_eigensolve(harmonic, M_EFF, spec, n_levels, x_zpf=X_ZPF,
+                              gap=GAP)
+        assert bisected.grids == [seed_points]
+        rows = bisected.rows[seed_points]
+        if n_levels == 3:
+            assert rows == [every_row]
+        else:   # levels 1-3, the bound on level 5, levels 4-5
+            assert rows[:2] == [every_row] * 2 and len(rows) == 3
+            assert rows[2] < every_row
+        assert generic == [seed_points]
+        np.testing.assert_allclose(res.eigenvalues, ref, rtol=0,
+                                   atol=1e-10 * span)
 
 
 def lapack_route_cases():
