@@ -17,7 +17,7 @@ closed-form results they check:
   ones, which holds for the whole grid (:func:`_refine`,
   :func:`_sturm_count`); a level that fails it is bisected to full
   precision on every row. One inverse-iteration step at each bisected
-  level gives the eigenvector that grid hands on;
+  level, on its stretch, gives the eigenvector that grid hands on;
 * exact ladder-operator matrix elements and a truncated-Fock-basis
   diagonalizer for polynomial potentials;
 * small dense diagonalizations for the dispersive shift and the bus
@@ -194,14 +194,21 @@ def _inverse_step(diag, off, sigma, x):
     return None if info else y[:, 0] / np.linalg.norm(y)
 
 
-def _seed_vectors(diag, t, seeds):
-    """One inverse-iteration step per seed from the generic vector, shifted
-    to that seed: the start vectors, as unit rows, that a bisected grid
-    hands on for the levels it bisected, or None."""
+def _seed_vectors(diag, t, seeds, rows):
+    """One inverse-iteration step per seed on its slice in ``rows``, a
+    stretch of the grid, from the generic vector there shifted to that
+    seed: the start vectors, as unit rows padded with zeros, that a
+    bisected grid hands on for the levels it bisected, or None."""
     off = np.full(diag.size - 1, -t)
     start = _generic_vector(diag.size)
-    rows = [_inverse_step(diag, off, sigma, start) for sigma in seeds]
-    return None if any(x is None for x in rows) else np.array(rows)
+    vectors = np.zeros((len(seeds), diag.size))
+    for row, sigma, stretch in zip(vectors, seeds, rows):
+        d = diag[stretch]
+        x = _inverse_step(d, off[:d.size - 1], sigma, start[stretch])
+        if x is None:
+            return None
+        row[stretch] = x
+    return vectors
 
 
 def _doubled(rows):
@@ -388,10 +395,10 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     lowest three pass, else all of them, as when two levels lie within
     2e-8 of the span of each other, or as when a stretch is too narrow for
     its level. A grid hands on its refined eigenvectors and, for each level
-    it bisected, one inverse-iteration step from the generic vector shifted
-    to that level (:func:`_seed_vectors`). Either way every raw level is its
-    grid's eigenvalue to within about 1e-10 of the span, and the lowest
-    three take the same path whatever ``n_levels`` is.
+    it bisected, one inverse-iteration step on the level's stretch from the
+    generic vector shifted to that level (:func:`_seed_vectors`). Either way
+    every raw level is its grid's eigenvalue to within about 1e-10 of the
+    span, and the lowest three take the same path whatever ``n_levels`` is.
     At least three levels are solved for ``omega_10`` and ``eta``;
     ``n_levels`` sets how many ``eigenvalues`` are returned.
     """
@@ -445,7 +452,9 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
             reach += [_reach(diag, t, levels[-1] + 0.1 * span,
                              floor)] * (last - first + 1)
         if points < sizes[-1] and len(vectors) < n_solve:
-            bisected = _seed_vectors(diag, t, levels[len(vectors):])
+            rows = [slice(a * scale, b * scale - 1) for a, b in reach]
+            bisected = _seed_vectors(diag, t, levels[len(vectors):],
+                                     rows[len(vectors):])
             vectors = (None if bisected is None
                        else np.concatenate([vectors, bisected]))
         raw.append(levels)

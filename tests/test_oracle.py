@@ -266,9 +266,9 @@ def test_refined_grids_match_bisection(monkeypatch):
 def test_seeds_off_by_the_seed_tolerance_still_certify(monkeypatch):
     # the seed grid is bisected only to SEED_TOL hbar omega: seeds that far
     # from their level, either way, still lead to it on both refined grids,
-    # on the stretches grid_eigensolve refines there, from the generic
-    # start, and on the requested grid from the start vectors that one
-    # inverse-iteration step at those seeds gives
+    # on the stretches grid_eigensolve refines there, from one
+    # inverse-iteration step at those seeds on each level's stretch of that
+    # grid, and on the requested grid from such a step on the seed grid
     spec = GridSpec()
     seed_points = (spec.points - 1) // 4 + 1
     refined = recorded_refinements(monkeypatch)
@@ -277,6 +277,9 @@ def test_seeds_off_by_the_seed_tolerance_still_certify(monkeypatch):
         grid_eigensolve(v_q, m_eff, spec, 5, x_zpf=x_zpf, gap=gap,
                         check_convergence=False)
         stretches = {points: rows for points, *_, rows in refined}
+        # the seed grid's, whose end points the requested grid's scale by 4
+        seed_rows = [slice(s.start // 4, (s.stop + 1) // 4 - 1)
+                     for s in stretches[spec.points]]
         lo, hi = spec.domain(x_zpf, gap)
         seed_diag, seed_t = oracle._stencil(v_q, m_eff, lo, hi, seed_points)
         seeds = STURM(seed_diag, seed_t, 5)
@@ -286,9 +289,11 @@ def test_seeds_off_by_the_seed_tolerance_still_certify(monkeypatch):
             ref = BISECT(v_q, m_eff, lo, hi, points, 5)
             for sign in (1, -1):
                 offset = seeds + sign * tol
-                starts = [oracle._seed_vectors(diag, t, offset)]
+                starts = [oracle._seed_vectors(diag, t, offset,
+                                               stretches[points])]
                 if points == spec.points:
-                    vectors = oracle._seed_vectors(seed_diag, seed_t, offset)
+                    vectors = oracle._seed_vectors(seed_diag, seed_t, offset,
+                                                   seed_rows)
                     starts.append(oracle._doubled(oracle._doubled(vectors)))
                 for kind, start in zip(("generic", "warm"), starts):
                     found = oracle._refine(diag, t, offset, start,
@@ -370,8 +375,9 @@ def test_grid_of_3_mod_4_points_seeds_on_every_2nd_point_and_starts_warm(
 def test_doubled_grid_refines_the_bisected_grids_seed_vectors(monkeypatch):
     # the requested grid's refinement is refused, so that grid is bisected
     # and hands on, for each level, one inverse-iteration step from the
-    # generic vector on that grid: the doubled grid refines them, carried
-    # over by _doubled, to its bisected levels
+    # generic vector on the stretch of that grid it was refused on, padded
+    # with zeros: the doubled grid refines them, carried over by _doubled,
+    # to its bisected levels
     spec = GridSpec()
     refine = oracle._refine
     seed_vectors = oracle._seed_vectors
@@ -382,13 +388,13 @@ def test_doubled_grid_refines_the_bisected_grids_seed_vectors(monkeypatch):
         found = None
         if diag.size + 2 != spec.points:
             found = refine(diag, t, seeds, starts, rows)
-        calls.append((diag.size + 2, seeds, starts, found))
+        calls.append((diag.size + 2, seeds, starts, found, rows))
         return found
 
-    def recording(diag, t, seeds):
-        rows = seed_vectors(diag, t, seeds)
-        seeded.append((diag.size + 2, seeds, rows))
-        return rows
+    def recording(diag, t, seeds, rows):
+        vectors = seed_vectors(diag, t, seeds, rows)
+        seeded.append((diag.size + 2, seeds, vectors, rows))
+        return vectors
 
     bisected = bisected_grids(monkeypatch)
     monkeypatch.setattr(oracle, "_refine", refusing_requested)
@@ -402,10 +408,12 @@ def test_doubled_grid_refines_the_bisected_grids_seed_vectors(monkeypatch):
                         check_convergence=False)
         assert bisected.grids == [(spec.points - 1) // 4 + 1, spec.points]
         assert bisected.rows[spec.points] == [spec.points - 2] * 2
-        (requested, _, _, _), (doubled, seeds, starts, found) = calls
+        (requested, *_, stretches), (doubled, seeds, starts, found, _) = calls
         assert (requested, doubled) == (spec.points, 2 * spec.points - 1)
-        (_, _, _), (handing, levels, rows) = seeded
-        assert handing == spec.points
+        _, (handing, levels, rows, stepped) = seeded
+        assert (handing, stepped) == (spec.points, stretches)
+        for row, stretch in zip(rows, stretches):
+            assert not (row[:stretch.start].any() or row[stretch.stop:].any())
         lo, hi = spec.domain(x_zpf, gap)
         np.testing.assert_array_equal(
             levels, BISECT(v_q, m_eff, lo, hi, spec.points, 5), f"design {i}")
@@ -822,9 +830,9 @@ def test_certificate_refuses_colliding_or_skipping_seeds(picks):
     exact = BISECT(harmonic, M_EFF, lo, hi, spec.points, 4)
     for seeds, certified in ((exact[[0, 1, 2]], True),
                              (exact[list(picks)], False)):
-        starts = oracle._seed_vectors(diag, t, seeds)
-        found = oracle._refine(diag, t, seeds, starts,
-                               [slice(0, diag.size)] * 3)
+        every_row = [slice(0, diag.size)] * 3
+        starts = oracle._seed_vectors(diag, t, seeds, every_row)
+        found = oracle._refine(diag, t, seeds, starts, every_row)
         assert (found is not None) == certified
 
 
