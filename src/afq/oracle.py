@@ -375,19 +375,16 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     bisected to ``SEED_TOL`` hbar omega (hbar omega = hbar^2 /
     (2 m_eff x_zpf^2)), the lowest three levels apart from the rest, since
     where a bisection stops depends on the interval that it starts from.
-    It decides everything about a group of levels in one pass, in turn:
-
-    1. a bound on the group's top level: that level of the previous
-       group's window, which by Cauchy interlacing lies at or above the
-       grid's; for the lowest three, of the block of rows around the
-       potential's minimum. A window of fewer rows has none;
-    2. the group's window: the rows that the levels below the bound plus
-       ``SEED_TOL`` reach (:func:`_reach`);
-    3. the bisection of the group's levels on its window;
-    4. the group's stretch: the rows that the levels below its top level
-       plus a tenth of the E_2 - E_0 span reach, carried onto the finer
-       grids by its end points, since the grids are nested.
-
+    It decides each group of levels in one pass: (1) a bound on the group's
+    top level, that level of the previous window, which by Cauchy
+    interlacing lies at or above the grid's (for the lowest three, the
+    block of rows around the potential's minimum; a window of fewer rows
+    gives no bound, and so every row); (2) the group's window, the rows
+    that the levels below the bound plus ``SEED_TOL`` reach
+    (:func:`_reach`); (3) the bisection on that window; (4) the group's
+    stretch, the rows that the levels below its top level plus a tenth of
+    the E_2 - E_0 span reach, carried onto the finer grids by its end
+    points, since the grids are nested.
     Each finer grid refines the previous grid's levels by :func:`_refine`
     on their stretches, from their eigenvectors carried onto it by
     :func:`_doubled`, and bisects to full precision, on every row, the
@@ -402,7 +399,9 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
     At least three levels are solved for ``omega_10`` and ``eta``;
     ``n_levels`` sets how many ``eigenvalues`` are returned.
     """
-    if n_levels > 10 or n_levels < 1:
+    if (isinstance(n_levels, bool)
+            or not isinstance(n_levels, (int, np.integer))
+            or not 1 <= n_levels <= 10):
         raise DomainError(f"n_levels must be in 1..10, got {n_levels}")
     lo, hi = grid.domain(x_zpf, gap)
     n_solve = max(n_levels, 3)
@@ -422,9 +421,7 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
         if not raw:     # the seed grid's first bound: rows around the minimum
             a, b = _reach(diag, t, diag.min() - 2.0 * t, abstol / t)
             window = slice(a, b - 1)
-        # bisect what is not certified, the lowest three apart from the
-        # rest: where a bisection stops depends on the interval it starts
-        # from, which spans every level it is asked for
+        # bisect what is not certified, the lowest three apart from the rest
         for first, last in ((1, 3), (4, n_solve)):
             if not levels.size < first <= last:
                 continue
@@ -432,9 +429,7 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
                 levels = np.append(levels, _stencil_eigenvalues(
                     diag, t, first, last))
                 continue
-            # the seed grid: level ``last`` of the previous window bounds the
-            # grid's (Cauchy interlacing), and the levels are bisected on the
-            # rows that those below that bound reach
+            # the seed grid, steps (1) to (4) of the docstring
             bound = np.inf
             if window.stop - window.start >= last:
                 bound = _stencil_eigenvalues(diag[window], t, last, last,
@@ -443,10 +438,9 @@ def grid_eigensolve(v_q, m_eff: float, grid: GridSpec, n_levels: int, *,
             window = slice(a, b - 1)
             levels = np.append(levels, _stencil_eigenvalues(
                 diag[window], t, first, last, abstol))
-            # and refined on the stretch the levels below the top one plus
-            # a tenth of the span reach, to an amplitude whose coupling t x
-            # out of it is a tenth of the residual bound on the doubled
-            # grid, where t is largest
+            # the stretch reaches to an amplitude whose coupling t x out of
+            # it is a tenth of the residual bound on the doubled grid, where
+            # t is largest
             span = levels[2] - levels[0]
             floor = 1e-10 * span / (t * (2 * step) ** 2)
             reach += [_reach(diag, t, levels[-1] + 0.1 * span,

@@ -97,6 +97,21 @@ def test_grid_validation():
         grid_eigensolve(harmonic, M_EFF, GridSpec(), 11, x_zpf=X_ZPF, gap=GAP)
 
 
+@pytest.mark.parametrize("n_levels", [5.0, 3.0, True, False, "3", None])
+def test_grid_refuses_n_levels_that_is_not_an_integer(n_levels):
+    with pytest.raises(DomainError, match="n_levels"):
+        grid_eigensolve(harmonic, M_EFF, GridSpec(), n_levels, x_zpf=X_ZPF,
+                        gap=GAP)
+
+
+def test_grid_takes_numpy_integer_n_levels():
+    res = grid_eigensolve(harmonic, M_EFF, GridSpec(), np.int64(4),
+                          x_zpf=X_ZPF, gap=GAP)
+    ref = grid_eigensolve(harmonic, M_EFF, GridSpec(), 4, x_zpf=X_ZPF,
+                          gap=GAP)
+    assert res == ref
+
+
 @pytest.mark.parametrize("n_levels", range(1, 11))
 def test_grid_reports_omega_10_and_eta_at_any_n_levels(n_levels):
     res = grid_eigensolve(harmonic, M_EFF, GridSpec(), n_levels, x_zpf=X_ZPF,
@@ -261,6 +276,30 @@ def test_refined_grids_match_bisection(monkeypatch):
             ref = BISECT(v_q, m_eff, lo, hi, points, 3)
             assert np.abs(levels - ref).max() <= 1e-10 * (ref[2] - ref[0]), \
                 f"design {i}, {points} points"
+
+
+@pytest.mark.parametrize("points", [203, 801, 4001])
+def test_lowest_three_take_the_same_rows_at_any_n_levels(monkeypatch, points):
+    # the seed grid decides each group of levels in one pass: the lowest
+    # three's bound and window on it, and their stretches on the finer
+    # grids, are the same rows at 3 levels as at 10
+    spec = GridSpec(points=points)
+    seed_points = (points - 1) // (4 if points % 4 == 1 else 2) + 1
+    bisected = bisected_grids(monkeypatch)
+    refined = recorded_refinements(monkeypatch)
+    for i, (v_q, m_eff, x_zpf, gap) in enumerate(audit_designs()):
+        taken = []
+        for n_levels in (3, 10):
+            bisected.rows.clear()
+            refined.clear()
+            grid_eigensolve(v_q, m_eff, spec, n_levels, x_zpf=x_zpf, gap=gap,
+                            check_convergence=False)
+            taken.append((bisected.rows[seed_points][:2],
+                          [(p, rows[:3]) for p, *_, rows in refined]))
+        # at 10 levels the seed grid bisected levels 4 to 10 too, after a
+        # bound on level 10 where the lowest three's window holds 10 rows
+        assert len(bisected.rows[seed_points]) >= 3, f"design {i}"
+        assert taken[0] == taken[1], f"design {i}"
 
 
 def test_seeds_off_by_the_seed_tolerance_still_certify(monkeypatch):
