@@ -584,13 +584,14 @@ def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
     """Bus-mediated coupling from the avoided crossing of two qubits.
 
     Diagonalizes the one-excitation sector of two qubits exchange-coupled
-    to a single bus mode while sweeping qubit 1 through qubit 2, and
-    returns half the minimum splitting of the two qubit-like branches (the
-    pair of eigenvalues nearest omega_q2). The sweep is a zoom scan: 33
-    evenly spaced qubit-1 frequencies over the range, then 33 over the two
-    cells around the smallest splitting, and so on until the bracket stops
-    shrinking or 12 scans have narrowed it at least 16^12-fold; a parabola
-    through the last minimum and its neighbours refines it.
+    to a single bus mode, in qubit 2's frame (qubit 2 at 0, the bus at
+    omega_bus - omega_q2), while sweeping qubit 1 through qubit 2, and
+    returns half the smallest splitting of the two qubit-like branches
+    (the pair of eigenvalues nearest qubit 2) that the last scan samples.
+    The sweep is a zoom scan: 33 evenly spaced qubit-1 detunings over
+    [-span, span], then 33 over the two cells around the smallest
+    splitting, and so on until the bracket stops shrinking or the 12th
+    scan, which spans 16^-11 of the first one's range.
     :class:`DomainError` is raised when the second scan, which resolves
     1/1024 of the range, still puts the minimum at an end of the range.
     """
@@ -605,17 +606,15 @@ def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
     span = max(8.0 * (abs(g1) + abs(g2)), 2.0 * abs(omega_q1 - omega_q2),
                1e-6 * abs(omega_q2))
     h = np.zeros((33, 3, 3))
-    h[:, 1, 1] = omega_q2
-    h[:, 2, 2] = omega_bus
+    h[:, 2, 2] = omega_bus - omega_q2
     h[:, 0, 2] = h[:, 2, 0] = g1
     h[:, 1, 2] = h[:, 2, 1] = g2
-    ends = lo, hi = omega_q2 - span, omega_q2 + span
+    ends = lo, hi = -span, span
     for scan in range(12):
         w1 = h[:, 0, 0] = np.linspace(lo, hi, 33)
         e0, e1, e2 = np.linalg.eigvalsh(h).T
-        # e1 is always one of the two eigenvalues nearest omega_q2
-        gaps = np.where(abs(e0 - omega_q2) <= abs(e2 - omega_q2),
-                        e1 - e0, e2 - e1)
+        # e1 is always one of the two eigenvalues nearest qubit 2, at 0
+        gaps = np.where(abs(e0) <= abs(e2), e1 - e0, e2 - e1)
         i = int(np.argmin(gaps))
         if scan == 1 and w1[i] in ends:
             raise DomainError("no avoided crossing inside the sweep range")
@@ -623,9 +622,4 @@ def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
         if above - below >= hi - lo:
             break
         lo, hi = below, above
-    # parabolic refinement of the minimum
-    i = min(max(i, 1), 31)
-    y0, y1, y2 = gaps[i - 1], gaps[i], gaps[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    gap_min = y1 if denom == 0 else y1 - 0.125 * (y0 - y2) ** 2 / denom
-    return 0.5 * max(gap_min, 0.0)
+    return 0.5 * gaps[i]
