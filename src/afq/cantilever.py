@@ -109,16 +109,18 @@ def _modal_constants(length, width, thickness, material):
 
 def _operating_state(k, m_eff, potential, gap):
     """V'', k_eff = k + V'', the flat C-order index of the stable elements
-    (not k_eff <= 0), and omega_eff and x_zpf at them: a snap-in element
-    never enters float arithmetic past k + V''. ``m_eff`` varies along the
-    first axis of k_eff at most. Callers refuse contact gaps first."""
+    (not k_eff <= 0), their row along the first axis of k_eff, and
+    omega_eff and x_zpf at them: a snap-in element never enters float
+    arithmetic past k + V''. ``m_eff`` varies along the first axis of k_eff
+    at most. Callers refuse contact gaps first."""
     v2 = potential.derivative(gap, 2)
     k_eff = k + v2
     idx = np.flatnonzero(~(k_eff <= 0))
-    m_eff = np.ravel(m_eff)[idx // k_eff.shape[-1]]
+    row = idx // k_eff.shape[-1]
+    m_eff = np.ravel(m_eff)[row]
     omega_eff = np.sqrt(k_eff.ravel()[idx] / m_eff)
     x_zpf = np.sqrt(hbar / (2.0 * m_eff * omega_eff))
-    return v2, k_eff, idx, omega_eff, x_zpf
+    return v2, k_eff, idx, row, omega_eff, x_zpf
 
 
 def modal_params(geometry: CantileverGeometry,
@@ -149,7 +151,7 @@ def bias_state(modal: CantileverModal, potential: LennardJones,
             f"gap {x:.4e} m inside contact region (<= 1.1 sigma "
             f"= {CONTACT_GUARD * potential.sigma:.4e} m)")
     k = modal.spring_constant
-    v2, k_eff, stable, omega_eff, x_zpf = _operating_state(
+    v2, k_eff, stable, _, omega_eff, x_zpf = _operating_state(
         k, modal.effective_mass, potential, np.array([x], dtype=float))
     if not stable.size:
         raise SnapInError(

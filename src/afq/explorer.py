@@ -170,9 +170,9 @@ def _figures(lengths, gaps, width, thickness, material, potential, temperature):
     n_x = gaps.size
     k, omega_c, m_eff = _modal_constants(lengths[:, None], width, thickness,
                                          material)
-    _, k_eff, idx, omega_eff, x_zpf = _operating_state(k, m_eff, potential,
-                                                       gaps[None, :])
-    at_x = idx - idx // n_x * n_x  # idx % n_x; numpy is slower at %
+    _, k_eff, idx, at_l, omega_eff, x_zpf = _operating_state(
+        k, m_eff, potential, gaps[None, :])
+    at_x = idx - at_l * n_x  # idx % n_x; numpy is slower at %
     lam4, lam6 = (_taylor_term(potential, gaps, n)[at_x] for n in (4, 6))
     del at_x
     omega_10, eta = _first_order_ladder(omega_eff, x_zpf, lam4, lam6)[1:]
@@ -190,7 +190,8 @@ def _figures(lengths, gaps, width, thickness, material, potential, temperature):
     del x_zpf
     figures["eta_r"] = column(eta / omega_10)
     figures["delta_omega"] = column(relative_frequency_shift(
-        omega_10, omega_c.ravel()[idx // n_x]))
+        omega_10, omega_c.ravel()[at_l]))
+    del at_l
     figures["n_thermal"] = column(thermal_occupancy(
         omega_10[~broken], temperature), idx[~broken])
     figures["omega_10"], figures["eta"] = column(omega_10), column(eta)

@@ -163,6 +163,7 @@ def _stencil_eigenvalues(diag, t, first, last, abstol=0.0):
     return w[:found]
 
 
+@functools.lru_cache(maxsize=8)
 def _generic_vector(n: int) -> np.ndarray:
     """``n`` fixed values in [0, 1): SplitMix64 of the counters 1..n.
 
@@ -170,13 +171,16 @@ def _generic_vector(n: int) -> np.ndarray:
     eigenvector it converges to. A hashed counter is as generic as a
     random draw, with no regular pattern to line up with the stencil's
     modes, and is integer arithmetic in uint64 (wrapping): no
-    random-number module is imported.
+    random-number module is imported. Each size is computed once per
+    process (a grid solve uses two) and handed out read-only.
     """
     z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)) * 2.0**-53
+    out = (z >> np.uint64(11)) * 2.0**-53
+    out.flags.writeable = False
+    return out
 
 
 def _applied(diag, t, x):
@@ -191,7 +195,10 @@ def _inverse_step(diag, off, sigma, x):
     """(T - sigma)^-1 x scaled to unit length by one ``dgtsv`` solve, or None
     when T - sigma is singular to rounding (sigma is an eigenvalue)."""
     *_, y, info = _lapack().dgtsv(off, diag - sigma, off, x[:, None])
-    return None if info else y[:, 0] / np.linalg.norm(y)
+    if info:
+        return None
+    y = y[:, 0]
+    return y / np.sqrt(y @ y)       # np.linalg.norm(y), without its overhead
 
 
 def _seed_vectors(diag, t, seeds, rows):
@@ -610,11 +617,16 @@ def two_qubit_bus_oracle(omega_q1: float, omega_q2: float, omega_bus: float,
     h[:, 0, 2] = h[:, 2, 0] = g1
     h[:, 1, 2] = h[:, 2, 1] = g2
     ends = lo, hi = -span, span
+    steps = np.arange(33.0)
     for scan in range(12):
-        w1 = h[:, 0, 0] = np.linspace(lo, hi, 33)
-        e0, e1, e2 = np.linalg.eigvalsh(h).T
+        # np.linspace(lo, hi, 33), without its overhead
+        w1 = steps * ((hi - lo) / 32) + lo
+        w1[-1] = hi
+        h[:, 0, 0] = w1
+        e = np.linalg.eigvalsh(h)
+        split = np.diff(e)
         # e1 is always one of the two eigenvalues nearest qubit 2, at 0
-        gaps = np.where(abs(e0) <= abs(e2), e1 - e0, e2 - e1)
+        gaps = np.where(abs(e[:, 0]) <= abs(e[:, 2]), split[:, 0], split[:, 1])
         i = int(np.argmin(gaps))
         if scan == 1 and w1[i] in ends:
             raise DomainError("no avoided crossing inside the sweep range")

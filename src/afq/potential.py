@@ -5,16 +5,27 @@
 afq's one surface model, with closed-form derivatives of every order
 (finite differences are far too noisy against the 12th-power term; they
 appear only in tests).
+
+The bias point and the Taylor terms depend on the surface alone, so each
+process computes them once per surface: :func:`find_bias_point` and
+:func:`taylor_coefficients` keep their last ``_MEMO_SIZE`` results, keyed
+on the potential's value (a frozen ``LennardJones`` hashes and compares
+by its class, epsilon and sigma, so a new object of equal value hits),
+plus the expansion point and order for the Taylor terms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+
+# results each memo keeps: one per surface (and bias gap) a process uses
+_MEMO_SIZE = 32
 
 
 def _falling_power_coeff(p: int, n: int) -> float:
@@ -100,6 +111,14 @@ def taylor_coefficients(potential: LennardJones, x: float,
     """
     if max_order < 2:
         raise DomainError(f"max_order must be >= 2, got {max_order}")
+    return _expansion(potential, x, max_order)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _expansion(potential: LennardJones, x: float,
+               max_order: int) -> TaylorCoefficients:
+    """:func:`taylor_coefficients`, memoized; ``typed`` keeps a float ``x``
+    apart from an equal numpy scalar, so each gets back its own type."""
     coeffs = tuple(_taylor_term(potential, x, n)
                    for n in range(max_order + 1))
     return TaylorCoefficients(expansion_point=x, coefficients=coeffs)
@@ -132,6 +151,12 @@ def find_bias_point(potential: LennardJones) -> float:
     sigma where the induced spring constant vanishes: the single zero of
     the Lennard-Jones V'', always inside that bracket.
     """
+    return _bias_point(potential)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _bias_point(potential: LennardJones) -> float:
+    """:func:`find_bias_point`, memoized."""
     sigma = potential.sigma
     return _rightmost_root(lambda x: potential.derivative(x, 2),
                            1.05 * sigma, 2.0 * sigma)

@@ -108,5 +108,7 @@ def thermal_occupancy(omega, temperature):
         raise DomainError("temperature must be >= 0")
     with np.errstate(divide="ignore", over="ignore"):
         out = 1.0 / np.expm1(hbar * omega / (k_B * temperature))
-    out = np.where(temperature == 0, 0.0, out)
+    # T = 0 already gives +0.0 through 1/expm1(inf), but for a NaN omega
+    if np.any(temperature == 0):
+        out = np.where(temperature == 0, 0.0, out)
     return out.item() if out.ndim == 0 else out

@@ -194,17 +194,19 @@ def _whole_grid_ladder(spec):
 def test_operating_state_returns_stable_elements_only():
     # the 200 x 200 default box mixes snap-in and stable rows; omega_eff and
     # x_zpf come back for the stable elements alone, at their flat C-order
-    # index, and as the whole grid gives them there
+    # index and its row along the length axis, and as the whole grid gives
+    # them there
     spec = make_spec(200, 200)
     length = np.asarray(spec.lengths)[:, None]
     gap = np.asarray(spec.gaps_over_sigma)[None, :] * LJ.sigma
     k, _, m_eff = explorer._modal_constants(length, spec.width,
                                             spec.thickness, SILICON)
-    _, k_eff, idx, omega_eff, x_zpf = explorer._operating_state(
+    _, k_eff, idx, row, omega_eff, x_zpf = explorer._operating_state(
         k, m_eff, LJ, gap)
     assert k_eff.shape == (200, 200)
     assert 0 < idx.size < k_eff.size
     np.testing.assert_array_equal(idx, np.flatnonzero(k_eff > 0))
+    np.testing.assert_array_equal(row, np.nonzero(k_eff > 0)[0])
     assert omega_eff.shape == x_zpf.shape == idx.shape
     assert np.all(np.isfinite(omega_eff)) and np.all(np.isfinite(x_zpf))
     with np.errstate(invalid="ignore"):

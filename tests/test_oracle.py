@@ -465,6 +465,19 @@ def test_doubled_grid_refines_the_bisected_grids_seed_vectors(monkeypatch):
                 <= 1e-10 * (ref[2] - ref[0])), f"design {i}"
 
 
+def test_generic_vector_is_shared_and_refuses_writes():
+    # each size is computed once per process and handed to every grid solve
+    # that asks for it, so no caller may write into it
+    v = oracle._generic_vector(999)
+    assert v is oracle._generic_vector(999)
+    assert not v.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        v[0] = 0.5
+    # a hashed counter: a shorter vector is the same counters' prefix
+    np.testing.assert_array_equal(oracle._generic_vector(51), v[:51])
+    assert np.all((v >= 0) & (v < 1))
+
+
 def test_stretch_cutting_through_the_ground_state_is_refused(monkeypatch):
     # stretches forced to end 4 x_zpf right of the harmonic well's centre,
     # where the ground state still has exp(-4) of its peak: the couplings

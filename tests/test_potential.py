@@ -182,3 +182,35 @@ def test_rightmost_root_takes_the_last_sign_change():
 
 def test_rightmost_root_none_without_sign_change():
     assert _rightmost_root(lambda x: x - 5.0, 0.0, 1.0) is None
+
+
+def test_memo_takes_the_surface_by_value():
+    # potentials that differ only in epsilon or only in sigma get what an
+    # uncached computation gives; the second pass reads the memo, and an
+    # equal potential built anew gets the same record back
+    x_over_sigma = 1.3
+    pots = [LennardJones(epsilon=EPS_SI, sigma=SIGMA_SI),
+            LennardJones(epsilon=2.0 * EPS_SI, sigma=SIGMA_SI),
+            LennardJones(epsilon=EPS_SI, sigma=1.5 * SIGMA_SI)]
+    for _ in range(2):
+        for pot in pots:
+            assert find_bias_point(pot) == _rightmost_root(
+                lambda x: pot.derivative(x, 2), 1.05 * pot.sigma,
+                2.0 * pot.sigma)
+            x = x_over_sigma * pot.sigma
+            taylor = taylor_coefficients(pot, x, max_order=8)
+            assert taylor.expansion_point == x
+            assert taylor.coefficients == tuple(
+                pot.derivative(x, n) / math.factorial(n) for n in range(9))
+    x = x_over_sigma * SIGMA_SI
+    assert taylor_coefficients(LennardJones(epsilon=EPS_SI, sigma=SIGMA_SI),
+                               x) is taylor_coefficients(pots[0], x)
+
+
+def test_memo_keeps_the_type_of_the_expansion_point(lj):
+    # a numpy scalar equal to a float is a key of its own, so each caller
+    # gets back the expansion point it passed
+    x = 1.3 * SIGMA_SI
+    assert type(taylor_coefficients(lj, x).expansion_point) is float
+    at = taylor_coefficients(lj, np.float64(x)).expansion_point
+    assert type(at) is np.float64
